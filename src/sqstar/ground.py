@@ -1,19 +1,23 @@
 """Ground set: membership, sieved tables, rank/unrank, binary caches.
 
 The default ground set is the set of sums of two integer squares (0 and 1
-included).  A GroundTable materializes the sorted members below a limit
-and provides the rank/unrank bijection plus counting queries; everything
-upstream (the induced product, pattern generation, searches) is expressed
-through these queries.
+included).  A GroundTable stores the members below a limit as a bitset
+with a popcount rank directory (Jacobson, FOCS 1989; Vigna, WEA 2008)
+plus the sorted member array for unranking; everything upstream (the
+induced product, pattern generation, searches) is expressed through its
+rank and unrank queries.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import os
 import struct
+import zlib
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     CorruptCacheError,
     NotMemberError,
@@ -22,12 +26,20 @@ from .errors import (
     ResourceBudgetError,
 )
 
-# Refuse builds whose working set would exceed this many bytes (sieve
-# scratch plus element storage, estimated at 4 bytes per candidate).
+# Refuse builds whose working set would exceed this many bytes (see
+# build_table for the estimate).
 DEFAULT_MAX_BYTES = 2**31
 
+# The member array is uint32, so values, and hence the limit, stop at 2**32.
+MAX_LIMIT = 2**32
+
 _MAGIC = b"SGT1"
-_VERSION = 1
+_VERSION = 2
+
+# Bits unpacked at a time while filling the member array; small enough
+# that the scratch (one bool byte per bit plus an int64 per member found)
+# stays under a megabyte.
+_SELECT_CHUNK = 2**16
 
 
 def is_member(n: int) -> bool:
@@ -58,6 +70,19 @@ def is_member(n: int) -> bool:
     return not (m > 1 and m % 4 == 3)
 
 
+def _two_squares_flags(limit: int) -> np.ndarray:
+    """Bool flags for [0, limit): mark a^2 + b^2 for every a <= b."""
+    flags = np.zeros(limit, dtype=bool)
+    squares = np.arange(math.isqrt(limit - 1) + 1, dtype=np.int64) ** 2
+    for a in range(squares.size):
+        a2 = int(squares[a])
+        bmax = math.isqrt(limit - 1 - a2)
+        if bmax < a:
+            break
+        flags[squares[a : bmax + 1] + a2] = True
+    return flags
+
+
 class GroundPredicate:
     """A named membership predicate with an optional bulk sieve."""
 
@@ -72,44 +97,70 @@ class GroundPredicate:
         return self._member(n)
 
     def flags(self, limit: int) -> np.ndarray:
-        """uint8 flags for [0, limit); falls back to a scalar loop."""
+        """Bool flags for [0, limit); falls back to a scalar loop."""
         if self._flags is not None:
             return self._flags(limit)
-        out = np.zeros(limit, dtype=np.uint8)
+        out = np.zeros(limit, dtype=bool)
         for n in range(limit):
             if self._member(n):
-                out[n] = 1
+                out[n] = True
         return out
 
     def __repr__(self):
         return f"GroundPredicate({self.predicate_id!r})"
 
 
-SIGMA = GroundPredicate("sigma", is_member, flags=_kernels.member_flags)
+SIGMA = GroundPredicate("sigma", is_member, flags=_two_squares_flags)
+
+
+def _select(words: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the set bits of a little-endian bitset, as uint32."""
+    out = np.empty(count, dtype=np.uint32)
+    data = words.view(np.uint8)
+    step = _SELECT_CHUNK // 8
+    pos = 0
+    for lo in range(0, data.size, step):
+        bits = np.unpackbits(data[lo : lo + step], bitorder="little").view(bool)
+        idx = np.flatnonzero(bits)
+        np.add(idx, 8 * lo, out=out[pos : pos + idx.size], casting="unsafe")
+        pos += idx.size
+    return out
 
 
 class GroundTable:
-    """Sorted members of a predicate below a limit, with rank queries.
+    """Members of a predicate below a limit, with rank and unrank queries.
 
-    elements is a read-only uint64 array; ranks are positions within it.
-    A bucket index (prefix counts at stride 128) accelerates bulk rank
-    queries on the numba path.
+    Bit n of the little-endian uint64 bitset is set iff n is a member.
+    The bitset has limit // 64 + 1 words, so the bound x = limit falls
+    inside it and needs no special case; bits at or above the limit are
+    zero.  The rank directory holds the popcount of all words before each
+    word, so counting members below x is one directory read plus one
+    masked popcount.  elements is a read-only uint32 array of the sorted
+    members (select, i.e. unrank, in O(1)); ranks are positions within it.
     """
 
-    __slots__ = ("limit", "elements", "predicate_id", "_buckets")
+    __slots__ = ("limit", "predicate_id", "elements", "_words", "_prefix")
 
-    def __init__(self, limit: int, elements: np.ndarray, predicate_id: str):
+    def __init__(self, limit: int, words: np.ndarray, predicate_id: str):
         self.limit = int(limit)
-        el = np.ascontiguousarray(elements, dtype=np.uint64)
+        self.predicate_id = predicate_id
+        words = np.ascontiguousarray(words, dtype="<u8")
+        if words.size != (self.limit >> 6) + 1:
+            raise ValueError(f"a table with limit {limit} needs {(self.limit >> 6) + 1} words")
+        words.setflags(write=False)
+        self._words = words
+        prefix = np.zeros(words.size + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words), dtype=np.int64, out=prefix[1:])
+        prefix.setflags(write=False)
+        self._prefix = prefix
+        el = _select(words, int(prefix[-1]))
         el.setflags(write=False)
         self.elements = el
-        self.predicate_id = predicate_id
-        self._buckets = _kernels.build_buckets(el, self.limit)
 
     @property
     def size(self) -> int:
         """Number of members below the limit."""
-        return int(self.elements.size)
+        return int(self._prefix[-1])
 
     def element(self, n: int) -> int:
         """Member with rank n (the n-th smallest, counting from 0)."""
@@ -119,48 +170,58 @@ class GroundTable:
             raise OutOfRangeError(
                 f"rank {n} exceeds table size {self.elements.size} (limit {self.limit})"
             )
-        return int(self.elements[n])
+        return self.elements.item(n)
+
+    def _bit(self, s: int) -> int:
+        s = operator.index(s)
+        if s < 0:
+            raise ValueError("membership query requires a nonnegative integer")
+        if s >= self.limit:
+            raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
+        return (self._words.item(s >> 6) >> (s & 63)) & 1
 
     def rank(self, s: int) -> int:
         """Rank of the member s; raises NotMemberError for non-members."""
-        if s < 0:
-            raise ValueError("rank query requires a nonnegative integer")
-        if s >= self.limit:
-            raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
-        i = int(np.searchsorted(self.elements, s))
-        if i < self.elements.size and int(self.elements[i]) == s:
-            return i
-        raise NotMemberError(f"{s} is not in the ground set")
+        if not self._bit(s):
+            raise NotMemberError(f"{s} is not in the ground set")
+        return self.count_below(s)
 
     def count_below(self, x: int) -> int:
         """Number of members strictly below x, for 0 <= x <= limit."""
+        x = operator.index(x)
         if x < 0:
             raise ValueError("count_below requires a nonnegative bound")
         if x > self.limit:
             raise OutOfRangeError(f"bound {x} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.elements, x))
+        i = x >> 6
+        low = self._words.item(i) & ((1 << (x & 63)) - 1)
+        return self._prefix.item(i) + low.bit_count()
 
     def count_below_many(self, xs) -> np.ndarray:
         """Vectorized count_below over an array of bounds."""
         arr = np.asarray(xs)
         if arr.size and (arr.min() < 0 or int(arr.max()) > self.limit):
             raise OutOfRangeError("bounds must lie in [0, limit]")
-        arr = np.ascontiguousarray(arr, dtype=np.uint64)
-        return _kernels.count_below_many(self.elements, self._buckets, arr)
+        x = arr.astype(np.uint64, copy=False)
+        i = x >> np.uint64(6)
+        mask = (np.uint64(1) << (x & np.uint64(63))) - np.uint64(1)
+        return self._prefix[i] + np.bitwise_count(self._words[i] & mask)
 
     def contains(self, s: int) -> bool:
         """Table-backed membership test for 0 <= s < limit."""
-        if s < 0:
-            raise ValueError("membership query requires a nonnegative integer")
-        if s >= self.limit:
-            raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
-        i = int(np.searchsorted(self.elements, s))
-        return i < self.elements.size and int(self.elements[i]) == s
+        return bool(self._bit(s))
 
     def __repr__(self):
         return (
             f"GroundTable(limit={self.limit}, size={self.size}, "
             f"predicate={self.predicate_id!r})"
+        )
+
+
+def _check_budget(need: int, max_bytes: int, limit: int, stage: str) -> None:
+    if need > max_bytes:
+        raise ResourceBudgetError(
+            f"limit {limit} needs ~{need} bytes for the {stage}, budget is {max_bytes}"
         )
 
 
@@ -171,88 +232,102 @@ def build_table(
 ) -> GroundTable:
     """Sieve all members below limit into a GroundTable.
 
-    The peak working set is roughly two byte-arrays of length limit plus
-    the element storage, estimated here as 4*limit bytes and checked
-    against max_bytes before any allocation.
+    The build has two peaks, and each is checked against max_bytes before
+    its allocation.  The sieve holds one bool flag per candidate plus the
+    packed bitset (limit/8 bytes).  Once the flags are freed, the table
+    holds the bitset, the rank directory (8 bytes per 64 candidates) and
+    4 bytes per member, plus the chunked select scratch.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    if 4 * limit > max_bytes:
-        raise ResourceBudgetError(
-            f"limit {limit} needs ~{4 * limit} bytes, budget is {max_bytes}"
-        )
-    flags = predicate.flags(limit)
-    elements = np.flatnonzero(flags).astype(np.uint64)
-    return GroundTable(limit, elements, predicate.predicate_id)
-
-
-def _checksum(elements: np.ndarray) -> int:
-    if elements.size == 0:
-        return 0
-    return int(np.bitwise_xor.reduce(elements))
+    nwords = (limit >> 6) + 1
+    sieve = limit + 8 * nwords + 16 * (math.isqrt(limit) + 1)
+    _check_budget(sieve, max_bytes, limit, "sieve")
+    if limit > MAX_LIMIT:
+        raise ValueError(f"limit {limit} above {MAX_LIMIT}: uint32 members would overflow")
+    packed = np.packbits(predicate.flags(limit), bitorder="little")
+    words = np.zeros(nwords, dtype="<u8")
+    words.view(np.uint8)[: packed.size] = packed
+    del packed
+    count = int(np.bitwise_count(words).sum())
+    scratch = _SELECT_CHUNK + 8 * min(count, _SELECT_CHUNK)
+    _check_budget(16 * nwords + 4 * count + scratch, max_bytes, limit, "table")
+    return GroundTable(limit, words, predicate.predicate_id)
 
 
 def save_cache(table: GroundTable, path: str) -> None:
-    """Write a table to a binary cache file.
+    """Write a table to a binary cache file (format version 2).
 
-    Layout: magic "SGT1", version byte, length-prefixed predicate id,
-    limit and count as little-endian u64, the elements as little-endian
-    u64, and a trailing u64 XOR checksum over the element words.
+    Layout: magic "SGT1", version byte 2, length-prefixed predicate id,
+    limit and member count as little-endian u64, the bitset as
+    limit // 64 + 1 little-endian u64 words, and a trailing little-endian
+    u32 zlib.crc32 over every preceding byte.
     """
     pid = table.predicate_id.encode("ascii")
-    payload = table.elements.astype("<u8").tobytes()
+    head = (
+        _MAGIC
+        + struct.pack("<BB", _VERSION, len(pid))
+        + pid
+        + struct.pack("<QQ", table.limit, table.size)
+    )
+    crc = zlib.crc32(table._words, zlib.crc32(head))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _VERSION))
-        fh.write(struct.pack("<B", len(pid)))
-        fh.write(pid)
-        fh.write(struct.pack("<QQ", table.limit, table.size))
-        fh.write(payload)
-        fh.write(struct.pack("<Q", _checksum(table.elements)))
+        fh.write(head)
+        fh.write(table._words)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_cache(path: str, predicate_id: str | None = None) -> GroundTable:
     """Load and validate a binary cache written by save_cache.
 
     Every structural property is checked: magic, version, declared
-    length versus file size, checksum, strict monotonicity, and the
-    elements staying below the declared limit.  Any failure raises
-    CorruptCacheError; a predicate mismatch raises PredicateMismatchError.
+    length versus file size, the CRC, no bit at or above the declared
+    limit, and the declared count against the bitset's popcount.  Any
+    failure raises CorruptCacheError; a predicate mismatch raises
+    PredicateMismatchError.  The rank directory and member array are
+    rebuilt from the bitset.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 6:
-        raise CorruptCacheError("file too short for header")
-    if data[:4] != _MAGIC:
-        raise CorruptCacheError("bad magic")
-    if data[4] != _VERSION:
-        raise CorruptCacheError(f"unsupported version {data[4]}")
-    pid_len = data[5]
-    head_end = 6 + pid_len + 16
-    if len(data) < head_end:
-        raise CorruptCacheError("truncated header")
-    try:
-        pid = data[6 : 6 + pid_len].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CorruptCacheError("predicate id is not ascii") from exc
-    limit, count = struct.unpack_from("<QQ", data, 6 + pid_len)
-    expected = head_end + 8 * count + 8
-    if len(data) != expected:
-        raise CorruptCacheError(
-            f"file length {len(data)} does not match declared count (expected {expected})"
-        )
-    elements = np.frombuffer(data, dtype="<u8", count=count, offset=head_end)
-    elements = elements.astype(np.uint64)
-    (stored_sum,) = struct.unpack_from("<Q", data, head_end + 8 * count)
-    if _checksum(elements) != stored_sum:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if len(head) < 6:
+            raise CorruptCacheError("file too short for header")
+        if head[:4] != _MAGIC:
+            raise CorruptCacheError("bad magic")
+        if head[4] != _VERSION:
+            raise CorruptCacheError(
+                f"unsupported cache format version {head[4]} (this build reads "
+                f"version {_VERSION}); rebuild the cache with build-cache"
+            )
+        head += fh.read(head[5] + 16)
+        if len(head) < 6 + head[5] + 16:
+            raise CorruptCacheError("truncated header")
+        try:
+            pid = head[6:-16].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CorruptCacheError("predicate id is not ascii") from exc
+        limit, count = struct.unpack_from("<QQ", head, len(head) - 16)
+        if not 2 <= limit <= MAX_LIMIT:
+            raise CorruptCacheError(f"declared limit {limit} outside [2, {MAX_LIMIT}]")
+        nwords = (limit >> 6) + 1
+        expected = len(head) + 8 * nwords + 4
+        if size != expected:
+            raise CorruptCacheError(
+                f"file length {size} does not match declared limit (expected {expected})"
+            )
+        words = np.empty(nwords, dtype="<u8")
+        got = fh.readinto(words)
+        tail = fh.read(4)
+    if got != 8 * nwords or len(tail) != 4:
+        raise CorruptCacheError("file shorter than its header declares")
+    if zlib.crc32(words, zlib.crc32(head)) != struct.unpack("<I", tail)[0]:
         raise CorruptCacheError("checksum mismatch")
-    if elements.size:
-        if int(elements[-1]) >= limit:
-            raise CorruptCacheError("element at or above declared limit")
-        if elements.size > 1 and not bool(np.all(elements[1:] > elements[:-1])):
-            raise CorruptCacheError("elements are not strictly increasing")
+    if int(words[-1]) >> (limit & 63):
+        raise CorruptCacheError("member at or above declared limit")
+    if int(np.bitwise_count(words).sum()) != count:
+        raise CorruptCacheError(f"declared count {count} does not match the bitset")
     if predicate_id is not None and pid != predicate_id:
         raise PredicateMismatchError(
             f"cache was built for predicate {pid!r}, requested {predicate_id!r}"
         )
-    return GroundTable(int(limit), elements, pid)
+    return GroundTable(int(limit), words, pid)

@@ -112,19 +112,14 @@ def star_many(ms, ns, table: GroundTable):
     """Vectorized star over paired rank arrays.
 
     Returns (ranks, valid) where valid marks pairs whose product stays
-    below the table limit; ranks is meaningful only where valid.  A
-    float64 prescreen keeps the uint64 multiply overflow-free: operands
-    are below the limit, so true in-range products (< limit <= 2**53 for
-    any practical table) are screened exactly.
+    below the table limit; ranks is meaningful only where valid.  Members
+    are below the limit, which is at most 2**32, so their products are
+    exact in uint64.
     """
     ms = np.asarray(ms, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
-    sm = table.elements[ms]
-    sn = table.elements[ns]
-    approx = sm.astype(np.float64) * sn.astype(np.float64)
-    valid = approx < float(table.limit)
-    prod = np.zeros(ms.shape, dtype=np.uint64)
-    prod[valid] = sm[valid] * sn[valid]
+    prod = table.elements[ms].astype(np.uint64) * table.elements[ns]
+    valid = prod < table.limit
     ranks = np.zeros(ms.shape, dtype=np.int64)
     if valid.any():
         ranks[valid] = table.count_below_many(prod[valid])
@@ -228,22 +223,33 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         bad = (int(mism[0][0]), int(mism[0][1]))
     checks.append(LawCheck("multiplicativity", comm_pairs, n * n - comm_pairs, bad))
 
-    # associativity: (m*n)*k vs m*(n*k); by multiplicativity both sides equal
-    # the rank of s_m*s_n*s_k, but compute both sides literally
+    # associativity: (m*n)*k vs m*(n*k), composed through ranks as
+    # element(star(m, n)) * s_k against s_m * element(star(n, k)); a product
+    # that leaves the table on one side only is a counterexample
     triple = prod[:, :, None].astype(np.float64) * v[None, None, :].astype(np.float64)
     t_ok = in_range[:, :, None] & in_range[None, :, :] & (triple < float(limit))
     bad = None
     checked3 = int(t_ok.sum())
     if checked3:
-        idx = np.argwhere(t_ok)
-        lhs = table.count_below_many(prod[idx[:, 0], idx[:, 1]] * v[idx[:, 2]])
-        rhs = table.count_below_many(v[idx[:, 0]] * prod[idx[:, 1], idx[:, 2]])
+        m, k, j = np.nonzero(t_ok)
+        el = table.elements
+        lhs = _ranks_in_range(el[ranks[m, k]].astype(np.uint64) * v[j], table)
+        rhs = _ranks_in_range(v[m] * el[ranks[k, j]], table)
         mism = np.flatnonzero(lhs != rhs)
         if mism.size:
-            bad = tuple(int(t) for t in idx[mism[0]])
+            i = mism[0]
+            bad = (int(m[i]), int(k[i]), int(j[i]))
     checks.append(LawCheck("associativity", checked3, n**3 - checked3, bad))
 
     return LawReport(range_max, checks)
+
+
+def _ranks_in_range(prods: np.ndarray, table: GroundTable) -> np.ndarray:
+    """count_below of each product, or -1 where it reaches the limit."""
+    out = np.full(prods.shape, -1, dtype=np.int64)
+    ok = prods < table.limit
+    out[ok] = table.count_below_many(prods[ok])
+    return out
 
 
 def _verify_laws_scalar(range_max: int, table: GroundTable) -> LawReport:

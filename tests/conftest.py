@@ -1,16 +1,10 @@
-"""Shared fixtures: ground tables at several scales, kernels pre-warmed."""
+"""Shared fixtures: ground tables at several scales."""
 
 import time
 
 import pytest
 
-from sqstar import _kernels, build_table
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens here so timed tests measure steady state
-    _kernels.warm_up()
+from sqstar import build_table
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ the library code under test existed.
 import itertools
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_criterion_05_pattern_path_consistency(report, table_1m):
     t0 = time.perf_counter()
     bad = 0
     for family in ("fpf", "brauer", "deuber", "mt", "geo", "pvw"):
-        rng = np.random.Generator(np.random.PCG64(hash(family) % 2**32))
+        rng = np.random.Generator(np.random.PCG64(zlib.crc32(family.encode())))
         done = 0
         while done < 100:
             spec, gens = tp._random_spec_and_gens(rng, family, table_1m)

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from sqstar import build_table, periodic_coloring, save_cache
@@ -89,6 +91,19 @@ def test_corrupt_cache_exit(tmp_path, capsys):
     code, _, err = run(capsys, "--cache", str(bad), "op", "2", "5")
     assert code == 4
     assert "corrupt" in err
+
+
+def test_v1_cache_asks_for_rebuild(tmp_path, capsys):
+    # format version 1 stored the members as u64 words with an XOR checksum
+    members = np.array([0, 1, 2, 4, 5, 8, 9], dtype="<u8")
+    v1 = (b"SGT1" + struct.pack("<BB", 1, 5) + b"sigma"
+          + struct.pack("<QQ", 10, members.size) + members.tobytes()
+          + struct.pack("<Q", int(np.bitwise_xor.reduce(members))))
+    old = tmp_path / "v1.sgt"
+    old.write_bytes(v1)
+    code, _, err = run(capsys, "--cache", str(old), "op", "2", "5")
+    assert code == 4
+    assert "version 1" in err and "rebuild" in err
 
 
 def test_missing_cache_exit(capsys):

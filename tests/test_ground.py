@@ -1,5 +1,9 @@
 """Ground set: sieve correctness, rank queries, cache format."""
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,12 +15,12 @@ from sqstar import (
     OutOfRangeError,
     PredicateMismatchError,
     ResourceBudgetError,
+    SIGMA,
     build_table,
     is_member,
     load_cache,
     save_cache,
 )
-from sqstar import _kernels
 
 PREFIX = [0, 1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25, 26, 29, 32]
 
@@ -28,14 +32,12 @@ def test_prefix_17(table_100k):
 def test_flags_match_brute_force():
     limit = 20000
     want = oracles.two_squares_flags(limit)
-    assert np.array_equal(_kernels.member_flags_numpy(limit), want)
-    if _kernels.HAVE_NUMBA:
-        assert np.array_equal(_kernels.member_flags_numba(limit), want)
+    assert np.array_equal(SIGMA.flags(limit), want)
 
 
 def test_large_prime_single_factor():
     # one prime = 3 (mod 4) above the square root still disqualifies
-    flags = _kernels.member_flags(1000)
+    flags = SIGMA.flags(1000)
     assert flags[206] == 0  # 206 = 2 * 103
     assert flags[103] == 0
     assert is_member(206) is False
@@ -99,6 +101,38 @@ def test_build_validation():
         build_table(10**12)
     with pytest.raises(ResourceBudgetError):
         build_table(10**6, max_bytes=10**5)
+    # uint32 members stop at 2**32, whatever the budget
+    with pytest.raises(ValueError):
+        build_table(2**32 + 1, max_bytes=2**62)
+
+
+def test_budget_estimate_tracks_measured_peak():
+    # the guard's estimate is never below the traced peak of a build and
+    # not far above it
+    tracemalloc.start()
+    try:
+        build_table(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ResourceBudgetError):
+        build_table(10**7, max_bytes=peak - 1)
+    assert build_table(10**7, max_bytes=int(1.25 * peak)).limit == 10**7
+
+
+@pytest.mark.parametrize("query", ["count_below", "contains", "rank"])
+def test_scalar_query_allocates_almost_nothing(table_100m_timed, query):
+    # a scalar query must not touch more than a word of the table
+    table, _ = table_100m_timed
+    fn = getattr(table, query)
+    fn(99_999_997)  # 99999997 = 1346^2 + 9909^2, a member
+    tracemalloc.start()
+    try:
+        fn(99_999_997)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024, (query, peak)
 
 
 def test_custom_predicate():
@@ -108,13 +142,13 @@ def test_custom_predicate():
     assert t.predicate_id == "evens"
 
 
-def test_numpy_and_numba_sieves_agree():
+def test_sieve_matches_oracle_at_edge_limits():
     for limit in (2, 3, 10, 1000, 65536):
-        a = _kernels.member_flags_numpy(limit)
-        if _kernels.HAVE_NUMBA:
-            b = _kernels.member_flags_numba(limit)
-            assert np.array_equal(a, b), limit
-        assert np.array_equal(a, oracles.two_squares_flags(limit)), limit
+        want = oracles.two_squares_flags(limit)
+        assert np.array_equal(SIGMA.flags(limit), want), limit
+        t = build_table(limit)
+        assert np.array_equal(t.elements, np.flatnonzero(want)), limit
+        assert t.count_below(limit) == int(want.sum()), limit
 
 
 def test_cache_roundtrip(tmp_path, table_100k):
@@ -156,6 +190,54 @@ def test_cache_checksum_flip(tmp_path, table_100k):
     data[40] ^= 0xFF  # somewhere inside the element payload
     open(path, "wb").write(bytes(data))
     with pytest.raises(CorruptCacheError):
+        load_cache(path)
+
+
+def _reseal(path, edit):
+    """Apply edit(header, words) to a cache file and rewrite its CRC."""
+    data = bytearray(open(path, "rb").read())
+    head_len = 6 + data[5] + 16
+    head = data[:head_len]
+    words = np.frombuffer(bytes(data[head_len:-4]), dtype="<u8").copy()
+    edit(head, words)
+    body = bytes(head) + words.tobytes()
+    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_cache_swapped_bits(tmp_path, table_100k):
+    # a set and a clear bit trade places: same popcount, still in range,
+    # so only the CRC can tell
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_100k, path)
+    data = bytearray(open(path, "rb").read())
+    first = 6 + data[5] + 16  # byte holding bits 0..7: members 0 1 2 4 5
+    assert data[first] & 0b1100 == 0b0100
+    data[first] ^= 0b1100
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(CorruptCacheError, match="checksum"):
+        load_cache(path)
+
+
+def test_cache_bit_at_or_above_limit(tmp_path, table_100k):
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_100k, path)
+    limit = table_100k.limit
+
+    def edit(head, words):
+        words[-1] |= np.uint64(1) << np.uint64(limit & 63)
+        struct.pack_into("<Q", head, len(head) - 8, table_100k.size + 1)
+
+    _reseal(path, edit)
+    with pytest.raises(CorruptCacheError, match="limit"):
+        load_cache(path)
+
+
+def test_cache_count_disagrees(tmp_path, table_100k):
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_100k, path)
+    _reseal(path, lambda head, words: struct.pack_into(
+        "<Q", head, len(head) - 8, table_100k.size - 1))
+    with pytest.raises(CorruptCacheError, match="count"):
         load_cache(path)
 
 

@@ -1,5 +1,7 @@
 """Pattern families: worked values, validation, witnesses, documents."""
 
+import zlib
+
 import pytest
 
 import oracles
@@ -325,7 +327,7 @@ def _fold_value_paths(spec, gens, table):
 def test_two_path_consistency(family, table_1m):
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(hash(family) % 2**32))
+    rng = np.random.Generator(np.random.PCG64(zlib.crc32(family.encode())))
     done = 0
     attempts = 0
     while done < SEEDED_DRAWS:

@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from sqstar import (
+    GroundTable,
     OutOfRangeError,
+    build_table,
     eval_monomial,
     finite_products,
     power,
@@ -140,6 +142,23 @@ def test_verify_laws_scalar_fallback_agrees(table_100k):
             b.skipped,
             b.ok,
         )
+
+
+def test_verify_laws_catches_corrupt_ranks(monkeypatch):
+    # bulk rank sends the product 4 = s_2 * s_2 (rank 3) to rank 4, so
+    # star(2, 2) * 3 reaches 5 * 4 = 20 while 2 * star(2, 3) reaches 2 * 8 = 16
+    table = build_table(1000)
+    honest = GroundTable.count_below_many
+
+    def corrupt(self, xs):
+        out = honest(self, xs)
+        out[np.asarray(xs) == 4] += 1
+        return out
+
+    monkeypatch.setattr(GroundTable, "count_below_many", corrupt)
+    assoc = verify_laws(10, table).checks[-1]
+    assert assoc.name == "associativity"
+    assert assoc.counterexample is not None
 
 
 def test_star_many(table_100k):
