@@ -14,7 +14,6 @@ from .errors import (
     EnumerationCapError,
     MalformedWitnessError,
     NotMemberError,
-    OrderViolationError,
     OutOfDomainError,
     OutOfRangeError,
     PredicateMismatchError,
@@ -63,15 +62,8 @@ from .patterns import (
     PolyVdW,
     Witness,
     check_monochromatic,
-    gen_brauer,
-    gen_deuber,
-    gen_fpf,
-    gen_geo_arithmetic,
-    gen_milliken_taylor,
-    gen_poly_vdw,
     generate_configuration,
     load_witness,
-    mt_configuration,
     save_witness,
 )
 from .search import SearchBounds, SearchReport, find_witness, threshold, verify_witness

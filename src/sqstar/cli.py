@@ -15,6 +15,7 @@ found; 2 usage error; 3 a value or requested range beyond the table;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ from .errors import (
     EnumerationCapError,
     MalformedWitnessError,
     NotMemberError,
-    OrderViolationError,
     OutOfDomainError,
     OutOfRangeError,
     PredicateMismatchError,
@@ -46,7 +46,6 @@ _USAGE_ERRORS = (
     NotMemberError,
     EnumerationCapError,
     ResourceBudgetError,
-    OrderViolationError,
     OutOfDomainError,
 )
 _RANGE_ERRORS = (OutOfRangeError,)
@@ -110,20 +109,6 @@ def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
     return ground.build_table(limit)
 
 
-def _parse_monomial(token: str):
-    """Parse "2:1,5:2" into [(2, 1), (5, 2)]; "-" is the empty monomial."""
-    if token in ("-", ""):
-        return []
-    out = []
-    for item in token.split(","):
-        if ":" in item:
-            t, _, e = item.partition(":")
-            out.append((int(t), int(e)))
-        else:
-            out.append((int(item), 1))
-    return out
-
-
 def _parse_sets(token: str):
     return tuple(
         tuple(int(a) for a in group.split(",")) for group in token.split(";") if group
@@ -133,110 +118,64 @@ def _parse_sets(token: str):
 def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
     """Build a coloring from a descriptor.
 
-    Accepted forms: random:seed=S,r=R[,bound=B]; periodic:q=Q,r=R or
-    periodic:q=Q,map=1;2[,bound=B]; file:PATH.  A bound given via flag
-    fills in when the descriptor does not carry one.
+    Accepted forms: file:PATH, or any descriptor colorings.from_provenance
+    reads (random[:pcg64]:seed=S,r=R[,bound=B] or
+    periodic:q=Q,r=R|map=C;..;C[,bound=B]), so a witness's provenance
+    string is itself a descriptor.  A bound given via flag fills in when
+    the descriptor does not carry one.
     """
-    kind, _, rest = desc.partition(":")
+    kind, _, path = desc.partition(":")
     if kind == "file":
-        if not rest:
+        if not path:
             raise _CliError("file coloring needs a path")
-        return col.from_file(rest)
-    fields = {}
-    for item in rest.split(","):
-        if "=" in item:
-            key, _, val = item.partition("=")
-            fields[key] = val
-    if kind == "random":
-        if "seed" not in fields or "r" not in fields:
-            raise _CliError(f"random coloring needs seed= and r=, got {desc!r}")
-        b = int(fields["bound"]) if "bound" in fields else bound
-        if b is None:
-            raise _CliError("random coloring needs a bound (flag --bound)")
-        return col.random_coloring(int(fields["seed"]), int(fields["r"]), b)
-    if kind == "periodic":
-        if "q" not in fields:
-            raise _CliError(f"periodic coloring needs q=, got {desc!r}")
-        q = int(fields["q"])
-        if "map" in fields:
-            mapping = [int(c) for c in fields["map"].split(";")]
-        elif "r" in fields:
-            r = int(fields["r"])
-            mapping = [(i % r) + 1 for i in range(q)]
-        else:
-            raise _CliError(f"periodic coloring needs r= or map=, got {desc!r}")
-        b = int(fields["bound"]) if "bound" in fields else bound
-        if b is None:
-            raise _CliError("periodic coloring needs a bound (flag --bound)")
-        return col.periodic_coloring(q, mapping, b)
-    raise _CliError(f"unknown coloring descriptor {desc!r}")
+        return col.from_file(path)
+    try:
+        return col.from_provenance(desc, bound)
+    except SchemaViolationError as exc:
+        raise _CliError(str(exc)) from exc
+
+
+# command-line text for the spec parameters that are not plain integers
+_PARAM_PARSERS = {"phi": pat.phi_from_str, "sets": _parse_sets}
 
 
 def _build_spec(args, gen_tokens=None):
     """PatternSpec from family flags; gen_tokens only sizes fpf/deuber."""
-    fam = args.family
-    if fam == "fpf":
-        k = args.k if args.k is not None else (len(gen_tokens) if gen_tokens else None)
-        if k is None:
-            raise _CliError("fpf needs --k (or explicit --gen entries)")
-        return pat.FpF(k)
-    if fam == "brauer":
-        if args.k is None:
-            raise _CliError("brauer needs --k")
-        return pat.Brauer(args.k)
-    if fam == "deuber":
-        m = args.m
-        if m is None and gen_tokens:
-            m = len(gen_tokens) - 1
-        if m is None or args.p is None:
-            raise _CliError("deuber needs --m and --p")
-        return pat.Deuber(m, args.p)
-    if fam == "mt":
-        if args.m is None or args.phi is None:
-            raise _CliError("mt needs --m and --phi")
-        return pat.MillikenTaylor(args.m, pat.phi_from_str(args.phi))
-    if fam == "geo":
-        if args.k is None:
-            raise _CliError("geo needs --k")
-        return pat.GeoArithmetic(args.k)
-    if fam == "pvw":
-        if args.d is None or args.sets is None:
-            raise _CliError("pvw needs --d and --sets")
-        return pat.PolyVdW(args.d, _parse_sets(args.sets))
-    raise _CliError(f"unknown family {fam!r}")
+    cls = pat.FAMILIES[args.family]
+    params = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    if gen_tokens and args.family == "fpf" and params["k"] is None:
+        params["k"] = len(gen_tokens)
+    if gen_tokens and args.family == "deuber" and params["m"] is None:
+        params["m"] = len(gen_tokens) - 1
+    missing = [f"--{name}" for name, v in params.items() if v is None]
+    if missing:
+        raise _CliError(f"{args.family} needs {' and '.join(missing)}")
+    for name, parse in _PARAM_PARSERS.items():
+        if name in params:
+            params[name] = parse(params[name])
+    return cls(**params)
 
 
 def _build_generators(spec, tokens):
-    """Generator assignment from the --gen tokens of the pattern command."""
-    fam = pat.family_name(spec)
+    """Generator assignment from the --gen tokens of the pattern command.
+
+    One token per layout key; a family whose only key is a rank sequence
+    (fpf, deuber, mt) takes every token as one of its entries.
+    """
+    layout = spec.layout
+    if len(layout) == 1:
+        tokens = [",".join(tokens)]
+    if len(tokens) != len(layout):
+        usage = " ".join(key.upper() for key, _, _ in layout)
+        raise _CliError(f"{spec.family} takes --gen {usage}")
     try:
-        if fam in ("fpf", "deuber", "mt"):
-            return {"xs": [int(t) for t in tokens]}
-        if fam == "brauer":
-            if len(tokens) != 2:
-                raise _CliError("brauer takes --gen X Z")
-            return {"x": int(tokens[0]), "z": int(tokens[1])}
-        if fam == "geo":
-            if len(tokens) != 4:
-                raise _CliError("geo takes --gen B GAMMA A D")
-            return {
-                "b": _parse_monomial(tokens[0]),
-                "gamma": [int(t) for t in tokens[1].split(",")],
-                "a": int(tokens[2]),
-                "d": int(tokens[3]),
-            }
-        if fam == "pvw":
-            if len(tokens) != 2:
-                raise _CliError("pvw takes --gen B C")
-            return {"b": _parse_monomial(tokens[0]), "c": int(tokens[1])}
+        return {key: kind.parse(tok) for (key, kind, _), tok in zip(layout, tokens)}
     except ValueError as exc:
         raise _CliError(f"bad --gen value: {exc}") from exc
-    raise _CliError(f"unknown family {fam!r}")
 
 
 def _add_family_flags(sp):
-    sp.add_argument("--family", required=True,
-                    choices=["fpf", "brauer", "deuber", "mt", "geo", "pvw"])
+    sp.add_argument("--family", required=True, choices=list(pat.FAMILIES))
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
@@ -294,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", type=str, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--gen-max", type=int, default=64)
-    p.add_argument("--mode", choices=["det", "fast"], default="det")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--include-identity", action="store_true")
     p.add_argument("--out", type=str, default=None,
                    help="write the witness document here")
@@ -442,15 +379,11 @@ def _dispatch(args) -> int:
             node_budget=args.budget,
             include_identity=args.include_identity,
         )
-        mode = "deterministic" if args.mode == "det" else "fast"
-        report = srch.find_witness(
-            table, coloring, spec, bounds, mode=mode, workers=args.workers
-        )
+        report = srch.find_witness(table, coloring, spec, bounds)
         doc = {
             "status": report.status,
             "nodes": report.nodes,
             "skipped": report.skipped_out_of_range,
-            "mode": args.mode,
             "coloring": coloring.provenance,
             "witness": pat.witness_to_doc(report.witness) if report.witness else None,
         }

@@ -51,6 +51,8 @@ class Coloring:
 
 def random_coloring(seed: int, r: int, bound: int) -> Coloring:
     """Uniform iid coloring from a PCG64 stream; fully determined by seed."""
+    if r < 1:
+        raise ValueError("need at least one color")
     rng = np.random.Generator(np.random.PCG64(seed))
     assignment = rng.integers(1, r + 1, size=bound, dtype=np.int32)
     prov = f"random:pcg64:seed={seed},r={r},bound={bound}"
@@ -136,38 +138,47 @@ def enumerate_all(r: int, bound: int, cap: int = DEFAULT_ENUMERATION_CAP):
 
 
 def from_provenance(prov: str, bound: int | None = None) -> Coloring:
-    """Rebuild a coloring from a provenance string.
+    """Rebuild a coloring from a provenance string: the descriptor grammar.
 
-    Understands the random and periodic forms emitted by this module.
-    File-backed or enumerated colorings cannot be rebuilt from provenance
-    alone and raise SchemaViolationError.
+        random[:pcg64]:seed=S,r=R[,bound=B]
+        periodic:q=Q,r=R[,bound=B]              n -> (n mod Q) mod R + 1
+        periodic:q=Q,map=C1;...;CQ[,bound=B]    n -> C_{(n mod Q) + 1}
+
+    This covers every string random_coloring and periodic_coloring record.
+    `bound` fills in when the string carries none.  File-backed or
+    enumerated colorings cannot be rebuilt from provenance alone; they and
+    every malformed string raise SchemaViolationError.
     """
-    parts = prov.split(":")
-    kind = parts[0]
-    if kind == "random":
-        fields = _provenance_fields(parts[-1])
-        seed, r = int(fields["seed"]), int(fields["r"])
-        b = int(fields["bound"]) if "bound" in fields else bound
-        if b is None:
-            raise SchemaViolationError(f"no bound recorded in {prov!r}")
-        return random_coloring(seed, r, b)
-    if kind == "periodic":
-        fields = _provenance_fields(parts[-1])
-        q = int(fields["q"])
-        if "map" not in fields:
-            raise SchemaViolationError(f"cannot parse mapping in {prov!r}")
-        mapping = [int(c) for c in fields["map"].split(";")]
-        b = int(fields["bound"]) if "bound" in fields else bound
-        if b is None:
-            raise SchemaViolationError(f"no bound recorded in {prov!r}")
-        return periodic_coloring(q, mapping, b)
-    raise SchemaViolationError(f"cannot rebuild a coloring from {prov!r}")
-
-
-def _provenance_fields(text: str) -> dict:
+    kind, _, rest = prov.partition(":")
+    if kind == "random" and rest.startswith("pcg64:"):
+        rest = rest[len("pcg64:"):]
+    keys = {"random": ("seed", "r", "bound"), "periodic": ("q", "r", "map", "bound")}
+    if kind not in keys:
+        raise SchemaViolationError(f"cannot rebuild a coloring from {prov!r}")
     fields = {}
-    for item in text.split(","):
-        if "=" in item:
-            key, _, val = item.partition("=")
-            fields[key] = val
-    return fields
+    for item in rest.split(","):
+        key, eq, val = item.partition("=")
+        if not eq or key not in keys[kind] or key in fields:
+            raise SchemaViolationError(f"bad field {item!r} in coloring {prov!r}")
+        fields[key] = val
+    try:
+        b = int(fields["bound"]) if "bound" in fields else bound
+        if b is None:
+            raise SchemaViolationError(f"no bound recorded in {prov!r}")
+        if kind == "random":
+            return random_coloring(int(fields["seed"]), int(fields["r"]), b)
+        if ("map" in fields) == ("r" in fields):
+            raise ValueError("periodic needs exactly one of r= and map=")
+        q = int(fields["q"])
+        if "map" in fields:
+            mapping = [int(c) for c in fields["map"].split(";")]
+        else:
+            r = int(fields["r"])
+            if r < 1:
+                raise ValueError("need at least one color")
+            mapping = [(i % r) + 1 for i in range(q)]
+        return periodic_coloring(q, mapping, b)
+    except KeyError as exc:
+        raise SchemaViolationError(f"coloring {prov!r} lacks {exc.args[0]}=") from exc
+    except ValueError as exc:
+        raise SchemaViolationError(f"bad coloring {prov!r}: {exc}") from exc

@@ -53,9 +53,5 @@ class DomainOverlapError(SqstarError):
     """Two located words with intersecting supports were concatenated."""
 
 
-class OrderViolationError(SqstarError):
-    """Index blocks violated the required strict ordering."""
-
-
 class BudgetExhaustedError(SqstarError):
     """A search consumed its node budget (used internally; reports prefer status)."""

@@ -11,25 +11,32 @@ Families:
   geo      ranks of s_b * ((prod_{t in gamma} s_t) * s_{a+i*d})^j, 0 <= i,j <= k
   pvw      ranks of s_b * s_{a_{i1}}^c * s_{a_{i2}}^{c^2} * ... * s_{a_{id}}^{c^d}
 
+Each family is declared once, as its spec class (see `_Family`); the
+configuration stream, the witness documents, the search's candidate
+order and the command line all read that declaration.
+
 Generator indices are everywhere >= 1: rank 0 is absorbing and would
 collapse any configuration to {0}.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import MalformedWitnessError, OrderViolationError, OutOfRangeError
+from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
-from .semigroup import Monomial, eval_monomial, finite_products
+from .semigroup import eval_monomial
 
 
 # ---------------------------------------------------------------------------
-# closed-form combination maps for the mt family
+# closed-form combination maps for the mt family; each applies itself to a
+# tuple of ranks and prints as the text phi_from_str reads back
 
 @dataclass(frozen=True)
 class PhiProjection:
@@ -39,15 +46,31 @@ class PhiProjection:
         if self.i < 1:
             raise ValueError("projection coordinate must be >= 1")
 
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+        if self.i > len(values):
+            raise ValueError(f"projection {self.i} exceeds arity {len(values)}")
+        return int(values[self.i - 1])
+
+    def __str__(self):
+        return f"proj:{self.i}"
+
 
 @dataclass(frozen=True)
 class PhiSum:
-    pass
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+        return int(sum(values))
+
+    def __str__(self):
+        return "sum"
 
 
 @dataclass(frozen=True)
 class PhiProduct:
-    pass
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+        return int(math.prod(values))
+
+    def __str__(self):
+        return "product"
 
 
 @dataclass(frozen=True)
@@ -59,46 +82,27 @@ class PhiLinear:
         if any(c < 0 for c in self.coeffs) or self.constant < 0:
             raise ValueError("linear coefficients must be nonnegative")
 
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+        if len(self.coeffs) != len(values):
+            raise ValueError(
+                f"linear map of arity {len(self.coeffs)} applied to {len(values)} values"
+            )
+        return int(sum(c * v for c, v in zip(self.coeffs, values)) + self.constant)
+
+    def __str__(self):
+        return f"linear:{';'.join(str(c) for c in self.coeffs)}:{self.constant}"
+
 
 @dataclass(frozen=True)
 class PhiStarFold:
-    pass
-
-
-def phi_eval(phi, values: Sequence[int], table: GroundTable) -> int:
-    """Apply a combination map to a tuple of ranks."""
-    if isinstance(phi, PhiProjection):
-        if phi.i > len(values):
-            raise ValueError(f"projection {phi.i} exceeds arity {len(values)}")
-        return int(values[phi.i - 1])
-    if isinstance(phi, PhiSum):
-        return int(sum(values))
-    if isinstance(phi, PhiProduct):
-        return int(math.prod(values))
-    if isinstance(phi, PhiLinear):
-        if len(phi.coeffs) != len(values):
-            raise ValueError(
-                f"linear map of arity {len(phi.coeffs)} applied to {len(values)} values"
-            )
-        return int(sum(c * v for c, v in zip(phi.coeffs, values)) + phi.constant)
-    if isinstance(phi, PhiStarFold):
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
         return eval_monomial([(v, 1) for v in values], table)
-    raise TypeError(f"not a combination map: {phi!r}")
 
-
-def phi_to_str(phi) -> str:
-    if isinstance(phi, PhiProjection):
-        return f"proj:{phi.i}"
-    if isinstance(phi, PhiSum):
-        return "sum"
-    if isinstance(phi, PhiProduct):
-        return "product"
-    if isinstance(phi, PhiLinear):
-        coeffs = ";".join(str(c) for c in phi.coeffs)
-        return f"linear:{coeffs}:{phi.constant}"
-    if isinstance(phi, PhiStarFold):
+    def __str__(self):
         return "starfold"
-    raise TypeError(f"not a combination map: {phi!r}")
+
+
+_PHIS = (PhiProjection, PhiSum, PhiProduct, PhiLinear, PhiStarFold)
 
 
 def phi_from_str(text: str):
@@ -122,60 +126,262 @@ def phi_from_str(text: str):
 
 
 # ---------------------------------------------------------------------------
+# generator kinds: how one generator value is checked, drawn from candidate
+# tuple positions, and read from a --gen token
+
+def _want_int(generators: dict, key: str, n=None) -> int:
+    if key not in generators:
+        raise ValueError(f"generators missing {key!r}")
+    v = generators[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"generator {key!r} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _want_indices(generators: dict, key: str, expect: Optional[int]) -> list:
+    if key not in generators:
+        raise ValueError(f"generators missing {key!r}")
+    xs = generators[key]
+    if not isinstance(xs, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in xs
+    ):
+        raise ValueError(f"generator {key!r} must be a list of integers")
+    xs = list(xs)
+    if expect is not None and len(xs) != expect:
+        raise ValueError(f"generator {key!r} must have {expect} entries, got {len(xs)}")
+    if not xs:
+        raise ValueError(f"generator {key!r} must be nonempty")
+    if min(xs) < 1:
+        raise ValueError(f"generator {key!r} entries must be >= 1, got {min(xs)}")
+    return xs
+
+
+def _want_monomial(generators: dict, key: str, n=None) -> list:
+    if key not in generators:
+        raise ValueError(f"generators missing {key!r}")
+    mono = generators[key]
+    if not isinstance(mono, (list, tuple)):
+        raise ValueError(f"generator {key!r} must be a list of (rank, exponent) pairs")
+    out = []
+    for pair in mono:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"generator {key!r} entries must be (rank, exponent) pairs")
+        t, e = pair
+        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in (t, e))
+        if not ok or t < 1 or e < 0:
+            raise ValueError(f"bad monomial factor ({t}, {e}) in generator {key!r}")
+        out.append((t, e))
+    return out
+
+
+def _parse_ints(token: str) -> list:
+    return [int(t) for t in token.split(",")]
+
+
+def _parse_monomial(token: str) -> list:
+    """Parse "2:1,5:2" into [(2, 1), (5, 2)]; "-" is the empty monomial."""
+    if token in ("-", ""):
+        return []
+    out = []
+    for item in token.split(","):
+        t, sep, e = item.partition(":")
+        out.append((int(t), int(e) if sep else 1))
+    return out
+
+
+class Kind(NamedTuple):
+    """One kind of generator value in a family's layout.
+
+    check(generators, key, n) returns the checked value or raises
+    ValueError; take(tup, i, n) builds the value from candidate-tuple
+    positions i..i+n-1; parse reads it from one --gen token.  Positions
+    run over generator indices, or over 1..generator_max when aux is set
+    (progression parameters and exponents are not generator indices).
+    """
+
+    check: Callable
+    take: Callable
+    parse: Callable
+    aux: bool = False
+
+
+# named functions, not lambdas, so that specs holding a layout pickle
+def _take_one(tup, i, n):
+    return tup[i]
+
+
+def _take_list(tup, i, n):
+    return list(tup[i:i + n])
+
+
+def _take_monomial(tup, i, n):
+    # candidates use a single-index monomial s_t
+    return [(tup[i], 1)]
+
+
+def _want_any_indices(generators, key, n):
+    # any nonempty length is valid; n only sizes the candidates
+    return _want_indices(generators, key, None)
+
+
+RANK = Kind(_want_int, _take_one, int)
+AUX = RANK._replace(aux=True)
+SEQUENCE = Kind(_want_indices, _take_list, _parse_ints)
+INDICES = Kind(_want_any_indices, _take_list, _parse_ints)
+MONOMIAL = Kind(_want_monomial, _take_monomial, _parse_monomial)
+
+
+# ---------------------------------------------------------------------------
 # pattern specifications
 
+class _Family:
+    """The one declaration of a pattern family, shared by its spec class.
+
+    A spec is a frozen dataclass whose fields are the family's parameters.
+    Its class states the rest:
+
+      family   the name used in documents and on the command line
+      layout   the generator schema, as (key, kind, n) entries in candidate
+               tuple order; n is the number of tuple positions the key fills
+      _values  the configuration stream, in canonical order, over checked
+               generators
+    """
+
+    family: str
+    layout: tuple
+
+    def _checked(self, generators: dict) -> dict:
+        # a plain loop: this runs once per search candidate, and a
+        # comprehension would add a frame to every call
+        out = {}
+        for key, kind, n in self.layout:
+            out[key] = kind.check(generators, key, n)
+        return out
+
+    def _values(self, g: dict, table: GroundTable) -> Iterator[int]:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class FpF:
+class FpF(_Family):
     k: int
+    family = "fpf"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("sequence length must be >= 1")
 
+    @cached_property
+    def layout(self):
+        return (("xs", SEQUENCE, self.k),)
+
+    def _values(self, g, table):
+        # every member is looked up before the first value is yielded
+        svals = [table.element(x) for x in g["xs"]]
+        prods = [0] * (1 << self.k)
+        prods[0] = 1
+        for mask in range(1, 1 << self.k):
+            low = (mask & -mask).bit_length() - 1
+            p = prods[mask & (mask - 1)] * svals[low]
+            if p >= table.limit:
+                raise OutOfRangeError(
+                    f"subset product {p} beyond table limit {table.limit}"
+                )
+            prods[mask] = p
+            yield table.count_below(p)
+
 
 @dataclass(frozen=True)
-class Brauer:
+class Brauer(_Family):
     k: int
+    family = "brauer"
+    layout = (("x", RANK, 1), ("z", RANK, 1))
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("progression length must be >= 1")
 
+    def _values(self, g, table):
+        x, z = g["x"], g["z"]
+        yield x
+        yield z
+        for j in range(1, self.k + 1):
+            yield eval_monomial([(x, j), (z, 1)], table)
+
 
 @dataclass(frozen=True)
-class Deuber:
+class Deuber(_Family):
     m: int
     p: int
+    family = "deuber"
 
     def __post_init__(self):
         if self.m < 1 or self.p < 1:
             raise ValueError("m and p must be >= 1")
 
+    @cached_property
+    def layout(self):
+        return (("xs", SEQUENCE, self.m + 1),)
+
+    def _values(self, g, table):
+        xs = g["xs"]
+        yield xs[0]
+        for j in range(1, self.m + 1):
+            for expo in itertools.product(range(self.p + 1), repeat=j):
+                mono = [(xs[i], expo[i]) for i in range(j)] + [(xs[j], 1)]
+                yield eval_monomial(mono, table)
+
 
 @dataclass(frozen=True)
-class MillikenTaylor:
+class MillikenTaylor(_Family):
     m: int
     phi: object
+    family = "mt"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("block count must be >= 1")
-        phi_to_str(self.phi)  # rejects anything outside the builtin family
+        if not isinstance(self.phi, _PHIS):
+            raise TypeError(f"not a combination map: {self.phi!r}")
+
+    @cached_property
+    def layout(self):
+        # shortest sequence allowing a non-singleton block: m + 1 entries
+        return (("xs", INDICES, self.m + 1),)
+
+    def _values(self, g, table):
+        xs = g["xs"]
+        if len(xs) < self.m:
+            raise ValueError(f"no {self.m}-block families fit into {len(xs)} positions")
+        for fs in block_tuples(len(xs), self.m):
+            values = [eval_monomial([(xs[t - 1], 1) for t in f], table) for f in fs]
+            yield self.phi(values, table)
 
 
 @dataclass(frozen=True)
-class GeoArithmetic:
+class GeoArithmetic(_Family):
     k: int
+    family = "geo"
+    layout = (("b", MONOMIAL, 1), ("gamma", INDICES, 1), ("a", AUX, 1), ("d", AUX, 1))
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("grid size must be >= 1")
 
+    def _values(self, g, table):
+        b, a, d = g["b"], g["a"], g["d"]
+        gamma = sorted(set(g["gamma"]))
+        for i in range(self.k + 1):
+            for j in range(self.k + 1):
+                yield eval_monomial(b + [(t, j) for t in gamma] + [(a + i * d, j)], table)
+
 
 @dataclass(frozen=True)
-class PolyVdW:
+class PolyVdW(_Family):
     d: int
     sets: Tuple[Tuple[int, ...], ...]
+    family = "pvw"
+    layout = (("b", MONOMIAL, 1), ("c", AUX, 1))
 
     def __post_init__(self):
         if self.d < 1:
@@ -192,15 +398,17 @@ class PolyVdW:
             if min(f) < 1:
                 raise ValueError("index sets must contain ranks >= 1")
 
+    def _values(self, g, table):
+        b, c = g["b"], g["c"]
+        for f in self.sets:
+            yield eval_monomial(b + [(a, c ** (j + 1)) for j, a in enumerate(f)], table)
 
-FAMILY_NAMES = {
-    FpF: "fpf",
-    Brauer: "brauer",
-    Deuber: "deuber",
-    MillikenTaylor: "mt",
-    GeoArithmetic: "geo",
-    PolyVdW: "pvw",
+
+FAMILIES = {
+    cls.family: cls
+    for cls in (FpF, Brauer, Deuber, MillikenTaylor, GeoArithmetic, PolyVdW)
 }
+FAMILY_NAMES = {cls: name for name, cls in FAMILIES.items()}
 
 
 def family_name(spec) -> str:
@@ -212,43 +420,6 @@ def family_name(spec) -> str:
 
 # ---------------------------------------------------------------------------
 # generation
-
-def _require_positive(indices: Iterable[int], what: str) -> None:
-    for x in indices:
-        if x < 1:
-            raise ValueError(f"{what} must be >= 1, got {x}")
-
-
-def gen_fpf(xs: Sequence[int], table: GroundTable) -> set:
-    """All nonempty-subset products of the ranks xs."""
-    _require_positive(xs, "sequence entries")
-    return finite_products(xs, table)
-
-
-def gen_brauer(x: int, z: int, k: int, table: GroundTable) -> set:
-    """{x, z} together with the ranks of s_x^j * s_z, j = 1..k."""
-    _require_positive((x, z), "generators")
-    out = {x, z}
-    for j in range(1, k + 1):
-        out.add(eval_monomial([(x, j), (z, 1)], table))
-    return out
-
-
-def gen_deuber(xs: Sequence[int], p: int, table: GroundTable) -> set:
-    """(m, p)-set generated by x_0..x_m with exponents in {0..p}."""
-    _require_positive(xs, "generators")
-    if len(xs) < 2:
-        raise ValueError("need x_0 and at least one further generator")
-    if p < 0:
-        raise ValueError("exponent cap must be nonnegative")
-    out = {xs[0]}
-    m = len(xs) - 1
-    for j in range(1, m + 1):
-        for expo in itertools.product(range(p + 1), repeat=j):
-            mono = [(xs[i], expo[i]) for i in range(j)] + [(xs[j], 1)]
-            out.add(eval_monomial(mono, table))
-    return out
-
 
 def block_tuples(length: int, m: int) -> Iterator[tuple]:
     """All tuples (F_1 < ... < F_m) of nonempty index blocks inside {1..length}.
@@ -271,83 +442,6 @@ def block_tuples(length: int, m: int) -> Iterator[tuple]:
     return rec(1, m)
 
 
-def gen_milliken_taylor(
-    xs: Sequence[int], fs: Sequence[Sequence[int]], phi, table: GroundTable
-) -> int:
-    """Combine the block products of xs over the blocks fs with phi.
-
-    fs lists 1-based position blocks into xs, strictly ordered:
-    max(F_i) < min(F_{i+1}).  The value is phi(v_1, ..., v_m) where v_i
-    is the rank of the product of s-values of xs over F_i.
-    """
-    _require_positive(xs, "sequence entries")
-    blocks = [sorted(set(int(t) for t in f)) for f in fs]
-    if not blocks:
-        raise ValueError("need at least one block")
-    for f in blocks:
-        if not f:
-            raise OrderViolationError("blocks must be nonempty")
-        if f[0] < 1 or f[-1] > len(xs):
-            raise ValueError(f"block {f} outside positions 1..{len(xs)}")
-    for a, b in zip(blocks, blocks[1:]):
-        if a[-1] >= b[0]:
-            raise OrderViolationError(
-                f"blocks must be strictly ordered, got max {a[-1]} >= min {b[0]}"
-            )
-    values = [
-        eval_monomial([(xs[t - 1], 1) for t in f], table) for f in blocks
-    ]
-    return phi_eval(phi, values, table)
-
-
-def mt_configuration(
-    xs: Sequence[int], m: int, phi, table: GroundTable
-) -> list:
-    """Values of all ordered m-block families over positions of xs."""
-    out = []
-    for fs in block_tuples(len(xs), m):
-        out.append(gen_milliken_taylor(xs, fs, phi, table))
-    if not out:
-        raise ValueError(f"no {m}-block families fit into {len(xs)} positions")
-    return out
-
-
-def gen_geo_arithmetic(
-    b_monomial: Monomial, gamma: Sequence[int], a: int, d: int, k: int, table: GroundTable
-) -> set:
-    """Ranks of s_b * ((prod_{t in gamma} s_t) * s_{a+i*d})^j for 0 <= i,j <= k."""
-    gamma = sorted(set(int(t) for t in gamma))
-    if not gamma:
-        raise ValueError("gamma must be nonempty")
-    _require_positive(gamma, "gamma entries")
-    _require_positive((a, d), "progression parameters")
-    _require_positive((t for t, _ in b_monomial), "base monomial ranks")
-    out = set()
-    base = list(b_monomial)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            mono = base + [(t, j) for t in gamma] + [(a + i * d, j)]
-            out.add(eval_monomial(mono, table))
-    return out
-
-
-def gen_poly_vdw(
-    b_monomial: Monomial, c: int, sets: Sequence[Sequence[int]], table: GroundTable
-) -> set:
-    """Ranks of s_b * s_{a_{i1}}^c * ... * s_{a_{id}}^{c^d} over the index sets."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    _require_positive((t for t, _ in b_monomial), "base monomial ranks")
-    base = list(b_monomial)
-    out = set()
-    for f in sets:
-        f = list(f)
-        _require_positive(f, "index set entries")
-        mono = base + [(a, c ** (j + 1)) for j, a in enumerate(f)]
-        out.add(eval_monomial(mono, table))
-    return out
-
-
 def check_monochromatic(config, coloring) -> Optional[int]:
     """The common color of a configuration, or None if colors differ."""
     color = None
@@ -364,130 +458,21 @@ def check_monochromatic(config, coloring) -> Optional[int]:
     return color
 
 
-# ---------------------------------------------------------------------------
-# uniform access used by search and verification
-
 def config_values(spec, generators: dict, table: GroundTable) -> Iterator[int]:
     """Stream the configuration values of a family in its canonical order.
 
     The search consumes this incrementally (pruning on color mismatch);
     generate_configuration materializes the same stream.  Duplicate values
-    may appear in the stream; configurations are their dedup.
+    may appear in the stream; configurations are their dedup.  Generators
+    are checked against the family's layout (ValueError) when the first
+    value is requested.
     """
-    if isinstance(spec, FpF):
-        xs = _want_indices(generators, "xs", spec.k)
-        svals = [table.element(x) for x in xs]
-        prods = [0] * (1 << spec.k)
-        prods[0] = 1
-        for mask in range(1, 1 << spec.k):
-            low = (mask & -mask).bit_length() - 1
-            p = prods[mask & (mask - 1)] * svals[low]
-            if p >= table.limit:
-                raise OutOfRangeError(
-                    f"subset product {p} beyond table limit {table.limit}"
-                )
-            prods[mask] = p
-            yield table.count_below(p)
-    elif isinstance(spec, Brauer):
-        x = _want_int(generators, "x")
-        z = _want_int(generators, "z")
-        _require_positive((x, z), "generators")
-        yield x
-        yield z
-        for j in range(1, spec.k + 1):
-            yield eval_monomial([(x, j), (z, 1)], table)
-    elif isinstance(spec, Deuber):
-        xs = _want_indices(generators, "xs", spec.m + 1)
-        _require_positive(xs, "generators")
-        yield xs[0]
-        for j in range(1, spec.m + 1):
-            for expo in itertools.product(range(spec.p + 1), repeat=j):
-                mono = [(xs[i], expo[i]) for i in range(j)] + [(xs[j], 1)]
-                yield eval_monomial(mono, table)
-    elif isinstance(spec, MillikenTaylor):
-        xs = _want_indices(generators, "xs", None)
-        any_blocks = False
-        for fs in block_tuples(len(xs), spec.m):
-            any_blocks = True
-            yield gen_milliken_taylor(xs, fs, spec.phi, table)
-        if not any_blocks:
-            raise ValueError(
-                f"no {spec.m}-block families fit into {len(xs)} positions"
-            )
-    elif isinstance(spec, GeoArithmetic):
-        b = _want_monomial(generators, "b")
-        gamma = sorted(set(_want_indices(generators, "gamma", None)))
-        a = _want_int(generators, "a")
-        d = _want_int(generators, "d")
-        if not gamma:
-            raise ValueError("gamma must be nonempty")
-        _require_positive(gamma, "gamma entries")
-        _require_positive((a, d), "progression parameters")
-        _require_positive((t for t, _ in b), "base monomial ranks")
-        for i in range(spec.k + 1):
-            for j in range(spec.k + 1):
-                mono = list(b) + [(t, j) for t in gamma] + [(a + i * d, j)]
-                yield eval_monomial(mono, table)
-    elif isinstance(spec, PolyVdW):
-        b = _want_monomial(generators, "b")
-        c = _want_int(generators, "c")
-        if c < 1:
-            raise ValueError("c must be >= 1")
-        _require_positive((t for t, _ in b), "base monomial ranks")
-        for f in spec.sets:
-            mono = list(b) + [(a, c ** (j + 1)) for j, a in enumerate(f)]
-            yield eval_monomial(mono, table)
-    else:
-        raise TypeError(f"not a pattern spec: {spec!r}")
+    yield from spec._values(spec._checked(generators), table)
 
 
 def generate_configuration(spec, generators: dict, table: GroundTable) -> tuple:
     """Full configuration for a generator assignment, sorted ascending."""
     return tuple(sorted(set(config_values(spec, generators, table))))
-
-
-def _want_int(generators: dict, key: str) -> int:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
-    v = generators[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"generator {key!r} must be an integer")
-    return v
-
-
-def _want_indices(generators: dict, key: str, expect: Optional[int]) -> list:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
-    xs = generators[key]
-    if not isinstance(xs, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in xs
-    ):
-        raise ValueError(f"generator {key!r} must be a list of integers")
-    xs = list(xs)
-    if expect is not None and len(xs) != expect:
-        raise ValueError(f"generator {key!r} must have {expect} entries, got {len(xs)}")
-    if not xs:
-        raise ValueError(f"generator {key!r} must be nonempty")
-    _require_positive(xs, f"generator {key!r} entries")
-    return xs
-
-
-def _want_monomial(generators: dict, key: str) -> list:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
-    mono = generators[key]
-    if not isinstance(mono, (list, tuple)):
-        raise ValueError(f"generator {key!r} must be a list of (rank, exponent) pairs")
-    out = []
-    for pair in mono:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"generator {key!r} entries must be (rank, exponent) pairs")
-        t, e = pair
-        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in (t, e))
-        if not ok or t < 1 or e < 0:
-            raise ValueError(f"bad monomial factor ({t}, {e}) in generator {key!r}")
-        out.append((t, e))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +488,39 @@ class Witness:
     table_limit: int
 
 
+def _doc_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _doc_phi(v):
+    if not isinstance(v, str):
+        raise ValueError(f"expected a combination map string, got {v!r}")
+    return phi_from_str(v)
+
+
+def _doc_sets(v) -> tuple:
+    if not isinstance(v, list) or not all(isinstance(f, list) for f in v):
+        raise ValueError(f"expected a list of index lists, got {v!r}")
+    return tuple(tuple(_doc_int(a) for a in f) for f in v)
+
+
+# every parameter name means the same in each family that has it
+_PARAM_CODECS = {"k": _doc_int, "m": _doc_int, "p": _doc_int, "d": _doc_int,
+                 "phi": _doc_phi, "sets": _doc_sets}
+
+
+def _plain(v):
+    """A spec parameter or generator value as JSON: ints, lists, phi text."""
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return int(v) if isinstance(v, int) else str(v)
+
+
 def spec_to_doc(spec) -> dict:
     name = family_name(spec)
-    if isinstance(spec, FpF):
-        params = {"k": spec.k}
-    elif isinstance(spec, Brauer):
-        params = {"k": spec.k}
-    elif isinstance(spec, Deuber):
-        params = {"m": spec.m, "p": spec.p}
-    elif isinstance(spec, MillikenTaylor):
-        params = {"m": spec.m, "phi": phi_to_str(spec.phi)}
-    elif isinstance(spec, GeoArithmetic):
-        params = {"k": spec.k}
-    else:
-        params = {"d": spec.d, "sets": [list(f) for f in spec.sets]}
+    params = {f.name: _plain(getattr(spec, f.name)) for f in dataclasses.fields(spec)}
     return {"family": name, "params": params}
 
 
@@ -524,23 +528,13 @@ def spec_from_doc(doc: dict):
     try:
         name = doc["family"]
         params = doc["params"]
-        if name == "fpf":
-            return FpF(int(params["k"]))
-        if name == "brauer":
-            return Brauer(int(params["k"]))
-        if name == "deuber":
-            return Deuber(int(params["m"]), int(params["p"]))
-        if name == "mt":
-            return MillikenTaylor(int(params["m"]), phi_from_str(params["phi"]))
-        if name == "geo":
-            return GeoArithmetic(int(params["k"]))
-        if name == "pvw":
-            return PolyVdW(
-                int(params["d"]), tuple(tuple(int(a) for a in f) for f in params["sets"])
-            )
+        if name not in FAMILIES:
+            raise MalformedWitnessError(f"unknown family {name!r}")
+        cls = FAMILIES[name]
+        return cls(**{f.name: _PARAM_CODECS[f.name](params[f.name])
+                      for f in dataclasses.fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedWitnessError(f"bad pattern spec document: {exc}") from exc
-    raise MalformedWitnessError(f"unknown family {name!r}")
 
 
 def witness_to_doc(w: Witness) -> dict:
@@ -589,50 +583,16 @@ def witness_from_doc(doc) -> Witness:
 
 
 def generators_to_doc(spec, gens: dict) -> dict:
-    if isinstance(spec, (FpF, Deuber, MillikenTaylor)):
-        return {"xs": [int(x) for x in gens["xs"]]}
-    if isinstance(spec, Brauer):
-        return {"x": int(gens["x"]), "z": int(gens["z"])}
-    if isinstance(spec, GeoArithmetic):
-        return {
-            "b": [[int(t), int(e)] for t, e in gens["b"]],
-            "gamma": [int(t) for t in gens["gamma"]],
-            "a": int(gens["a"]),
-            "d": int(gens["d"]),
-        }
-    if isinstance(spec, PolyVdW):
-        return {"b": [[int(t), int(e)] for t, e in gens["b"]], "c": int(gens["c"])}
-    raise TypeError(f"not a pattern spec: {spec!r}")
+    return {key: _plain(gens[key]) for key, _, _ in spec.layout}
 
 
 def generators_from_doc(spec, doc) -> dict:
     if not isinstance(doc, dict):
         raise MalformedWitnessError("generators must be a JSON object")
     try:
-        if isinstance(spec, (FpF, Deuber, MillikenTaylor)):
-            expect = None
-            if isinstance(spec, FpF):
-                expect = spec.k
-            elif isinstance(spec, Deuber):
-                expect = spec.m + 1
-            xs = _want_indices(doc, "xs", expect)
-            return {"xs": xs}
-        if isinstance(spec, Brauer):
-            gens = {"x": _want_int(doc, "x"), "z": _want_int(doc, "z")}
-            _require_positive(gens.values(), "generators")
-            return gens
-        if isinstance(spec, GeoArithmetic):
-            return {
-                "b": [tuple(p) for p in _want_monomial(doc, "b")],
-                "gamma": _want_indices(doc, "gamma", None),
-                "a": _want_int(doc, "a"),
-                "d": _want_int(doc, "d"),
-            }
-        if isinstance(spec, PolyVdW):
-            return {"b": [tuple(p) for p in _want_monomial(doc, "b")], "c": _want_int(doc, "c")}
+        return spec._checked(doc)
     except ValueError as exc:
         raise MalformedWitnessError(str(exc)) from exc
-    raise MalformedWitnessError(f"not a pattern spec: {spec!r}")
 
 
 def save_witness(w: Witness, path: str) -> None:

@@ -2,10 +2,8 @@
 
 Candidates are enumerated in a canonical lexicographic order (smallest
 generator tuple first, indices starting at 2 so the absorber 0 and the
-identity 1 stay out unless explicitly included).  The deterministic mode
-therefore returns the least witness in that order regardless of worker
-count: blocks of candidates are evaluated, possibly across threads, and
-folded back in canonical order before the first hit is taken.  Candidates
+identity 1 stay out unless explicitly included), and the search scans
+them serially, so it returns the least witness in that order.  Candidates
 whose configurations leave the value window or the table are skipped and
 tallied, never treated as failures.
 """
@@ -14,31 +12,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .colorings import Coloring, enumerate_all
-from .errors import (
-    EnumerationCapError,
-    MalformedWitnessError,
-    OutOfDomainError,
-    OutOfRangeError,
-)
+from .errors import MalformedWitnessError, OutOfDomainError, OutOfRangeError
 from .ground import GroundTable
-from .patterns import (
-    Brauer,
-    Deuber,
-    FpF,
-    GeoArithmetic,
-    MillikenTaylor,
-    PolyVdW,
-    Witness,
-    config_values,
-    generate_configuration,
-)
-
-_BLOCK = 256
+from .patterns import Witness, config_values, generate_configuration
 
 
 @dataclass(frozen=True)
@@ -73,7 +53,6 @@ class SearchReport:
     nodes: int
     skipped_out_of_range: int
     elapsed: float
-    mode: str
 
     @property
     def found(self) -> bool:
@@ -83,40 +62,26 @@ class SearchReport:
 def candidate_tuples(spec, bounds: SearchBounds) -> Iterator[tuple]:
     """Canonical generator-tuple order for a family within bounds.
 
-    Tuple layouts: fpf/deuber/mt list the sequence entries; brauer is
-    (x, z); geo is (b, g, a, d) with a single-index base monomial and a
-    singleton gamma; pvw is (b, c).  Progression parameters a, d and the
-    exponent c run from 1 (they are not generator indices).
+    The tuple lays out the family's generators in its layout order, each
+    key filling its n positions.  Generator positions run from 2 (from 1
+    with include_identity); auxiliary positions (progression parameters,
+    exponents) run from 1.  Every position ends at generator_max.
     """
     lo = 1 if bounds.include_identity else 2
     gens = range(lo, bounds.generator_max + 1)
     aux = range(1, bounds.generator_max + 1)
-    if isinstance(spec, FpF):
-        return itertools.product(gens, repeat=spec.k)
-    if isinstance(spec, Brauer):
-        return itertools.product(gens, repeat=2)
-    if isinstance(spec, Deuber):
-        return itertools.product(gens, repeat=spec.m + 1)
-    if isinstance(spec, MillikenTaylor):
-        # shortest sequence allowing a non-singleton block: m + 1 entries
-        return itertools.product(gens, repeat=spec.m + 1)
-    if isinstance(spec, GeoArithmetic):
-        return itertools.product(gens, gens, aux, aux)
-    if isinstance(spec, PolyVdW):
-        return itertools.product(gens, aux)
-    raise TypeError(f"not a pattern spec: {spec!r}")
+    return itertools.product(
+        *(aux if kind.aux else gens for _, kind, n in spec.layout for _ in range(n))
+    )
 
 
 def generators_from_tuple(spec, tup: tuple) -> dict:
-    if isinstance(spec, (FpF, Deuber, MillikenTaylor)):
-        return {"xs": list(tup)}
-    if isinstance(spec, Brauer):
-        return {"x": tup[0], "z": tup[1]}
-    if isinstance(spec, GeoArithmetic):
-        return {"b": [(tup[0], 1)], "gamma": [tup[1]], "a": tup[2], "d": tup[3]}
-    if isinstance(spec, PolyVdW):
-        return {"b": [(tup[0], 1)], "c": tup[1]}
-    raise TypeError(f"not a pattern spec: {spec!r}")
+    gens = {}
+    i = 0
+    for key, kind, n in spec.layout:
+        gens[key] = kind.take(tup, i, n)
+        i += n
+    return gens
 
 
 def _check_candidate(spec, tup, table, coloring, bounds) -> tuple:
@@ -145,89 +110,42 @@ def _check_candidate(spec, tup, table, coloring, bounds) -> tuple:
 
 
 def find_witness(
-    table: GroundTable,
-    coloring: Coloring,
-    spec,
-    bounds: SearchBounds,
-    mode: str = "deterministic",
-    workers: int = 1,
+    table: GroundTable, coloring: Coloring, spec, bounds: SearchBounds
 ) -> SearchReport:
     """Scan the canonical candidate order for a monochromatic configuration.
 
-    Both modes return the least witness of the canonical order; the
-    deterministic mode additionally guarantees this under worker
-    partitioning by evaluating fixed blocks and folding results in order.
-    Fast mode always streams serially with early exit and ignores workers.
+    Returns the least witness of that order.  The status is "budget" once
+    node_budget candidates were examined without a hit, "exhausted" when
+    the order ran out before that.
     """
-    if mode not in ("deterministic", "det", "fast"):
-        raise ValueError(f"unknown mode {mode!r}")
     if bounds.value_bound > coloring.bound:
         raise ValueError(
             f"value_bound {bounds.value_bound} exceeds coloring bound {coloring.bound}"
         )
     t0 = time.perf_counter()
-    it = candidate_tuples(spec, bounds)
-    budget = bounds.node_budget
-    use_workers = workers if mode != "fast" else 1
+    candidates = candidate_tuples(spec, bounds)
+    if bounds.node_budget is not None:
+        candidates = itertools.islice(candidates, bounds.node_budget)
     nodes = 0
     skipped = 0
     witness = None
-    exhausted = False
-    pool = ThreadPoolExecutor(max_workers=use_workers) if use_workers > 1 else None
-    try:
-        while True:
-            space = _BLOCK if budget is None else min(_BLOCK, budget - nodes)
-            if space <= 0:
-                break
-            block = list(itertools.islice(it, space))
-            if not block:
-                exhausted = True
-                break
-            if pool is None:
-                results = (
-                    _check_candidate(spec, tup, table, coloring, bounds) for tup in block
-                )
-            else:
-                chunks = [block[i::use_workers] for i in range(use_workers)]
-                # interleaved chunks rebalance cost; reassemble by position
-                flat = [None] * len(block)
-                futures = [
-                    pool.submit(
-                        lambda ch: [
-                            _check_candidate(spec, tup, table, coloring, bounds)
-                            for tup in ch
-                        ],
-                        chunk,
-                    )
-                    for chunk in chunks
-                ]
-                for w_ix, fut in enumerate(futures):
-                    for j, res in enumerate(fut.result()):
-                        flat[w_ix + j * use_workers] = res
-                results = iter(flat)
-            hit = None
-            for off, res in enumerate(results):
-                nodes += 1
-                if res[0] == "skip":
-                    skipped += 1
-                elif res[0] == "hit":
-                    hit = (off, res[1])
-                    break
-            if hit is not None:
-                off, color = hit
-                gens = generators_from_tuple(spec, block[off])
-                config = generate_configuration(spec, gens, table)
-                witness = Witness(
-                    spec, gens, config, color, coloring.provenance, table.limit
-                )
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    status = "witness" if witness is not None else ("exhausted" if exhausted else "budget")
-    return SearchReport(
-        status, witness, nodes, skipped, time.perf_counter() - t0, mode
-    )
+    for tup in candidates:
+        nodes += 1
+        res = _check_candidate(spec, tup, table, coloring, bounds)
+        if res[0] == "skip":
+            skipped += 1
+        elif res[0] == "hit":
+            gens = generators_from_tuple(spec, tup)
+            config = generate_configuration(spec, gens, table)
+            witness = Witness(spec, gens, config, res[1], coloring.provenance, table.limit)
+            break
+    if witness is not None:
+        status = "witness"
+    elif nodes == bounds.node_budget:
+        status = "budget"
+    else:
+        status = "exhausted"
+    return SearchReport(status, witness, nodes, skipped, time.perf_counter() - t0)
 
 
 def verify_witness(w: Witness, coloring: Coloring, table: GroundTable) -> bool:

@@ -164,12 +164,17 @@ def test_search_structured_byte_identical(cache_path, capsys):
     assert w["configuration"] == sorted(w["configuration"])
 
 
-def test_search_workers_agree(cache_path, capsys):
-    _, doc1, _ = run_json(capsys, "--cache", cache_path, *SEARCH_ARGS)
-    _, doc3, _ = run_json(capsys, "--cache", cache_path, *SEARCH_ARGS,
-                          "--workers", "3")
-    assert doc1["witness"] == doc3["witness"]
-    assert doc1["nodes"] == doc3["nodes"]
+def test_search_accepts_a_witness_provenance(cache_path, capsys):
+    args = ["search", "--family", "brauer", "--k", "1", "--bound", "400",
+            "--gen-max", "16"]
+    code, doc, _ = run_json(capsys, "--cache", cache_path, *args,
+                            "--coloring", "random:seed=5,r=2")
+    assert code == 0
+    prov = doc["witness"]["coloring-provenance"]
+    assert prov == "random:pcg64:seed=5,r=2,bound=400"
+    code, again, _ = run_json(capsys, "--cache", cache_path, *args, "--coloring", prov)
+    assert code == 0
+    assert again == doc
 
 
 def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
@@ -197,6 +202,26 @@ def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     code, _, err = run(capsys, "--cache", cache_path, "verify",
                        "--witness", broken, "--bound", "400")
     assert code == 4
+
+
+@pytest.mark.parametrize("prov", [
+    "random:r=2",
+    "periodic:map=1;2,bound=500",
+    "random:seed=x,r=2,bound=500",
+    "random:seed=1,r=0,bound=500",
+])
+def test_verify_bad_provenance_is_corrupt_input(cache_path, tmp_path, capsys, prov):
+    wpath = str(tmp_path / "w.json")
+    code, _, _ = run(capsys, "--cache", cache_path, *SEARCH_ARGS, "--out", wpath)
+    assert code == 0
+    doc = json.loads(open(wpath).read())
+    doc["coloring-provenance"] = prov
+    open(wpath, "w").write(json.dumps(doc))
+    code, out, err = run(capsys, "--cache", cache_path, "verify",
+                         "--witness", wpath, "--bound", "400")
+    assert code == 4
+    assert "corrupt-input" in err and prov in err
+    assert "Traceback" not in err
 
 
 def test_search_exhausted_with_coloring_file(cache_path, tmp_path, capsys):

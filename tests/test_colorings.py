@@ -117,6 +117,11 @@ def test_from_provenance_periodic():
     a = periodic_coloring(3, [1, 2, 2], 30)
     b = from_provenance(a.provenance)
     assert np.array_equal(a.assignment, b.assignment)
+    # the short descriptor forms, with the bound supplied by the caller
+    c = from_provenance("periodic:q=3,r=2", 30)
+    assert np.array_equal(c.assignment, periodic_coloring(3, [1, 2, 1], 30).assignment)
+    d = from_provenance("random:seed=9,r=2", 77)
+    assert d.provenance == random_coloring(9, 2, 77).provenance
 
 
 def test_from_provenance_unknown():
@@ -124,6 +129,21 @@ def test_from_provenance_unknown():
         from_provenance("enumerated:r=2,bound=3,index=0")
     with pytest.raises(SchemaViolationError):
         from_provenance("file:/nowhere")
+    for bad in (
+        "random:seed=1,r=2",  # no bound anywhere
+        "random:seed=1,r=2,bound=9,extra=1",
+        "random:seed=1,seed=2,r=2,bound=9",
+        "random:seed=1,r,bound=9",
+        "random:seed=-1,r=2,bound=9",
+        "periodic:q=2,bound=9",
+        "periodic:q=2,r=2,map=1;2,bound=9",
+        "periodic:q=2,r=0,bound=9",
+        "periodic:q=0,r=2,bound=9",
+        "periodic:q=2,map=1;x,bound=9",
+        "periodic:q=2,map=1;2;3,bound=9",
+    ):
+        with pytest.raises(SchemaViolationError):
+            from_provenance(bad)
 
 
 def test_doc_rejects_non_object():

@@ -1,5 +1,7 @@
 """Pattern families: worked values, validation, witnesses, documents."""
 
+import inspect
+import pickle
 import zlib
 
 import pytest
@@ -12,7 +14,6 @@ from sqstar import (
     GeoArithmetic,
     MalformedWitnessError,
     MillikenTaylor,
-    OrderViolationError,
     OutOfDomainError,
     OutOfRangeError,
     PhiLinear,
@@ -23,26 +24,19 @@ from sqstar import (
     PolyVdW,
     Witness,
     check_monochromatic,
-    gen_brauer,
-    gen_deuber,
-    gen_fpf,
-    gen_geo_arithmetic,
-    gen_milliken_taylor,
-    gen_poly_vdw,
     generate_configuration,
     load_witness,
-    mt_configuration,
     periodic_coloring,
     random_coloring,
     save_witness,
     star,
 )
+from sqstar import patterns
 from sqstar.patterns import (
+    FAMILY_NAMES,
     block_tuples,
     config_values,
-    phi_eval,
     phi_from_str,
-    phi_to_str,
     witness_from_doc,
     witness_to_doc,
 )
@@ -52,69 +46,63 @@ from sqstar.patterns import (
 # worked configuration values
 
 def test_fpf(table_100k):
-    assert gen_fpf([2, 5], table_100k) == {2, 5, 9}
-    assert gen_fpf([1], table_100k) == {1}
-    assert len(gen_fpf([2, 5, 8], table_100k)) <= 7
+    t = table_100k
+    assert generate_configuration(FpF(2), {"xs": [2, 5]}, t) == (2, 5, 9)
+    assert generate_configuration(FpF(1), {"xs": [1]}, t) == (1,)
+    assert len(generate_configuration(FpF(3), {"xs": [2, 5, 8]}, t)) <= 7
     with pytest.raises(ValueError):
-        gen_fpf([0, 2], table_100k)
+        generate_configuration(FpF(2), {"xs": [0, 2]}, t)
 
 
 def test_brauer(table_100k):
     t = table_100k
-    assert gen_brauer(2, 2, 2, t) == {2, 3, 5}
-    assert gen_brauer(1, 17, 5, t) == {1, 17}
+    assert generate_configuration(Brauer(2), {"x": 2, "z": 2}, t) == (2, 3, 5)
+    assert generate_configuration(Brauer(5), {"x": 1, "z": 17}, t) == (1, 17)
     # the j=1 term is the plain product
-    assert star(4, 9, t) in gen_brauer(4, 9, 1, t)
+    assert star(4, 9, t) in generate_configuration(Brauer(1), {"x": 4, "z": 9}, t)
     with pytest.raises(ValueError):
-        gen_brauer(0, 2, 1, t)
+        generate_configuration(Brauer(1), {"x": 0, "z": 2}, t)
 
 
 def test_brauer_monotone_in_k(table_100k):
-    prev = gen_brauer(3, 4, 1, table_100k)
+    gens = {"x": 3, "z": 4}
+    prev = set(generate_configuration(Brauer(1), gens, table_100k))
     for k in range(2, 6):
-        cur = gen_brauer(3, 4, k, table_100k)
+        cur = set(generate_configuration(Brauer(k), gens, table_100k))
         assert prev <= cur
         prev = cur
 
 
 def test_deuber(table_100k):
     t = table_100k
-    assert gen_deuber([2, 2], 1, t) == {2, 3}
-    assert gen_deuber([7, 3, 9], 0, t) == {7, 3, 9}
-    assert gen_deuber([1, 6], 1, t) == {1, 6}
+    assert generate_configuration(Deuber(1, 1), {"xs": [2, 2]}, t) == (2, 3)
+    assert generate_configuration(Deuber(1, 1), {"xs": [1, 6]}, t) == (1, 6)
     # every generator belongs to the configuration
-    cfg = gen_deuber([5, 7, 2], 2, t)
-    assert {5, 7, 2} <= cfg
+    cfg = generate_configuration(Deuber(2, 2), {"xs": [5, 7, 2]}, t)
+    assert {5, 7, 2} <= set(cfg)
     with pytest.raises(ValueError):
-        gen_deuber([4], 1, t)
+        generate_configuration(Deuber(1, 1), {"xs": [4]}, t)
 
 
 def test_deuber_monotone_in_p(table_100k):
-    prev = gen_deuber([3, 4, 2], 0, table_100k)
-    for p in range(1, 4):
-        cur = gen_deuber([3, 4, 2], p, table_100k)
+    gens = {"xs": [3, 4, 2]}
+    prev = set(generate_configuration(Deuber(2, 1), gens, table_100k))
+    for p in range(2, 4):
+        cur = set(generate_configuration(Deuber(2, p), gens, table_100k))
         assert prev <= cur
         prev = cur
 
 
 def test_milliken_taylor(table_100k):
     t = table_100k
-    assert gen_milliken_taylor([2, 5], [[1], [2]], PhiSum(), t) == 7
-    assert gen_milliken_taylor([2, 5], [[1, 2]], PhiProjection(1), t) == 9
-    assert gen_milliken_taylor([2, 5], [[1], [2]], PhiStarFold(), t) == 9
-    assert gen_milliken_taylor([2, 5], [[1], [2]], PhiProduct(), t) == 10
-    assert (
-        gen_milliken_taylor([2, 5], [[1], [2]], PhiLinear((2, 1), 3), t) == 2 * 2 + 5 + 3
-    )
-
-
-def test_milliken_taylor_order_violation(table_100k):
-    with pytest.raises(OrderViolationError):
-        gen_milliken_taylor([2, 5, 8], [[2], [1]], PhiSum(), table_100k)
-    with pytest.raises(OrderViolationError):
-        gen_milliken_taylor([2, 5, 8], [[1, 2], [2, 3]], PhiSum(), table_100k)
-    with pytest.raises(ValueError):
-        gen_milliken_taylor([2, 5], [[1], [4]], PhiSum(), table_100k)
+    xs = {"xs": [2, 5]}
+    assert generate_configuration(MillikenTaylor(2, PhiSum()), xs, t) == (7,)
+    assert generate_configuration(MillikenTaylor(1, PhiProjection(1)), xs, t) == (2, 5, 9)
+    assert generate_configuration(MillikenTaylor(2, PhiStarFold()), xs, t) == (9,)
+    assert generate_configuration(MillikenTaylor(2, PhiProduct()), xs, t) == (10,)
+    assert generate_configuration(
+        MillikenTaylor(2, PhiLinear((2, 1), 3)), xs, t
+    ) == (2 * 2 + 5 + 3,)
 
 
 def test_block_tuples():
@@ -132,38 +120,45 @@ def test_block_tuples():
 
 
 def test_mt_configuration_first_member_of_fp(table_100k):
-    vals = mt_configuration([2, 5, 8], 1, PhiProjection(1), table_100k)
-    fp = gen_fpf([2, 5, 8], table_100k)
-    assert set(vals) <= fp
+    gens = {"xs": [2, 5, 8]}
+    vals = generate_configuration(MillikenTaylor(1, PhiProjection(1)), gens, table_100k)
+    fp = generate_configuration(FpF(3), gens, table_100k)
+    assert set(vals) <= set(fp)
 
 
 def test_geo(table_100k):
     t = table_100k
-    assert gen_geo_arithmetic([], [2], 1, 1, 1, t) == {1, 2, 3}
-    assert gen_geo_arithmetic([(7, 1)], [2], 3, 2, 0, t) == {7}
+
+    def geo(b, gamma, a=1, d=1):
+        return generate_configuration(
+            GeoArithmetic(1), {"b": b, "gamma": gamma, "a": a, "d": d}, t
+        )
+
+    assert geo([], [2]) == (1, 2, 3)
     with pytest.raises(ValueError):
-        gen_geo_arithmetic([], [], 1, 1, 1, t)
+        geo([], [])
     with pytest.raises(ValueError):
-        gen_geo_arithmetic([], [0], 1, 1, 1, t)
+        geo([], [0])
     with pytest.raises(ValueError):
-        gen_geo_arithmetic([(0, 1)], [2], 1, 1, 1, t)
+        geo([(0, 1)], [2])
 
 
 def test_geo_monotone_in_k(table_100k):
-    prev = gen_geo_arithmetic([(2, 1)], [3], 2, 1, 0, table_100k)
-    for k in range(1, 4):
-        cur = gen_geo_arithmetic([(2, 1)], [3], 2, 1, k, table_100k)
+    gens = {"b": [(2, 1)], "gamma": [3], "a": 2, "d": 1}
+    prev = set(generate_configuration(GeoArithmetic(1), gens, table_100k))
+    for k in range(2, 4):
+        cur = set(generate_configuration(GeoArithmetic(k), gens, table_100k))
         assert prev <= cur
         prev = cur
 
 
 def test_pvw(table_100k):
     t = table_100k
-    assert gen_poly_vdw([], 1, [[2]], t) == {2}
-    assert gen_poly_vdw([], 2, [[2]], t) == {3}
-    assert gen_poly_vdw([], 1, [[2], [5]], t) == {2, 5}
+    assert generate_configuration(PolyVdW(1, ((2,),)), {"b": [], "c": 1}, t) == (2,)
+    assert generate_configuration(PolyVdW(1, ((2,),)), {"b": [], "c": 2}, t) == (3,)
+    assert generate_configuration(PolyVdW(1, ((2,), (5,))), {"b": [], "c": 1}, t) == (2, 5)
     with pytest.raises(ValueError):
-        gen_poly_vdw([], 0, [[2]], t)
+        generate_configuration(PolyVdW(1, ((2,),)), {"b": [], "c": 0}, t)
 
 
 def test_check_monochromatic(table_100k):
@@ -188,7 +183,7 @@ def test_phi_roundtrip():
         PhiLinear((1, 0, 2), 5),
         PhiStarFold(),
     ):
-        assert phi_from_str(phi_to_str(phi)) == phi
+        assert phi_from_str(str(phi)) == phi
     with pytest.raises(ValueError):
         phi_from_str("nonsense")
     with pytest.raises(ValueError):
@@ -197,10 +192,10 @@ def test_phi_roundtrip():
 
 def test_phi_eval_validation(table_100k):
     with pytest.raises(ValueError):
-        phi_eval(PhiProjection(3), [1, 2], table_100k)
+        PhiProjection(3)([1, 2], table_100k)
     with pytest.raises(ValueError):
-        phi_eval(PhiLinear((1,), 0), [1, 2], table_100k)
-    assert phi_eval(PhiLinear((1, 1), 0), [4, 5], table_100k) == 9
+        PhiLinear((1,), 0)([1, 2], table_100k)
+    assert PhiLinear((1, 1), 0)([4, 5], table_100k) == 9
 
 
 def test_spec_validation():
@@ -216,6 +211,20 @@ def test_spec_validation():
         PolyVdW(1, ((0,),))
     with pytest.raises(TypeError):
         MillikenTaylor(1, object())
+
+
+def test_every_family_is_declared_once():
+    # bench/ reads FAMILY_NAMES[type(spec)] and counts the items that
+    # config_values yields, which only a generator function reports
+    assert inspect.isgeneratorfunction(patterns.config_values)
+    assert FAMILY_NAMES == {
+        FpF: "fpf",
+        Brauer: "brauer",
+        Deuber: "deuber",
+        MillikenTaylor: "mt",
+        GeoArithmetic: "geo",
+        PolyVdW: "pvw",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +306,7 @@ def _fold_value_paths(spec, gens, table):
         xs = gens["xs"]
         for fs in block_tuples(len(xs), spec.m):
             vs = [oracles.fold_star([xs[t - 1] for t in f], table) for f in fs]
-            out.append(phi_eval(spec.phi, vs, table))
+            out.append(spec.phi(vs, table))
     elif isinstance(spec, GeoArithmetic):
         from sqstar import power
 
@@ -413,6 +422,15 @@ def test_witness_doc_validation(table_100k):
     d = broken(generators={"x": 2})
     with pytest.raises(MalformedWitnessError):
         witness_from_doc(d)
+    # spec parameters are real integers (no bool, no float) and phi text
+    for spec in (
+        {"family": "brauer", "params": {"k": 1.7}},
+        {"family": "brauer", "params": {"k": True}},
+        {"family": "mt", "params": {"m": 1, "phi": 3}},
+        {"family": "pvw", "params": {"d": 1, "sets": [[2.5]]}},
+    ):
+        with pytest.raises(MalformedWitnessError):
+            witness_from_doc(broken(spec=spec))
 
 
 def test_all_witness_generator_layouts_roundtrip(table_1m):
@@ -430,5 +448,6 @@ def test_all_witness_generator_layouts_roundtrip(table_1m):
                     table_1m.limit)
         back = witness_from_doc(witness_to_doc(w))
         assert back.spec == spec
+        assert pickle.loads(pickle.dumps(w)) == w
         regen = generate_configuration(back.spec, back.generators, table_1m)
         assert regen == config

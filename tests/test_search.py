@@ -74,6 +74,33 @@ def test_least_witness_matches_unpruned_rescan(spec, table_100k):
     assert report.witness.table_limit == table_100k.limit
 
 
+# first three candidate tuples, the generators of the second, and the count,
+# at generator_max=3 without and with the identity
+PINNED_ORDER = [
+    (FpF(3), [(2, 2, 2), (2, 2, 3), (2, 3, 2)], {"xs": [2, 2, 3]}, 8, 27),
+    (Brauer(2), [(2, 2), (2, 3), (3, 2)], {"x": 2, "z": 3}, 4, 9),
+    (Deuber(2, 1), [(2, 2, 2), (2, 2, 3), (2, 3, 2)], {"xs": [2, 2, 3]}, 8, 27),
+    (MillikenTaylor(2, PhiSum()), [(2, 2, 2), (2, 2, 3), (2, 3, 2)],
+     {"xs": [2, 2, 3]}, 8, 27),
+    (GeoArithmetic(1), [(2, 2, 1, 1), (2, 2, 1, 2), (2, 2, 1, 3)],
+     {"b": [(2, 1)], "gamma": [2], "a": 1, "d": 2}, 36, 81),
+    (PolyVdW(1, ((2,),)), [(2, 1), (2, 2), (2, 3)], {"b": [(2, 1)], "c": 2}, 6, 9),
+]
+
+
+@pytest.mark.parametrize("spec, first, gens, count, count_with_identity", PINNED_ORDER,
+                         ids=[type(case[0]).__name__ for case in PINNED_ORDER])
+def test_candidate_order_is_pinned(spec, first, gens, count, count_with_identity):
+    tuples = list(candidate_tuples(spec, SearchBounds(generator_max=3, value_bound=10)))
+    assert tuples[:3] == first and len(tuples) == count
+    assert generators_from_tuple(spec, tuples[1]) == gens
+    bounds = SearchBounds(generator_max=3, value_bound=10, include_identity=True)
+    tuples = list(candidate_tuples(spec, bounds))
+    ones = (1,) * (len(first[0]) - 1)
+    assert tuples[:3] == [ones + (1,), ones + (2,), ones + (3,)]
+    assert len(tuples) == count_with_identity
+
+
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
 def test_witness_under_constant_coloring(spec, table_100k):
     coloring = periodic_coloring(1, [1], 400)
@@ -87,19 +114,14 @@ def test_deterministic_across_runs_and_workers(table_100k):
     coloring = random_coloring(11, 3, 400)
     spec = Brauer(2)
     base = find_witness(table_100k, coloring, spec, BOUNDS)
-    for workers in (1, 2, 3):
-        rep = find_witness(table_100k, coloring, spec, BOUNDS, workers=workers)
+    for _ in range(3):
+        rep = find_witness(table_100k, coloring, spec, BOUNDS)
         assert rep.status == base.status
         assert rep.nodes == base.nodes
         assert rep.skipped_out_of_range == base.skipped_out_of_range
         if base.found:
             assert rep.witness.generators == base.witness.generators
             assert rep.witness.color == base.witness.color
-    fast = find_witness(table_100k, coloring, spec, BOUNDS, mode="fast", workers=4)
-    assert fast.mode == "fast"
-    assert fast.nodes == base.nodes
-    if base.found:
-        assert fast.witness.generators == base.witness.generators
 
 
 def test_budget_zero(table_100k):
@@ -118,6 +140,11 @@ def test_budget_partial(table_100k):
     report = find_witness(table_100k, coloring, Brauer(1), b)
     assert report.status == "budget"
     assert report.nodes == 3
+    # a budget that ends exactly with the candidates still reads "budget"
+    for budget, status in ((16, "budget"), (17, "exhausted")):
+        b = SearchBounds(generator_max=5, value_bound=400, node_budget=budget)
+        report = find_witness(table_100k, coloring, Brauer(1), b)
+        assert (report.status, report.nodes) == (status, 16)
 
 
 def test_exhausted_on_all_distinct_coloring(table_100k):
@@ -160,14 +187,6 @@ def test_find_witness_validation(table_100k):
     coloring = periodic_coloring(1, [1], 100)
     with pytest.raises(ValueError):
         find_witness(table_100k, coloring, Brauer(1), BOUNDS)  # bound > domain
-    with pytest.raises(ValueError):
-        find_witness(
-            table_100k,
-            coloring,
-            Brauer(1),
-            SearchBounds(generator_max=3, value_bound=50),
-            mode="random",
-        )
 
 
 # ---------------------------------------------------------------------------
