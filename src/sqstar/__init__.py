@@ -41,7 +41,7 @@ from .semigroup import (
 )
 from .colorings import (
     Coloring,
-    enumerate_all,
+    avoiding_word,
     from_file,
     from_provenance,
     periodic_coloring,

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None,
                    help="write the witness document here")
 
-    p = sub.add_parser("threshold", help="exhaustive forcing bound, tiny sizes")
+    p = sub.add_parser("threshold", help="exhaustive forcing bound (backtracking search)")
     _add_family_flags(p)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--start-bound", type=int, default=2)

@@ -8,14 +8,13 @@ on when no coloring file is supplied.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
 
 from .errors import EnumerationCapError, OutOfDomainError, SchemaViolationError
 
-# enumerate_all refuses to walk more than this many colorings
+# avoiding_word gives up after visiting this many search nodes
 DEFAULT_ENUMERATION_CAP = 2**24
 
 
@@ -121,20 +120,53 @@ def to_file(c: Coloring, path: str) -> None:
         fh.write("\n")
 
 
-def enumerate_all(r: int, bound: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every coloring of [0, bound) with colors 1..r.
+def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """The least coloring word of vertices 0..size-1, colors 1..r, with no
+    monochromatic edge (an iterable of vertices), or None if there is none.
 
-    Raises EnumerationCapError up front when r**bound exceeds the cap.
-    Order is lexicographic in the color tuple, color 1 first.
+    Depth-first backtracking colors the vertices in order and checks each
+    edge when its largest vertex is colored.  A vertex may use at most one
+    color more than any earlier vertex: renaming colors maps avoiding words
+    onto avoiding words.  Each color tried on a vertex is a node, and
+    EnumerationCapError is raised once more than cap nodes were visited.
     """
-    total = r**bound
-    if total > cap:
-        raise EnumerationCapError(
-            f"{r}**{bound} = {total} colorings exceed the cap of {cap}"
-        )
-    for i, tup in enumerate(itertools.product(range(1, r + 1), repeat=bound)):
-        prov = f"enumerated:r={r},bound={bound},index={i}"
-        yield Coloring(r, bound, tup, prov)
+    if r < 1:
+        raise ValueError("need at least one color")
+    # watch[v]: for each edge whose largest vertex is v, the bitmask of its
+    # other vertices; the edge is monochromatic once they all share v's color
+    watch = [[] for _ in range(size)]
+    for edge in edges:
+        vs = set(edge)
+        if not vs or min(vs) < 0 or max(vs) >= size:
+            raise ValueError(f"edge {tuple(edge)} is not a nonempty set of 0..{size - 1}")
+        if len(vs) == 1:
+            return None  # a single vertex is monochromatic under every word
+        top = max(vs)
+        watch[top].append(sum(1 << u for u in vs if u != top))
+    word = [0] * size
+    masks = [0] * (r + 1)  # masks[c]: vertices colored c (masks[0] is unused)
+    top_color = [0] * (size + 1)  # top_color[v]: largest color on 0..v-1
+    nodes = v = 0
+    while 0 <= v < size:
+        c = word[v]
+        masks[c] &= ~(1 << v)
+        last = min(r, top_color[v] + 1)
+        while c < last:
+            c += 1
+            nodes += 1
+            if nodes > cap:
+                raise EnumerationCapError(f"coloring search passed the cap of {cap} nodes")
+            if all(e & masks[c] != e for e in watch[v]):
+                break
+        else:  # no color left for v: back up to the previous vertex
+            word[v] = 0
+            v -= 1
+            continue
+        word[v] = c
+        masks[c] |= 1 << v
+        top_color[v + 1] = max(top_color[v], c)
+        v += 1
+    return tuple(word) if v == size else None
 
 
 def from_provenance(prov: str, bound: int | None = None) -> Coloring:
@@ -145,9 +177,9 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         periodic:q=Q,map=C1;...;CQ[,bound=B]    n -> C_{(n mod Q) + 1}
 
     This covers every string random_coloring and periodic_coloring record.
-    `bound` fills in when the string carries none.  File-backed or
-    enumerated colorings cannot be rebuilt from provenance alone; they and
-    every malformed string raise SchemaViolationError.
+    `bound` fills in when the string carries none.  File-backed colorings
+    cannot be rebuilt from provenance alone; they and every malformed
+    string raise SchemaViolationError.
     """
     kind, _, rest = prov.partition(":")
     if kind == "random" and rest.startswith("pcg64:"):

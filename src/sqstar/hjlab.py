@@ -20,12 +20,10 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .colorings import Coloring
-from .errors import DomainOverlapError, EnumerationCapError, OutOfRangeError
+from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
+from .errors import DomainOverlapError, OutOfRangeError
 from .ground import GroundTable
 from .semigroup import eval_monomial
-
-DEFAULT_ENUMERATION_CAP = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -200,53 +198,58 @@ def hj_search(
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
-    nodes = 0
-    skipped = 0
+    status, hit, color, nodes, skipped = _scan(_hj_lines(q, n, ap_k), word_color, node_budget)
+    if hit is None:
+        return HjReport(status, None, None, None, None, None, nodes, skipped)
+    gamma, fam, alpha_pairs, line = hit
+    return HjReport(status, LocatedWord(q, alpha_pairs), gamma, fam, color, tuple(line),
+                    nodes, skipped)
+
+
+def _scan(candidates: Iterator[tuple], color: Callable, node_budget: Optional[int]):
+    """Scan candidates, each ending in its line, for a monochromatic line; a line
+    with an uncolorable point is skipped.  (status, hit, color, nodes, skipped)."""
+    nodes = skipped = 0
+    for cand in candidates:
+        if node_budget is not None and nodes >= node_budget:
+            return "budget", None, None, nodes, skipped
+        nodes += 1
+        colors = [color(x) for x in cand[-1]]
+        if any(c is None for c in colors):
+            skipped += 1
+        elif len(set(colors)) == 1:
+            return "witness", cand, colors[0], nodes, skipped
+    return "exhausted", None, None, nodes, skipped
+
+
+def _first_forced(max_n: int, r: int, cap: int, vertices: Callable, lines: Callable):
+    """Least n <= max_n at which every r-coloring of vertices(n) makes one
+    of the candidate lines(n) monochromatic, settled by avoiding_word."""
+    if r < 1:
+        raise ValueError("need at least one color")
+    for n in range(1, max_n + 1):
+        index = {v: i for i, v in enumerate(vertices(n))}
+        edges = [[index[v] for v in cand[-1]] for cand in lines(n)]
+        if avoiding_word(len(index), edges, r, cap) is None:
+            return n
+    return None
+
+
+def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
+    """Candidate lines over {1..n} as (gamma, family set, alpha pairs, line),
+    in the one canonical order that hj_search and hj_threshold both read."""
     window = tuple(range(1, n + 1))
     for gamma in gamma_order(n):
         rest = tuple(p for p in window if p not in gamma)
-        if ap_k is None:
-            fam_iter = [None]
-        else:
-            fam_iter = _ap_sets(rest, ap_k + 1)
+        fam_iter = [None] if ap_k is None else _ap_sets(rest, ap_k + 1)
         for fam in fam_iter:
             avail = rest if fam is None else tuple(p for p in rest if p not in fam)
+            # the positions the variable fills: gamma, or gamma u {t} per t in F
+            blocks = [gamma] if fam is None else [sorted(set(gamma) | {t}) for t in fam]
             for alpha_pairs in _alpha_order(avail, q):
-                if node_budget is not None and nodes >= node_budget:
-                    return HjReport("budget", None, None, None, None, None, nodes, skipped)
-                nodes += 1
-                line = _hj_line(q, alpha_pairs, gamma, fam)
-                colors = [word_color(w) for w in line]
-                if any(c is None for c in colors):
-                    skipped += 1
-                    continue
-                if len(set(colors)) == 1:
-                    alpha = LocatedWord(q, alpha_pairs)
-                    return HjReport(
-                        "witness",
-                        alpha,
-                        tuple(gamma),
-                        tuple(fam) if fam is not None else None,
-                        colors[0],
-                        tuple(line),
-                        nodes,
-                        skipped,
-                    )
-    return HjReport("exhausted", None, None, None, None, None, nodes, skipped)
-
-
-def _hj_line(q, alpha_pairs, gamma, fam) -> list:
-    if fam is None:
-        return [
-            LocatedWord(q, alpha_pairs + tuple((p, s) for p in gamma))
-            for s in range(q)
-        ]
-    out = []
-    for s in range(q):
-        for t in fam:
-            pairs = alpha_pairs + tuple((p, s) for p in sorted(set(gamma) | {t}))
-            out.append(LocatedWord(q, pairs))
-    return out
+                line = [LocatedWord(q, alpha_pairs + tuple((p, s) for p in block))
+                        for s in range(q) for block in blocks]
+                yield gamma, fam, alpha_pairs, line
 
 
 def words_over(window: Sequence[int], q: int) -> Iterator[LocatedWord]:
@@ -264,26 +267,12 @@ def hj_threshold(
 ) -> Optional[int]:
     """Least window size forcing a monochromatic line for every coloring.
 
-    Walks every r-coloring of the words over {1..n}; the number of words
-    grows like (q+1)^n, so this is strictly an oracle-grade tool guarded
-    by the enumeration cap.
+    n is forced when colorings.avoiding_word finds no r-coloring of the
+    words over {1..n} (in words_over order) leaving every line hj_search
+    scans non-monochromatic; cap bounds its nodes per window.
     """
-    for n in range(1, max_n + 1):
-        words = list(words_over(range(1, n + 1), q))
-        total = r ** len(words)
-        if total > cap:
-            raise EnumerationCapError(
-                f"{r}**{len(words)} colorings exceed the cap of {cap}"
-            )
-        forced = True
-        for assignment in itertools.product(range(1, r + 1), repeat=len(words)):
-            table = dict(zip(words, assignment))
-            if not hj_search(q, table.get, n, ap_k=ap_k).found:
-                forced = False
-                break
-        if forced:
-            return n
-    return None
+    return _first_forced(max_n, r, cap, lambda n: words_over(range(1, n + 1), q),
+                         lambda n: _hj_lines(q, n, ap_k))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +426,20 @@ def phj_search(
     """
     if q < 1 or d < 1 or n < 1:
         raise ValueError("need q, d, n >= 1")
-    nodes = 0
-    skipped = 0
+    status, hit, color, nodes, skipped = _scan(_phj_lines(q, n, d), point_color, node_budget)
+    if hit is None:
+        return PhjReport(status, None, None, None, None, nodes, skipped)
+    gamma, base, line = hit
+    return PhjReport(status, base, gamma, color, tuple(line), nodes, skipped)
+
+
+def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
+    """Candidate grid lines as (gamma, base, line), in the one canonical
+    order that phj_search and phj_threshold both read."""
     for gamma in gamma_order(n):
         cells = _free_cells(n, d, gamma)
         base0 = constant_point(q, n, d, 1)
         for values in itertools.product(range(1, q + 1), repeat=len(cells)):
-            if node_budget is not None and nodes >= node_budget:
-                return PhjReport("budget", None, None, None, None, nodes, skipped)
-            nodes += 1
             comps = [c.copy() for c in base0.components]
             for (j, tup), v in zip(cells, values):
                 comps[j - 1][tuple(t - 1 for t in tup)] = v
@@ -454,15 +448,7 @@ def phj_search(
                 phj_substitute(base, gamma, xs)
                 for xs in itertools.product(range(1, q + 1), repeat=d)
             ]
-            colors = [point_color(p) for p in line]
-            if any(c is None for c in colors):
-                skipped += 1
-                continue
-            if len(set(colors)) == 1:
-                return PhjReport(
-                    "witness", base, tuple(gamma), colors[0], tuple(line), nodes, skipped
-                )
-    return PhjReport("exhausted", None, None, None, None, nodes, skipped)
+            yield gamma, base, line
 
 
 def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
@@ -485,20 +471,10 @@ def phj_threshold(
     max_n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Optional[int]:
-    """Least window size forcing a monochromatic grid line for every coloring."""
-    for n in range(1, max_n + 1):
-        points = list(grid_points(q, n, d))
-        total = r ** len(points)
-        if total > cap:
-            raise EnumerationCapError(
-                f"{r}**{len(points)} colorings exceed the cap of {cap}"
-            )
-        forced = True
-        for assignment in itertools.product(range(1, r + 1), repeat=len(points)):
-            lookup = dict(zip(points, assignment))
-            if not phj_search(q, r, d, n, lookup.get).found:
-                forced = False
-                break
-        if forced:
-            return n
-    return None
+    """Least window size forcing a monochromatic grid line for every coloring.
+
+    As hj_threshold, over the grid points (vertices, in grid_points order)
+    and the lines phj_search scans (edges).
+    """
+    return _first_forced(max_n, r, cap, lambda n: grid_points(q, n, d),
+                         lambda n: _phj_lines(q, n, d))

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .colorings import Coloring, enumerate_all
+from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
 from .errors import MalformedWitnessError, OutOfDomainError, OutOfRangeError
 from .ground import GroundTable
 from .patterns import Witness, config_values, generate_configuration
@@ -176,6 +176,32 @@ def verify_witness(w: Witness, coloring: Coloring, table: GroundTable) -> bool:
         raise MalformedWitnessError(str(exc)) from exc
 
 
+def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
+    """Configurations inside {1..max_bound}, each with the least window admitting it.
+
+    The window {1..N} admits a candidate's configuration when its values
+    all lie in 1..N and its generator positions in 1..max(2, N).  One walk
+    at generator_max = max(2, max_bound) finds them all, dropping a
+    candidate at its first value outside 1..max_bound.  Keys are sorted.
+    """
+    bounds = SearchBounds(generator_max=max(2, max_bound), value_bound=max_bound + 1)
+    least = {}
+    for tup in candidate_tuples(spec, bounds):
+        values = set()
+        try:
+            for v in config_values(spec, generators_from_tuple(spec, tup), table):
+                if not 1 <= v <= max_bound:
+                    break
+                values.add(v)
+            else:
+                cfg = tuple(sorted(values))
+                n = max(cfg[-1], *tup) if max(tup) > 2 else cfg[-1]
+                least[cfg] = min(n, least.get(cfg, n))
+        except (OutOfRangeError, ValueError):
+            continue
+    return least
+
+
 def threshold(
     spec,
     r: int,
@@ -186,54 +212,20 @@ def threshold(
 ) -> Optional[int]:
     """Least N in [start_bound, max_bound] forcing a witness in {1..N}.
 
-    For each N, every r-coloring of {1..N} is enumerated and checked
-    against the precomputed list of candidate configurations whose
-    generators and values all lie in {1..N}.  Intended for oracle-grade
-    tiny parameters; the enumeration cap guards against blowups.
+    N is forced when colorings.avoiding_word finds no r-coloring of
+    {1..N} leaving every configuration the window admits (see
+    admitted_configs) non-monochromatic; cap bounds its nodes per window
+    (None: the default).  Its avoiding word for N-1 certifies N-1.
     """
     if r < 1:
         raise ValueError("need at least one color")
     if start_bound < 1:
         raise ValueError("start_bound must be positive")
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    least = admitted_configs(spec, max_bound, table)
     for n in range(start_bound, max_bound + 1):
-        configs = _configs_within(spec, n, table)
-        if not configs:
-            continue
-        kwargs = {} if cap is None else {"cap": cap}
-        forced = True
-        for coloring in enumerate_all(r, n, **kwargs):
-            # assignment index v-1 stands for the value v in {1..N}
-            word = coloring.assignment
-            if not any(_mono_under(word, cfg) for cfg in configs):
-                forced = False
-                break
-        if forced:
+        # vertex v-1 stands for the value v in {1..N}
+        edges = [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
+        if avoiding_word(n, edges, r, cap) is None:
             return n
     return None
-
-
-def _mono_under(word, cfg) -> bool:
-    c0 = word[cfg[0] - 1]
-    for v in cfg[1:]:
-        if word[v - 1] != c0:
-            return False
-    return True
-
-
-def _configs_within(spec, n: int, table: GroundTable) -> list:
-    """Candidate configurations entirely inside {1..N}, deduplicated."""
-    bounds = SearchBounds(
-        generator_max=max(2, n), value_bound=n + 1, min_value=1
-    )
-    seen = set()
-    out = []
-    for tup in candidate_tuples(spec, bounds):
-        gens = generators_from_tuple(spec, tup)
-        try:
-            cfg = generate_configuration(spec, gens, table)
-        except (OutOfRangeError, ValueError):
-            continue
-        if cfg and cfg[0] >= 1 and cfg[-1] <= n and cfg not in seen:
-            seen.add(cfg)
-            out.append(cfg)
-    return out

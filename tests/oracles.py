@@ -1,16 +1,22 @@
 """Independent brute-force oracles the tests compare against.
 
-Nothing here goes through the package's sieve, product, or search code:
-membership is literal two-squares enumeration, folds go through pairwise
-star/power only, thresholds walk colorings as raw words, and the line
-oracles re-enumerate line sets from first principles.
+Nothing here goes through the package's sieve, product, or search code,
+except `configs_within` (see there): membership is literal two-squares
+enumeration, folds go through pairwise star/power only, thresholds walk
+colorings as raw words, window configurations are rebuilt from a member
+list, and the line oracles re-enumerate line sets from first principles.
 """
 
+import bisect
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
 
+from sqstar.errors import OutOfRangeError
+from sqstar.patterns import generate_configuration
+from sqstar.search import SearchBounds, candidate_tuples, generators_from_tuple
 from sqstar.semigroup import power, star
 
 
@@ -70,6 +76,80 @@ def threshold_oracle(configs_for, r: int, start: int, stop: int):
         ):
             return n
     return None
+
+
+def configs_within(spec, n: int, table):
+    """Candidate configurations entirely inside {1..N}, deduplicated.
+
+    The per-window candidate walk the package's threshold made for every
+    N before it walked the candidates once; it goes through the package's
+    candidate order and configuration generator, and cross-checks the
+    single walk's per-window view (search.admitted_configs).
+    """
+    bounds = SearchBounds(generator_max=max(2, n), value_bound=n + 1, min_value=1)
+    seen = set()
+    out = []
+    for tup in candidate_tuples(spec, bounds):
+        gens = generators_from_tuple(spec, tup)
+        try:
+            cfg = generate_configuration(spec, gens, table)
+        except (OutOfRangeError, ValueError):
+            continue
+        if cfg and cfg[0] >= 1 and cfg[-1] <= n and cfg not in seen:
+            seen.add(cfg)
+            out.append(cfg)
+    return out
+
+
+def window_configs(family: str, params: tuple, n: int, members) -> set:
+    """Configurations of brauer(k), fpf(k), deuber(m, p) or geo(k) inside {1..n}.
+
+    Rebuilt from a sorted member list (e.g. members_brute): s_t is
+    members[t] and the rank of x is the number of members below x, so the
+    list must hold more than n members and cover every index used.
+    Generators run over 2..max(2, n), progression parameters (geo's a, d)
+    over 1..max(2, n), and a configuration counts when all its values lie
+    in 1..n.
+    """
+    s = [int(x) for x in members]
+    rank = lambda x: bisect.bisect_left(s, x)
+    gens = range(2, max(2, n) + 1)
+    aux = range(1, max(2, n) + 1)
+    cands = []
+    if family == "brauer":
+        (k,) = params
+        for x, z in itertools.product(gens, repeat=2):
+            cands.append([x, z] + [rank(s[x] ** j * s[z]) for j in range(1, k + 1)])
+    elif family == "fpf":
+        (k,) = params
+        for xs in itertools.product(gens, repeat=k):
+            cands.append([
+                rank(math.prod(s[x] for x in sub))
+                for size in range(1, k + 1)
+                for sub in itertools.combinations(xs, size)
+            ])
+    elif family == "deuber":
+        m, p = params
+        for xs in itertools.product(gens, repeat=m + 1):
+            vals = [xs[0]]
+            for j in range(1, m + 1):
+                for expo in itertools.product(range(p + 1), repeat=j):
+                    prod = s[xs[j]]
+                    for i in range(j):
+                        prod *= s[xs[i]] ** expo[i]
+                    vals.append(rank(prod))
+            cands.append(vals)
+    elif family == "geo":
+        (k,) = params
+        for b, g, a, d in itertools.product(gens, gens, aux, aux):
+            cands.append([
+                rank(s[b] * (s[g] * s[a + i * d]) ** j)
+                for i in range(k + 1)
+                for j in range(k + 1)
+            ])
+    else:
+        raise ValueError(f"no oracle for family {family!r}")
+    return {tuple(sorted(set(c))) for c in cands if all(1 <= v <= n for v in c)}
 
 
 def avoider_coloring(configs, r: int, n: int):

@@ -1,15 +1,16 @@
-"""Colorings: constructors, documents, enumeration, provenance rebuild."""
+"""Colorings: constructors, documents, avoiding-word search, provenance rebuild."""
 
 import json
 
 import numpy as np
 import pytest
 
+import oracles
 from sqstar import (
     EnumerationCapError,
     OutOfDomainError,
     SchemaViolationError,
-    enumerate_all,
+    avoiding_word,
     from_file,
     from_provenance,
     periodic_coloring,
@@ -94,16 +95,48 @@ def test_coloring_validation():
         Coloring(2, 5, [1, 2], "x")
 
 
-def test_enumerate_all():
-    cs = list(enumerate_all(2, 3))
-    assert len(cs) == 8
-    # lexicographic, color 1 first
-    assert list(cs[0].assignment) == [1, 1, 1]
-    assert list(cs[-1].assignment) == [2, 2, 2]
-    assert len({tuple(c.assignment) for c in cs}) == 8
+def test_avoiding_word():
+    path = [(0, 1), (1, 2)]
+    assert avoiding_word(3, path, 2) == (1, 2, 1)
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert avoiding_word(3, triangle, 2) is None
+    assert avoiding_word(3, triangle, 3) == (1, 2, 3)
+    assert avoiding_word(4, [], 5) == (1, 1, 1, 1)
+    assert avoiding_word(0, [], 2) == ()
+    # one vertex is monochromatic under every word; repeats count once
+    assert avoiding_word(3, [(1,)], 2) is None
+    assert avoiding_word(3, [(1, 1)], 3) is None
+    assert avoiding_word(2, [(0, 1, 1)], 2) == (1, 2)
+    for bad in ([(0, 3)], [(-1, 0)], [()]):
+        with pytest.raises(ValueError):
+            avoiding_word(3, bad, 2)
+    with pytest.raises(ValueError):
+        avoiding_word(3, path, 0)
+
+
+def test_avoiding_word_cap_counts_nodes():
+    # the triangle with 2 colors: 1 node for vertex 0, 2 for vertex 1 and
+    # 2 for vertex 2, then vertex 0 has no other color to try
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert avoiding_word(3, triangle, 2, cap=5) is None
     with pytest.raises(EnumerationCapError):
-        next(enumerate_all(2, 30))
-    assert len(list(enumerate_all(2, 4, cap=16))) == 16
+        avoiding_word(3, triangle, 2, cap=4)
+
+
+def test_avoiding_word_is_the_least_avoider():
+    # breaking color symmetry loses nothing: the least avoiding word of all
+    # r**size words is the least one whose colors first appear in order
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(150):
+        size = int(rng.integers(1, 9))
+        r = int(rng.integers(1, 4))
+        edges = [
+            tuple(int(v) for v in rng.choice(size, int(rng.integers(1, min(size, 4) + 1)),
+                                             replace=False))
+            for _ in range(int(rng.integers(0, 12)))
+        ]
+        configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
+        assert avoiding_word(size, edges, r) == oracles.avoider_coloring(configs, r, size)
 
 
 def test_from_provenance_random():

@@ -12,6 +12,7 @@ from sqstar import (
     LocatedVariableWord,
     LocatedWord,
     PhjPoint,
+    avoiding_word,
     concat,
     constant_point,
     grid_points,
@@ -32,7 +33,7 @@ from sqstar import (
     word_coloring,
     words_over,
 )
-from sqstar.hjlab import gamma_order
+from sqstar.hjlab import _hj_lines, _phj_lines, gamma_order
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +230,34 @@ def test_hj_search_validation():
 
 def test_hj_threshold_matches_oracle():
     assert hj_threshold(2, 2, 3) == oracles.hj_threshold_oracle(2, 2, 3) == 2
+    assert hj_threshold(2, 3, 2) == oracles.hj_threshold_oracle(2, 3, 2)
     assert hj_threshold(1, 2, 2) == 1
     with pytest.raises(EnumerationCapError):
-        hj_threshold(2, 2, 3, cap=100)
+        hj_threshold(2, 2, 3, cap=50)
+    with pytest.raises(ValueError):
+        hj_threshold(2, 0, 3)
+
+
+def _avoiding(vertices, lines, r):
+    """avoiding_word over the vertices a threshold indexes and its edges."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return avoiding_word(len(vertices), [[index[v] for v in line] for *_, line in lines], r)
+
+
+@pytest.mark.parametrize("q, r, max_n, answer", [(2, 2, 3, 2), (3, 2, 2, None)])
+def test_hj_threshold_certificate(q, r, max_n, answer):
+    """Below the answer (or at max_n) an avoiding word passes the oracle's
+    line check; at the answer there is none."""
+    assert hj_threshold(q, r, max_n) == answer
+    n = max_n if answer is None else answer - 1
+    words = list(words_over(range(1, n + 1), q))
+    word = _avoiding(words, _hj_lines(q, n, None), r)
+    cmap = dict(zip((frozenset(w.letters) for w in words), word))
+    assert set(cmap) == set(oracles.all_words(n, q))
+    assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(n, q))
+    if answer is not None:
+        words = list(words_over(range(1, answer + 1), q))
+        assert _avoiding(words, _hj_lines(q, answer, None), r) is None
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +408,15 @@ def test_phj_threshold_matches_oracle():
     assert phj_threshold(2, 2, 1, 3) == oracles.phj_threshold_oracle(2, 2, 1, 3) == 2
     with pytest.raises(EnumerationCapError):
         phj_threshold(2, 2, 2, 3, cap=100)
+    with pytest.raises(ValueError):
+        phj_threshold(2, 0, 1, 3)
+
+
+def test_phj_threshold_certificate():
+    assert phj_threshold(2, 2, 1, 3) == 2
+    points = list(grid_points(2, 1, 1))
+    flat = [tuple(int(v) for c in p.components for v in c.ravel()) for p in points]
+    cmap = dict(zip(flat, _avoiding(points, _phj_lines(2, 1, 1), 2)))
+    assert set(cmap) == set(oracles.grid_tuples(2, 1, 1))
+    assert not any(len({cmap[p] for p in line}) == 1 for line in oracles.grid_lines(2, 1, 1))
+    assert _avoiding(list(grid_points(2, 2, 1)), _phj_lines(2, 2, 1), 2) is None

@@ -1,4 +1,4 @@
-"""Witness search, verification, and small-bound thresholds."""
+"""Witness search, verification, and thresholds with their certificates."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from sqstar import (
     PolyVdW,
     SearchBounds,
     Witness,
+    avoiding_word,
     build_table,
     check_monochromatic,
     find_witness,
@@ -27,7 +28,7 @@ from sqstar import (
     threshold,
     verify_witness,
 )
-from sqstar.search import _configs_within, candidate_tuples, generators_from_tuple
+from sqstar.search import admitted_configs, candidate_tuples, generators_from_tuple
 
 FAMILIES = [
     FpF(2),
@@ -269,19 +270,65 @@ def test_verify_is_search_independent(table_100k):
 
 def test_threshold_brauer_one_color(table_100k):
     spec = Brauer(1)
-    cfg_for = lambda n: _configs_within(spec, n, table_100k)
+    cfg_for = lambda n: oracles.configs_within(spec, n, table_100k)
     got = threshold(spec, 1, 1, 10, table_100k)
     assert got == oracles.threshold_oracle(cfg_for, 1, 1, 10) == 3
 
 
 def test_threshold_brauer_two_colors(table_100k):
     spec = Brauer(1)
-    cfg_for = lambda n: _configs_within(spec, n, table_100k)
+    cfg_for = lambda n: oracles.configs_within(spec, n, table_100k)
     got = threshold(spec, 2, 1, 20, table_100k)
     assert got == oracles.threshold_oracle(cfg_for, 2, 1, 20) == 16
     # below the threshold an avoiding coloring must exist
     assert oracles.avoider_coloring(cfg_for(15), 2, 15) is not None
     assert oracles.avoider_coloring(cfg_for(16), 2, 16) is None
+
+
+def _window(least, n):
+    """The configurations admitted by {1..N} as edges over vertices v-1."""
+    return [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
+
+
+@pytest.mark.parametrize("spec, family, params", [
+    (Brauer(1), "brauer", (1,)),
+    (FpF(2), "fpf", (2,)),
+    (Deuber(1, 1), "deuber", (1, 1)),
+    (GeoArithmetic(1), "geo", (1,)),
+], ids=["brauer", "fpf", "deuber", "geo"])
+def test_threshold_certificate(table_100k, spec, family, params):
+    """16 is forced at r=2; an avoiding word for 15 passes the oracle's check."""
+    assert threshold(spec, 2, 1, 16, table_100k) == 16
+    least = admitted_configs(spec, 16, table_100k)
+    word = avoiding_word(15, _window(least, 15), 2)
+    configs = oracles.window_configs(family, params, 15, oracles.members_brute(2000))
+    assert len(word) == 15
+    assert not oracles.mono_configs_exist(word, configs)
+    assert oracles.mono_configs_exist((1,) * 15, configs)  # the check can fail
+    assert avoiding_word(16, _window(least, 16), 2) is None
+
+
+def test_threshold_reach(table_100k):
+    """Far past 2**24 colorings: Brauer(2) is not forced up to 120 at r=2."""
+    assert threshold(Brauer(2), 2, 1, 120, table_100k) is None
+    word = avoiding_word(120, _window(admitted_configs(Brauer(2), 120, table_100k), 120), 2)
+    configs = oracles.window_configs("brauer", (2,), 120, oracles.members_brute(2000))
+    assert len(word) == 120 and configs
+    assert not oracles.mono_configs_exist(word, configs)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+def test_single_walk_matches_per_window_walk(table_100k, spec):
+    """admitted_configs' per-window view equals a fresh walk per window, and
+    threshold equals the raw-word oracle over those windows."""
+    least = admitted_configs(spec, 12, table_100k)
+    per_window = {n: oracles.configs_within(spec, n, table_100k) for n in range(1, 13)}
+    assert per_window[12]
+    for n, configs in per_window.items():
+        assert {cfg for cfg, m in least.items() if m <= n} == set(configs)
+    for r in (1, 2):
+        want = oracles.threshold_oracle(per_window.get, r, 1, 12)
+        assert threshold(spec, r, 1, 12, table_100k) == want
 
 
 def test_threshold_not_reached(table_100k):
