@@ -139,10 +139,10 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
         vs = set(edge)
         if not vs or min(vs) < 0 or max(vs) >= size:
             raise ValueError(f"edge {tuple(edge)} is not a nonempty set of 0..{size - 1}")
-        if len(vs) == 1:
-            return None  # a single vertex is monochromatic under every word
         top = max(vs)
         watch[top].append(sum(1 << u for u in vs if u != top))
+    if any(0 in masks for masks in watch):
+        return None  # a single vertex (mask 0) is monochromatic under every word
     word = [0] * size
     masks = [0] * (r + 1)  # masks[c]: vertices colored c (masks[0] is unused)
     top_color = [0] * (size + 1)  # top_color[v]: largest color on 0..v-1

@@ -38,7 +38,7 @@ class ResourceBudgetError(SqstarError):
 
 
 class EnumerationCapError(SqstarError):
-    """An exhaustive coloring enumeration would exceed the configured cap."""
+    """The backtracking coloring search visited more nodes than its cap."""
 
 
 class SchemaViolationError(SqstarError):

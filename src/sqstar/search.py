@@ -104,9 +104,7 @@ def _check_candidate(spec, tup, table, coloring, bounds) -> tuple:
                 return ("no",)
     except OutOfRangeError:
         return ("skip",)
-    if color is None:
-        return ("skip",)
-    return ("hit", color)
+    return ("skip",) if color is None else ("hit", color)
 
 
 def find_witness(
@@ -126,8 +124,7 @@ def find_witness(
     candidates = candidate_tuples(spec, bounds)
     if bounds.node_budget is not None:
         candidates = itertools.islice(candidates, bounds.node_budget)
-    nodes = 0
-    skipped = 0
+    nodes = skipped = 0
     witness = None
     for tup in candidates:
         nodes += 1
@@ -212,20 +209,23 @@ def threshold(
 ) -> Optional[int]:
     """Least N in [start_bound, max_bound] forcing a witness in {1..N}.
 
-    N is forced when colorings.avoiding_word finds no r-coloring of
-    {1..N} leaving every configuration the window admits (see
-    admitted_configs) non-monochromatic; cap bounds its nodes per window
-    (None: the default).  Its avoiding word for N-1 certifies N-1.
+    N is forced when colorings.avoiding_word (at most cap nodes a window,
+    None: the default) finds no r-coloring of {1..N} leaving every
+    configuration admitted_configs gives the window non-monochromatic; its
+    avoiding word for N-1 certifies N-1.  The walk bound doubles from 16
+    up to max_bound, so the walks cost about one walk at the answer.
     """
     if r < 1:
         raise ValueError("need at least one color")
     if start_bound < 1:
         raise ValueError("start_bound must be positive")
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    least = admitted_configs(spec, max_bound, table)
-    for n in range(start_bound, max_bound + 1):
-        # vertex v-1 stands for the value v in {1..N}
-        edges = [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
-        if avoiding_word(n, edges, r, cap) is None:
-            return n
+    n, walk = start_bound, min(max_bound, max(start_bound, 16))
+    while n <= max_bound:
+        least = admitted_configs(spec, walk, table)
+        for n in range(n, walk + 1):  # vertex v-1 stands for the value v
+            edges = [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
+            if avoiding_word(n, edges, r, cap) is None:
+                return n
+        n, walk = walk + 1, min(max_bound, 2 * walk)
     return None

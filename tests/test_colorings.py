@@ -107,7 +107,7 @@ def test_avoiding_word():
     assert avoiding_word(3, [(1,)], 2) is None
     assert avoiding_word(3, [(1, 1)], 3) is None
     assert avoiding_word(2, [(0, 1, 1)], 2) == (1, 2)
-    for bad in ([(0, 3)], [(-1, 0)], [()]):
+    for bad in ([(0, 3)], [(-1, 0)], [()], [(1,), (7,)]):
         with pytest.raises(ValueError):
             avoiding_word(3, bad, 2)
     with pytest.raises(ValueError):

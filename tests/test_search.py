@@ -28,6 +28,7 @@ from sqstar import (
     threshold,
     verify_witness,
 )
+from sqstar import search
 from sqstar.search import admitted_configs, candidate_tuples, generators_from_tuple
 
 FAMILIES = [
@@ -329,6 +330,24 @@ def test_single_walk_matches_per_window_walk(table_100k, spec):
     for r in (1, 2):
         want = oracles.threshold_oracle(per_window.get, r, 1, 12)
         assert threshold(spec, r, 1, 12, table_100k) == want
+
+
+def test_threshold_walk_follows_the_answer(table_100k, monkeypatch):
+    """The walk bound doubles from 16 up to max_bound: a max_bound far above
+    the answer costs one walk at 16, and no window means no walk."""
+    walks = []
+
+    def walk(spec, bound, table):
+        walks.append(bound)
+        return admitted_configs(spec, bound, table)
+
+    monkeypatch.setattr(search, "admitted_configs", walk)
+    assert threshold(GeoArithmetic(1), 2, 1, 64, table_100k) == 16
+    assert threshold(Brauer(1), 2, 1, 1000, table_100k) == 16
+    assert threshold(Brauer(1), 2, 20, 10, table_100k) is None
+    assert threshold(Brauer(1), 1, 1, 2, table_100k) is None
+    assert threshold(Brauer(2), 2, 1, 120, table_100k) is None
+    assert walks == [16, 16, 2, 16, 32, 64, 120]
 
 
 def test_threshold_not_reached(table_100k):
