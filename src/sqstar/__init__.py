@@ -8,7 +8,6 @@ machinery whose projections realize those patterns.
 """
 
 from .errors import (
-    BudgetExhaustedError,
     CorruptCacheError,
     DomainOverlapError,
     EnumerationCapError,
@@ -16,14 +15,11 @@ from .errors import (
     NotMemberError,
     OutOfDomainError,
     OutOfRangeError,
-    PredicateMismatchError,
     ResourceBudgetError,
     SchemaViolationError,
     SqstarError,
 )
 from .ground import (
-    SIGMA,
-    GroundPredicate,
     GroundTable,
     build_table,
     is_member,
@@ -33,7 +29,6 @@ from .ground import (
 from .semigroup import (
     LawReport,
     eval_monomial,
-    finite_products,
     power,
     star,
     star_many,
@@ -61,7 +56,6 @@ from .patterns import (
     PhiSum,
     PolyVdW,
     Witness,
-    check_monochromatic,
     generate_configuration,
     load_witness,
     save_witness,

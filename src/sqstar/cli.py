@@ -32,7 +32,6 @@ from .errors import (
     NotMemberError,
     OutOfDomainError,
     OutOfRangeError,
-    PredicateMismatchError,
     ResourceBudgetError,
     SchemaViolationError,
 )
@@ -51,7 +50,6 @@ _USAGE_ERRORS = (
 _RANGE_ERRORS = (OutOfRangeError,)
 _CORRUPT_ERRORS = (
     CorruptCacheError,
-    PredicateMismatchError,
     SchemaViolationError,
     MalformedWitnessError,
 )
@@ -93,7 +91,7 @@ def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
     """
     path = args.cache or _default_cache_path()
     if path and os.path.exists(path):
-        table = ground.load_cache(path, "sigma")
+        table = ground.load_cache(path)
         if min_limit is not None and table.limit < min_limit:
             raise OutOfRangeError(
                 f"cache limit {table.limit} below required {min_limit}; rebuild it"
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-cache", help="sieve a table and write it to disk")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--predicate", choices=["sigma"], default="sigma")
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("member", help="two-squares membership of an integer")
@@ -304,7 +301,7 @@ def _dispatch(args) -> int:
         doc = {
             "limit": table.limit,
             "size": table.size,
-            "predicate": table.predicate_id,
+            "predicate": "sigma",
             "path": args.out,
         }
         _emit(args, doc, [f"wrote {args.out}: {table.size} members below {table.limit}"])
@@ -345,9 +342,7 @@ def _dispatch(args) -> int:
 
     if cmd == "fp":
         table = _get_table(args)
-        from .semigroup import finite_products
-
-        vals = sorted(finite_products(args.xs, table))
+        vals = pat.generate_configuration(pat.FpF(len(args.xs)), {"xs": args.xs}, table)
         _emit(args, {"xs": args.xs, "products": vals},
               [" ".join(str(v) for v in vals)])
         return 0

@@ -29,10 +29,6 @@ class CorruptCacheError(SqstarError):
     """A cache file failed magic, length, structure, or checksum validation."""
 
 
-class PredicateMismatchError(SqstarError):
-    """A cache file was built for a different predicate than requested."""
-
-
 class ResourceBudgetError(SqstarError):
     """A requested build would exceed the configured memory budget."""
 
@@ -51,7 +47,3 @@ class MalformedWitnessError(SqstarError):
 
 class DomainOverlapError(SqstarError):
     """Two located words with intersecting supports were concatenated."""
-
-
-class BudgetExhaustedError(SqstarError):
-    """A search consumed its node budget (used internally; reports prefer status)."""

@@ -1,6 +1,6 @@
 """Ground set: membership, sieved tables, rank/unrank, binary caches.
 
-The default ground set is the set of sums of two integer squares (0 and 1
+The ground set is the set of sums of two integer squares (0 and 1
 included).  A GroundTable stores the members below a limit as a bitset
 with a popcount rank directory (Jacobson, FOCS 1989; Vigna, WEA 2008)
 plus the sorted member array for unranking; everything upstream (the
@@ -22,7 +22,6 @@ from .errors import (
     CorruptCacheError,
     NotMemberError,
     OutOfRangeError,
-    PredicateMismatchError,
     ResourceBudgetError,
 )
 
@@ -35,6 +34,8 @@ MAX_LIMIT = 2**32
 
 _MAGIC = b"SGT1"
 _VERSION = 2
+# the ground-set id every cache carries; any other id is corrupt
+_GROUND_ID = b"sigma"
 
 # Bits unpacked at a time while filling the member array; small enough
 # that the scratch (one bool byte per bit plus an int64 per member found)
@@ -83,36 +84,6 @@ def _two_squares_flags(limit: int) -> np.ndarray:
     return flags
 
 
-class GroundPredicate:
-    """A named membership predicate with an optional bulk sieve."""
-
-    def __init__(self, predicate_id: str, member, flags=None):
-        if not predicate_id or len(predicate_id.encode("ascii")) > 255:
-            raise ValueError("predicate id must be 1..255 ascii bytes")
-        self.predicate_id = predicate_id
-        self._member = member
-        self._flags = flags
-
-    def member(self, n: int) -> bool:
-        return self._member(n)
-
-    def flags(self, limit: int) -> np.ndarray:
-        """Bool flags for [0, limit); falls back to a scalar loop."""
-        if self._flags is not None:
-            return self._flags(limit)
-        out = np.zeros(limit, dtype=bool)
-        for n in range(limit):
-            if self._member(n):
-                out[n] = True
-        return out
-
-    def __repr__(self):
-        return f"GroundPredicate({self.predicate_id!r})"
-
-
-SIGMA = GroundPredicate("sigma", is_member, flags=_two_squares_flags)
-
-
 def _select(words: np.ndarray, count: int) -> np.ndarray:
     """Positions of the set bits of a little-endian bitset, as uint32."""
     out = np.empty(count, dtype=np.uint32)
@@ -128,7 +99,7 @@ def _select(words: np.ndarray, count: int) -> np.ndarray:
 
 
 class GroundTable:
-    """Members of a predicate below a limit, with rank and unrank queries.
+    """Ground-set members below a limit, with rank and unrank queries.
 
     Bit n of the little-endian uint64 bitset is set iff n is a member.
     The bitset has limit // 64 + 1 words, so the bound x = limit falls
@@ -139,11 +110,10 @@ class GroundTable:
     members (select, i.e. unrank, in O(1)); ranks are positions within it.
     """
 
-    __slots__ = ("limit", "predicate_id", "elements", "_words", "_prefix")
+    __slots__ = ("limit", "elements", "_words", "_prefix")
 
-    def __init__(self, limit: int, words: np.ndarray, predicate_id: str):
+    def __init__(self, limit: int, words: np.ndarray):
         self.limit = int(limit)
-        self.predicate_id = predicate_id
         words = np.ascontiguousarray(words, dtype="<u8")
         if words.size != (self.limit >> 6) + 1:
             raise ValueError(f"a table with limit {limit} needs {(self.limit >> 6) + 1} words")
@@ -212,10 +182,7 @@ class GroundTable:
         return bool(self._bit(s))
 
     def __repr__(self):
-        return (
-            f"GroundTable(limit={self.limit}, size={self.size}, "
-            f"predicate={self.predicate_id!r})"
-        )
+        return f"GroundTable(limit={self.limit}, size={self.size})"
 
 
 def _check_budget(need: int, max_bytes: int, limit: int, stage: str) -> None:
@@ -227,7 +194,6 @@ def _check_budget(need: int, max_bytes: int, limit: int, stage: str) -> None:
 
 def build_table(
     limit: int,
-    predicate: GroundPredicate = SIGMA,
     max_bytes: int = DEFAULT_MAX_BYTES,
 ) -> GroundTable:
     """Sieve all members below limit into a GroundTable.
@@ -245,29 +211,28 @@ def build_table(
     _check_budget(sieve, max_bytes, limit, "sieve")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} above {MAX_LIMIT}: uint32 members would overflow")
-    packed = np.packbits(predicate.flags(limit), bitorder="little")
+    packed = np.packbits(_two_squares_flags(limit), bitorder="little")
     words = np.zeros(nwords, dtype="<u8")
     words.view(np.uint8)[: packed.size] = packed
     del packed
     count = int(np.bitwise_count(words).sum())
     scratch = _SELECT_CHUNK + 8 * min(count, _SELECT_CHUNK)
     _check_budget(16 * nwords + 4 * count + scratch, max_bytes, limit, "table")
-    return GroundTable(limit, words, predicate.predicate_id)
+    return GroundTable(limit, words)
 
 
 def save_cache(table: GroundTable, path: str) -> None:
     """Write a table to a binary cache file (format version 2).
 
-    Layout: magic "SGT1", version byte 2, length-prefixed predicate id,
-    limit and member count as little-endian u64, the bitset as
+    Layout: magic "SGT1", version byte 2, the length-prefixed ground-set
+    id "sigma", limit and member count as little-endian u64, the bitset as
     limit // 64 + 1 little-endian u64 words, and a trailing little-endian
     u32 zlib.crc32 over every preceding byte.
     """
-    pid = table.predicate_id.encode("ascii")
     head = (
         _MAGIC
-        + struct.pack("<BB", _VERSION, len(pid))
-        + pid
+        + struct.pack("<BB", _VERSION, len(_GROUND_ID))
+        + _GROUND_ID
         + struct.pack("<QQ", table.limit, table.size)
     )
     crc = zlib.crc32(table._words, zlib.crc32(head))
@@ -277,15 +242,15 @@ def save_cache(table: GroundTable, path: str) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def load_cache(path: str, predicate_id: str | None = None) -> GroundTable:
+def load_cache(path: str) -> GroundTable:
     """Load and validate a binary cache written by save_cache.
 
     Every structural property is checked: magic, version, declared
     length versus file size, the CRC, no bit at or above the declared
     limit, and the declared count against the bitset's popcount.  Any
-    failure raises CorruptCacheError; a predicate mismatch raises
-    PredicateMismatchError.  The rank directory and member array are
-    rebuilt from the bitset.
+    failure, a ground-set id other than "sigma" included, raises
+    CorruptCacheError.  The rank directory and member array are rebuilt
+    from the bitset.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -302,10 +267,10 @@ def load_cache(path: str, predicate_id: str | None = None) -> GroundTable:
         head += fh.read(head[5] + 16)
         if len(head) < 6 + head[5] + 16:
             raise CorruptCacheError("truncated header")
-        try:
-            pid = head[6:-16].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise CorruptCacheError("predicate id is not ascii") from exc
+        if head[6:-16] != _GROUND_ID:
+            raise CorruptCacheError(
+                f"ground-set id {head[6:-16]!r} is not {_GROUND_ID!r}"
+            )
         limit, count = struct.unpack_from("<QQ", head, len(head) - 16)
         if not 2 <= limit <= MAX_LIMIT:
             raise CorruptCacheError(f"declared limit {limit} outside [2, {MAX_LIMIT}]")
@@ -326,8 +291,4 @@ def load_cache(path: str, predicate_id: str | None = None) -> GroundTable:
         raise CorruptCacheError("member at or above declared limit")
     if int(np.bitwise_count(words).sum()) != count:
         raise CorruptCacheError(f"declared count {count} does not match the bitset")
-    if predicate_id is not None and pid != predicate_id:
-        raise PredicateMismatchError(
-            f"cache was built for predicate {pid!r}, requested {predicate_id!r}"
-        )
-    return GroundTable(int(limit), words, pid)
+    return GroundTable(int(limit), words)

@@ -108,23 +108,30 @@ def h_project(w: LocatedWord, table: GroundTable) -> int:
     return eval_monomial(list(w.letters), table)
 
 
-def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
-    """Color words by the numeric color of their h-projection.
+def _projection_coloring(
+    project: Callable, coloring: Coloring, table: GroundTable
+) -> Callable:
+    """Color objects by the numeric color of project(obj, table).
 
-    Words whose projection leaves the table or the coloring domain are
+    Objects whose projection leaves the table or the coloring domain are
     reported uncolorable (None), which searches treat as skips.
     """
 
-    def wc(word: LocatedWord) -> Optional[int]:
+    def color(obj) -> Optional[int]:
         try:
-            v = h_project(word, table)
+            v = project(obj, table)
         except OutOfRangeError:
             return None
         if v >= coloring.bound:
             return None
         return coloring.color_of(v)
 
-    return wc
+    return color
+
+
+def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
+    """Color words by the numeric color of their h-projection (None: skip)."""
+    return _projection_coloring(h_project, coloring, table)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +375,8 @@ def m_project(point: PhjPoint, table: GroundTable) -> int:
 
 
 def point_coloring(coloring: Coloring, table: GroundTable) -> Callable:
-    """Color grid points by the numeric color of their m-projection."""
-
-    def pc(point: PhjPoint) -> Optional[int]:
-        try:
-            v = m_project(point, table)
-        except OutOfRangeError:
-            return None
-        if v >= coloring.bound:
-            return None
-        return coloring.color_of(v)
-
-    return pc
+    """Color grid points by the numeric color of their m-projection (None: skip)."""
+    return _projection_coloring(m_project, coloring, table)
 
 
 @dataclass

@@ -284,8 +284,10 @@ class FpF(_Family):
             low = (mask & -mask).bit_length() - 1
             p = prods[mask & (mask - 1)] * svals[low]
             if p >= table.limit:
+                positions = [i + 1 for i in range(self.k) if mask >> i & 1]
                 raise OutOfRangeError(
-                    f"subset product {p} beyond table limit {table.limit}"
+                    f"subset {positions} of ranks {g['xs']} has product {p} "
+                    f"beyond table limit {table.limit}"
                 )
             prods[mask] = p
             yield table.count_below(p)
@@ -440,22 +442,6 @@ def block_tuples(length: int, m: int) -> Iterator[tuple]:
                     yield (comb,) + rest
 
     return rec(1, m)
-
-
-def check_monochromatic(config, coloring) -> Optional[int]:
-    """The common color of a configuration, or None if colors differ."""
-    color = None
-    empty = True
-    for v in config:
-        empty = False
-        c = coloring.color_of(v)
-        if color is None:
-            color = c
-        elif c != color:
-            return None
-    if empty:
-        return None
-    return color
 
 
 def config_values(spec, generators: dict, table: GroundTable) -> Iterator[int]:

@@ -27,14 +27,13 @@ class SearchBounds:
 
     generator_max caps every generator index; value_bound is exclusive and
     must not exceed the coloring's domain; node_budget caps the number of
-    candidates examined (None = unbounded); min_value discards candidates
-    producing any value below it; include_identity admits generator index 1.
+    candidates examined (None = unbounded); include_identity admits
+    generator index 1.
     """
 
     generator_max: int
     value_bound: int
     node_budget: Optional[int] = None
-    min_value: int = 0
     include_identity: bool = False
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ def _check_candidate(spec, tup, table, coloring, bounds) -> tuple:
     color = None
     try:
         for v in config_values(spec, gens, table):
-            if v < bounds.min_value or v >= bounds.value_bound:
+            if v >= bounds.value_bound:
                 return ("skip",)
             c = coloring.color_of(v)
             if color is None:

@@ -82,32 +82,6 @@ def eval_monomial(factors: Monomial, table: GroundTable) -> int:
     return table.count_below(p)
 
 
-def finite_products(xs: Sequence[int], table: GroundTable) -> set:
-    """Ranks of all nonempty-subset products of the given ranks.
-
-    Products are developed over the subset lattice so each of the 2^k - 1
-    subsets costs one multiplication; an overflowing subset is reported
-    by its (1-based) positions.
-    """
-    svals = [table.element(x) for x in xs]
-    k = len(svals)
-    prods = [0] * (1 << k)
-    prods[0] = 1
-    out = set()
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        p = prods[mask & (mask - 1)] * svals[low]
-        if p >= table.limit:
-            positions = [i + 1 for i in range(k) if mask >> i & 1]
-            raise OutOfRangeError(
-                f"subset {positions} of ranks {list(xs)} has product {p} "
-                f"beyond table limit {table.limit}"
-            )
-        prods[mask] = p
-        out.add(table.count_below(p))
-    return out
-
-
 def star_many(ms, ns, table: GroundTable):
     """Vectorized star over paired rank arrays.
 
@@ -174,8 +148,6 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     v = table.elements[: range_max + 1].astype(np.uint64)
     n = int(v.size)
     limit = table.limit
-    if n and float(int(v.max())) ** 3 >= 2**63:
-        return _verify_laws_scalar(range_max, table)
 
     prod = v[:, None] * v[None, :]
     in_range = prod < limit
@@ -225,9 +197,11 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
 
     # associativity: (m*n)*k vs m*(n*k), composed through ranks as
     # element(star(m, n)) * s_k against s_m * element(star(n, k)); a product
-    # that leaves the table on one side only is a counterexample
-    triple = prod[:, :, None].astype(np.float64) * v[None, None, :].astype(np.float64)
-    t_ok = in_range[:, :, None] & in_range[None, :, :] & (triple < float(limit))
+    # that leaves the table on one side only is a counterexample.  Members
+    # are below 2**32, so where prod < limit the screen prod * v stays below
+    # 2**64 and is exact in uint64; other entries are masked out anyway
+    triple = prod[:, :, None] * v[None, None, :]
+    t_ok = in_range[:, :, None] & in_range[None, :, :] & (triple < limit)
     bad = None
     checked3 = int(t_ok.sum())
     if checked3:
@@ -251,59 +225,3 @@ def _ranks_in_range(prods: np.ndarray, table: GroundTable) -> np.ndarray:
     out[ok] = table.count_below_many(prods[ok])
     return out
 
-
-def _verify_laws_scalar(range_max: int, table: GroundTable) -> LawReport:
-    """Python-integer fallback for tables whose cubes leave 63 bits."""
-    limit = table.limit
-    vals = [table.element(i) for i in range(range_max + 1)]
-    n = len(vals)
-
-    def rank_of(p):
-        return table.count_below(p) if p < limit else None
-
-    comm = LawCheck("commutativity", 0, 0, None)
-    ident = LawCheck("identity", 0, 0, None)
-    absorb = LawCheck("absorption", 0, 0, None)
-    mult = LawCheck("multiplicativity", 0, 0, None)
-    assoc = LawCheck("associativity", 0, 0, None)
-    for m in range(n):
-        for k in range(n):
-            p = vals[m] * vals[k]
-            r = rank_of(p)
-            if r is None:
-                comm.skipped += 1
-                mult.skipped += 1
-            else:
-                comm.checked += 1
-                mult.checked += 1
-                if rank_of(vals[k] * vals[m]) != r and comm.counterexample is None:
-                    comm.counterexample = (m, k)
-                if table.element(r) != p and mult.counterexample is None:
-                    mult.counterexample = (m, k)
-    for m in range(n):
-        if n >= 2:
-            r = rank_of(vals[1] * vals[m])
-            if r is None:
-                ident.skipped += 1
-            else:
-                ident.checked += 1
-                if r != m and ident.counterexample is None:
-                    ident.counterexample = (1, m)
-        r = rank_of(0)
-        absorb.checked += 1
-        if r != 0 and absorb.counterexample is None:
-            absorb.counterexample = (0, m)
-    for m in range(n):
-        for k in range(n):
-            for j in range(n):
-                pmk = vals[m] * vals[k]
-                pkj = vals[k] * vals[j]
-                if pmk >= limit or pkj >= limit or pmk * vals[j] >= limit:
-                    assoc.skipped += 1
-                    continue
-                assoc.checked += 1
-                lhs = rank_of(table.element(rank_of(pmk)) * vals[j])
-                rhs = rank_of(vals[m] * table.element(rank_of(pkj)))
-                if lhs != rhs and assoc.counterexample is None:
-                    assoc.counterexample = (m, k, j)
-    return LawReport(range_max, [comm, ident, absorb, mult, assoc])

@@ -86,7 +86,7 @@ def configs_within(spec, n: int, table):
     candidate order and configuration generator, and cross-checks the
     single walk's per-window view (search.admitted_configs).
     """
-    bounds = SearchBounds(generator_max=max(2, n), value_bound=n + 1, min_value=1)
+    bounds = SearchBounds(generator_max=max(2, n), value_bound=n + 1)
     seen = set()
     out = []
     for tup in candidate_tuples(spec, bounds):

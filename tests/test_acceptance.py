@@ -329,14 +329,14 @@ def test_criterion_12_cache_round_trip(report, tmp_path):
     p1 = str(tmp_path / "a.sgt")
     p2 = str(tmp_path / "b.sgt")
     save_cache(table, p1)
-    back = load_cache(p1, "sigma")
+    back = load_cache(p1)
     save_cache(back, p2)
     identical = open(p1, "rb").read() == open(p2, "rb").read()
     data = open(p1, "rb").read()
     trunc = str(tmp_path / "t.sgt")
     open(trunc, "wb").write(data[: len(data) // 2])
     try:
-        load_cache(trunc, "sigma")
+        load_cache(trunc)
         truncation_detected = False
     except CorruptCacheError:
         truncation_detected = True

@@ -69,6 +69,13 @@ def test_pointwise_ops(cache_path, capsys):
     assert code == 0 and out.strip() == "2 5 9"
 
 
+def test_fp_rank_zero_is_usage_error(cache_path, capsys):
+    # fp reads the fpf family, whose generators are ranks >= 1
+    code, _, err = run(capsys, "--cache", cache_path, "fp", "0", "5")
+    assert code == 2
+    assert "must be >= 1" in err
+
+
 def test_rank_of_nonmember_is_usage_error(cache_path, capsys):
     code, out, err = run(capsys, "--cache", cache_path, "rank", "3")
     assert code == 2

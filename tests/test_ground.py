@@ -10,17 +10,15 @@ import pytest
 import oracles
 from sqstar import (
     CorruptCacheError,
-    GroundPredicate,
     NotMemberError,
     OutOfRangeError,
-    PredicateMismatchError,
     ResourceBudgetError,
-    SIGMA,
     build_table,
     is_member,
     load_cache,
     save_cache,
 )
+from sqstar.cli import main
 
 PREFIX = [0, 1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25, 26, 29, 32]
 
@@ -32,14 +30,14 @@ def test_prefix_17(table_100k):
 def test_flags_match_brute_force():
     limit = 20000
     want = oracles.two_squares_flags(limit)
-    assert np.array_equal(SIGMA.flags(limit), want)
+    assert np.array_equal(build_table(limit).elements, np.flatnonzero(want))
 
 
 def test_large_prime_single_factor():
     # one prime = 3 (mod 4) above the square root still disqualifies
-    flags = SIGMA.flags(1000)
-    assert flags[206] == 0  # 206 = 2 * 103
-    assert flags[103] == 0
+    t = build_table(1000)
+    assert not t.contains(206)  # 206 = 2 * 103
+    assert not t.contains(103)
     assert is_member(206) is False
 
 
@@ -135,17 +133,9 @@ def test_scalar_query_allocates_almost_nothing(table_100m_timed, query):
     assert peak < 1024, (query, peak)
 
 
-def test_custom_predicate():
-    evens = GroundPredicate("evens", lambda n: n % 2 == 0)
-    t = build_table(20, predicate=evens)
-    assert list(t.elements) == [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
-    assert t.predicate_id == "evens"
-
-
 def test_sieve_matches_oracle_at_edge_limits():
     for limit in (2, 3, 10, 1000, 65536):
         want = oracles.two_squares_flags(limit)
-        assert np.array_equal(SIGMA.flags(limit), want), limit
         t = build_table(limit)
         assert np.array_equal(t.elements, np.flatnonzero(want)), limit
         assert t.count_below(limit) == int(want.sum()), limit
@@ -156,7 +146,6 @@ def test_cache_roundtrip(tmp_path, table_100k):
     save_cache(table_100k, path)
     loaded = load_cache(path)
     assert loaded.limit == table_100k.limit
-    assert loaded.predicate_id == "sigma"
     assert np.array_equal(loaded.elements, table_100k.elements)
     # byte-identical on re-save
     path2 = str(tmp_path / "t2.sgt")
@@ -241,14 +230,19 @@ def test_cache_count_disagrees(tmp_path, table_100k):
         load_cache(path)
 
 
-def test_cache_predicate_mismatch(tmp_path):
-    evens = GroundPredicate("evens", lambda n: n % 2 == 0)
-    t = build_table(20, predicate=evens)
+def test_cache_predicate_mismatch(tmp_path, table_100k):
+    # a cache for any ground set other than sigma is corrupt, even with a
+    # valid CRC
     path = str(tmp_path / "e.sgt")
-    save_cache(t, path)
-    with pytest.raises(PredicateMismatchError):
-        load_cache(path, "sigma")
-    assert load_cache(path, "evens").size == 10
+    save_cache(table_100k, path)
+
+    def edit(head, words):
+        head[6:11] = b"evens"
+
+    _reseal(path, edit)
+    with pytest.raises(CorruptCacheError, match="evens"):
+        load_cache(path)
+    assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_cache_short_file(tmp_path):

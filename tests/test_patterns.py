@@ -14,7 +14,6 @@ from sqstar import (
     GeoArithmetic,
     MalformedWitnessError,
     MillikenTaylor,
-    OutOfDomainError,
     OutOfRangeError,
     PhiLinear,
     PhiProduct,
@@ -23,10 +22,8 @@ from sqstar import (
     PhiSum,
     PolyVdW,
     Witness,
-    check_monochromatic,
     generate_configuration,
     load_witness,
-    periodic_coloring,
     random_coloring,
     save_witness,
     star,
@@ -159,17 +156,6 @@ def test_pvw(table_100k):
     assert generate_configuration(PolyVdW(1, ((2,), (5,))), {"b": [], "c": 1}, t) == (2, 5)
     with pytest.raises(ValueError):
         generate_configuration(PolyVdW(1, ((2,),)), {"b": [], "c": 0}, t)
-
-
-def test_check_monochromatic(table_100k):
-    c = periodic_coloring(1, [1], 100)
-    assert check_monochromatic({2, 3, 5}, c) == 1
-    c2 = periodic_coloring(2, [1, 2], 100)
-    assert check_monochromatic({2, 3}, c2) is None
-    assert check_monochromatic({2, 4}, c2) == 1
-    assert check_monochromatic(set(), c2) is None
-    with pytest.raises(OutOfDomainError):
-        check_monochromatic({5, 200}, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from sqstar import (
     Witness,
     avoiding_word,
     build_table,
-    check_monochromatic,
     find_witness,
     generate_configuration,
     periodic_coloring,
@@ -51,11 +50,11 @@ def _reference_least(spec, bounds, coloring, table):
             cfg = generate_configuration(spec, gens, table)
         except OutOfRangeError:
             continue
-        if any(v < bounds.min_value or v >= bounds.value_bound for v in cfg):
+        if any(v >= bounds.value_bound for v in cfg):
             continue
-        color = check_monochromatic(set(cfg), coloring)
-        if color is not None:
-            return gens, cfg, color
+        colors = {coloring.color_of(v) for v in cfg}
+        if len(colors) == 1:
+            return gens, cfg, colors.pop()
     return None
 
 
@@ -126,6 +125,15 @@ def test_deterministic_across_runs_and_workers(table_100k):
             assert rep.witness.color == base.witness.color
 
 
+def test_value_window_skips_everything(table_100k):
+    # every Brauer(1) configuration holds its generators x, z >= 2
+    coloring = periodic_coloring(1, [1], 400)
+    b = SearchBounds(generator_max=4, value_bound=2)
+    report = find_witness(table_100k, coloring, Brauer(1), b)
+    assert report.status == "exhausted"
+    assert report.skipped_out_of_range == report.nodes == 9
+
+
 def test_budget_zero(table_100k):
     coloring = periodic_coloring(1, [1], 400)
     b = SearchBounds(generator_max=5, value_bound=400, node_budget=0)
@@ -156,14 +164,6 @@ def test_exhausted_on_all_distinct_coloring(table_100k):
     assert report.status == "exhausted"
     assert report.witness is None
     assert report.nodes == 16  # 4 * 4 generator pairs
-
-
-def test_min_value_skips_everything(table_100k):
-    coloring = periodic_coloring(1, [1], 400)
-    b = SearchBounds(generator_max=4, value_bound=400, min_value=399)
-    report = find_witness(table_100k, coloring, Brauer(1), b)
-    assert report.status == "exhausted"
-    assert report.skipped_out_of_range == report.nodes == 9
 
 
 def test_include_identity(table_100k):

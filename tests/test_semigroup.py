@@ -5,11 +5,12 @@ import pytest
 
 import oracles
 from sqstar import (
+    FpF,
     GroundTable,
     OutOfRangeError,
     build_table,
     eval_monomial,
-    finite_products,
+    generate_configuration,
     power,
     star,
     star_many,
@@ -87,11 +88,15 @@ def test_eval_monomial_matches_fold(table_100k):
         assert direct == oracles.fold_eval(factors, table_100k)
 
 
+def _finite_products(xs, table):
+    return generate_configuration(FpF(len(xs)), {"xs": xs}, table)
+
+
 def test_finite_products(table_100k):
     t = table_100k
-    assert finite_products([2, 5], t) == {2, 5, 9}
-    assert finite_products([1], t) == {1}
-    vals = finite_products([2, 5, 8], t)
+    assert _finite_products([2, 5], t) == (2, 5, 9)
+    assert _finite_products([1], t) == (1,)
+    vals = _finite_products([2, 5, 8], t)
     assert len(vals) <= 7
     # every subset product appears: check one triple fold by hand
     assert oracles.fold_star([2, 5, 8], t) in vals
@@ -100,7 +105,7 @@ def test_finite_products(table_100k):
 def test_finite_products_overflow_names_subset(table_100k):
     big = table_100k.size - 1
     with pytest.raises(OutOfRangeError) as ei:
-        finite_products([2, big, big], table_100k)
+        _finite_products([2, big, big], table_100k)
     # first offending subset in mask order: positions 1 and 2
     assert "[1, 2]" in str(ei.value)
 
@@ -116,8 +121,8 @@ def test_verify_laws_small(table_100k):
         "multiplicativity",
         "associativity",
     ]
-    assoc = rep.checks[-1]
-    assert assoc.checked + assoc.skipped == 61**3
+    counts = [(c.checked, c.skipped) for c in rep.checks]
+    assert counts == [(3721, 0), (61, 0), (61, 0), (3721, 0), (102_995, 123_986)]
 
 
 def test_verify_laws_trivial(table_100k):
@@ -128,20 +133,6 @@ def test_verify_laws_trivial(table_100k):
 def test_verify_laws_range_guard(table_100k):
     with pytest.raises(OutOfRangeError):
         verify_laws(table_100k.size, table_100k)
-
-
-def test_verify_laws_scalar_fallback_agrees(table_100k):
-    from sqstar.semigroup import _verify_laws_scalar
-
-    fast = verify_laws(25, table_100k)
-    slow = _verify_laws_scalar(25, table_100k)
-    for a, b in zip(fast.checks, slow.checks):
-        assert (a.name, a.checked, a.skipped, a.ok) == (
-            b.name,
-            b.checked,
-            b.skipped,
-            b.ok,
-        )
 
 
 def test_verify_laws_catches_corrupt_ranks(monkeypatch):
