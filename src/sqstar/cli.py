@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         _emit_error(args, "usage", str(exc))
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         _emit_error(args, "usage", str(exc))
         return 2
 

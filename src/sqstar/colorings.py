@@ -80,7 +80,7 @@ def from_file(path: str) -> Coloring:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise SchemaViolationError(f"not valid JSON: {exc}") from exc
     return coloring_from_doc(doc, default_provenance=f"file:{path}")
 
@@ -93,11 +93,11 @@ def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Colori
         if key not in doc:
             raise SchemaViolationError(f"coloring document missing key {key!r}")
     r, bound, colors = doc["r"], doc["bound"], doc["colors"]
-    if not isinstance(r, int) or not isinstance(bound, int):
-        raise SchemaViolationError("r and bound must be integers")
+    if not all(type(x) is int and x >= 1 for x in (r, bound)):  # rejects bool
+        raise SchemaViolationError("r and bound must be positive integers")
     if not isinstance(colors, list) or len(colors) != bound:
         raise SchemaViolationError("colors must be a list of length bound")
-    if not all(isinstance(c, int) and 1 <= c <= r for c in colors):
+    if not all(type(c) is int and 1 <= c <= r for c in colors):
         raise SchemaViolationError("every color must be an integer in 1..r")
     prov = doc.get("provenance", default_provenance)
     if not isinstance(prov, str):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
+from .colorings import DEFAULT_ENUMERATION_CAP, Coloring
 from .errors import DomainOverlapError, OutOfRangeError
 from .ground import GroundTable
+from .search import forced_window, least_monochromatic
 from .semigroup import eval_monomial
 
 
@@ -200,12 +201,13 @@ def hj_search(
     Without a family: candidates are (gamma, alpha) with disjoint supports
     and the line {alpha + gamma x {s} : s in alphabet}.  With ap_k: an
     additional (ap_k+1)-term progression F disjoint from both, and the
-    line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  Candidates
-    whose line contains an uncolorable word are skipped and counted.
+    line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  The lines
+    are scanned by search.least_monochromatic (status, nodes, skips).
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
-    status, hit, color, nodes, skipped = _scan(_hj_lines(q, n, ap_k), word_color, node_budget)
+    status, hit, color, nodes, skipped = least_monochromatic(
+        _hj_lines(q, n, ap_k), word_color, node_budget)
     if hit is None:
         return HjReport(status, None, None, None, None, None, nodes, skipped)
     gamma, fam, alpha_pairs, line = hit
@@ -213,33 +215,11 @@ def hj_search(
                     nodes, skipped)
 
 
-def _scan(candidates: Iterator[tuple], color: Callable, node_budget: Optional[int]):
-    """Scan candidates, each ending in its line, for a monochromatic line; a line
-    with an uncolorable point is skipped.  (status, hit, color, nodes, skipped)."""
-    nodes = skipped = 0
-    for cand in candidates:
-        if node_budget is not None and nodes >= node_budget:
-            return "budget", None, None, nodes, skipped
-        nodes += 1
-        colors = [color(x) for x in cand[-1]]
-        if any(c is None for c in colors):
-            skipped += 1
-        elif len(set(colors)) == 1:
-            return "witness", cand, colors[0], nodes, skipped
-    return "exhausted", None, None, nodes, skipped
-
-
-def _first_forced(max_n: int, r: int, cap: int, vertices: Callable, lines: Callable):
-    """Least n <= max_n at which every r-coloring of vertices(n) makes one
-    of the candidate lines(n) monochromatic, settled by avoiding_word."""
-    if r < 1:
-        raise ValueError("need at least one color")
-    for n in range(1, max_n + 1):
-        index = {v: i for i, v in enumerate(vertices(n))}
-        edges = [[index[v] for v in cand[-1]] for cand in lines(n)]
-        if avoiding_word(len(index), edges, r, cap) is None:
-            return n
-    return None
+def _line_window(n: int, vertices: Iterable, lines: Iterable) -> tuple:
+    """(n, size, edges) for forced_window: each line's points as indices
+    into the vertex order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return n, len(index), [[index[v] for v in cand[-1]] for cand in lines]
 
 
 def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
@@ -278,8 +258,9 @@ def hj_threshold(
     words over {1..n} (in words_over order) leaving every line hj_search
     scans non-monochromatic; cap bounds its nodes per window.
     """
-    return _first_forced(max_n, r, cap, lambda n: words_over(range(1, n + 1), q),
-                         lambda n: _hj_lines(q, n, ap_k))
+    windows = (_line_window(n, words_over(range(1, n + 1), q), _hj_lines(q, n, ap_k))
+               for n in range(1, max_n + 1))
+    return forced_window(windows, r, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +404,8 @@ def phj_search(
     """
     if q < 1 or d < 1 or n < 1:
         raise ValueError("need q, d, n >= 1")
-    status, hit, color, nodes, skipped = _scan(_phj_lines(q, n, d), point_color, node_budget)
+    status, hit, color, nodes, skipped = least_monochromatic(
+        _phj_lines(q, n, d), point_color, node_budget)
     if hit is None:
         return PhjReport(status, None, None, None, None, nodes, skipped)
     gamma, base, line = hit
@@ -473,5 +455,6 @@ def phj_threshold(
     As hj_threshold, over the grid points (vertices, in grid_points order)
     and the lines phj_search scans (edges).
     """
-    return _first_forced(max_n, r, cap, lambda n: grid_points(q, n, d),
-                         lambda n: _phj_lines(q, n, d))
+    windows = (_line_window(n, grid_points(q, n, d), _phj_lines(q, n, d))
+               for n in range(1, max_n + 1))
+    return forced_window(windows, r, cap)

@@ -591,6 +591,6 @@ def load_witness(path: str) -> Witness:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise MalformedWitnessError(f"not valid JSON: {exc}") from exc
     return witness_from_doc(doc)

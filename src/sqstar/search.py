@@ -6,6 +6,9 @@ identity 1 stay out unless explicitly included), and the search scans
 them serially, so it returns the least witness in that order.  Candidates
 whose configurations leave the value window or the table are skipped and
 tallied, never treated as failures.
+
+least_monochromatic is the one candidate scan and forced_window the one
+forcing loop; the word and grid searches of hjlab use them too.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
-from .errors import MalformedWitnessError, OutOfDomainError, OutOfRangeError
+from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
 from .patterns import Witness, config_values, generate_configuration
 
@@ -83,27 +86,54 @@ def generators_from_tuple(spec, tup: tuple) -> dict:
     return gens
 
 
-def _check_candidate(spec, tup, table, coloring, bounds) -> tuple:
-    """Evaluate one candidate: ("hit", color), ("no",) or ("skip",).
+def _candidate_values(spec, bounds: SearchBounds, table: GroundTable) -> Iterator[tuple]:
+    """(tup, value stream) for each candidate tuple, in the canonical order."""
+    for tup in candidate_tuples(spec, bounds):
+        yield tup, config_values(spec, generators_from_tuple(spec, tup), table)
 
-    Values stream in the family's canonical order and the color check
-    aborts on the first mismatch, so most rejections cost a few counting
-    queries.  Any out-of-window or out-of-table value skips the candidate.
+
+def least_monochromatic(
+    candidates: Iterable[tuple], color: Callable, node_budget: Optional[int] = None
+) -> tuple:
+    """Scan candidates, each a tuple ending in its points, for the first
+    monochromatic one: (status, candidate, color, nodes, skipped).
+
+    The first point that decides a candidate settles it: an uncolorable
+    point (color None, or OutOfRangeError while the points are produced)
+    skips it, a second color rejects it.  The status is "witness", else
+    "budget" once node_budget candidates were read, else "exhausted".
     """
-    gens = generators_from_tuple(spec, tup)
-    color = None
-    try:
-        for v in config_values(spec, gens, table):
-            if v >= bounds.value_bound:
-                return ("skip",)
-            c = coloring.color_of(v)
-            if color is None:
-                color = c
-            elif c != color:
-                return ("no",)
-    except OutOfRangeError:
-        return ("skip",)
-    return ("skip",) if color is None else ("hit", color)
+    if node_budget is not None:
+        candidates = itertools.islice(candidates, node_budget)
+    nodes = skipped = 0
+    for cand in candidates:
+        nodes += 1
+        first = c = None
+        try:
+            for x in cand[-1]:
+                c = color(x)
+                if c is None or (first is not None and c != first):
+                    break
+                first = c
+        except OutOfRangeError:
+            c = None
+        if c is None:
+            skipped += 1
+        elif c == first:
+            return "witness", cand, c, nodes, skipped
+    status = "budget" if nodes == node_budget else "exhausted"
+    return status, None, None, nodes, skipped
+
+
+def forced_window(windows: Iterable[tuple], r: int, cap: int) -> Optional[int]:
+    """The first n of the (n, size, edges) windows at which colorings.avoiding_word
+    finds no r-coloring of vertices 0..size-1 leaving every edge non-monochromatic."""
+    if r < 1:
+        raise ValueError("need at least one color")
+    for n, size, edges in windows:
+        if avoiding_word(size, edges, r, cap) is None:
+            return n
+    return None
 
 
 def find_witness(
@@ -111,36 +141,25 @@ def find_witness(
 ) -> SearchReport:
     """Scan the canonical candidate order for a monochromatic configuration.
 
-    Returns the least witness of that order.  The status is "budget" once
-    node_budget candidates were examined without a hit, "exhausted" when
-    the order ran out before that.
+    Returns the least witness of that order; values at or above
+    value_bound are uncolorable.  Status and counts as least_monochromatic.
     """
     if bounds.value_bound > coloring.bound:
         raise ValueError(
             f"value_bound {bounds.value_bound} exceeds coloring bound {coloring.bound}"
         )
     t0 = time.perf_counter()
-    candidates = candidate_tuples(spec, bounds)
-    if bounds.node_budget is not None:
-        candidates = itertools.islice(candidates, bounds.node_budget)
-    nodes = skipped = 0
+    vb, color_of = bounds.value_bound, coloring.color_of
+    status, hit, color, nodes, skipped = least_monochromatic(
+        _candidate_values(spec, bounds, table),
+        lambda v: None if v >= vb else color_of(v),
+        bounds.node_budget,
+    )
     witness = None
-    for tup in candidates:
-        nodes += 1
-        res = _check_candidate(spec, tup, table, coloring, bounds)
-        if res[0] == "skip":
-            skipped += 1
-        elif res[0] == "hit":
-            gens = generators_from_tuple(spec, tup)
-            config = generate_configuration(spec, gens, table)
-            witness = Witness(spec, gens, config, res[1], coloring.provenance, table.limit)
-            break
-    if witness is not None:
-        status = "witness"
-    elif nodes == bounds.node_budget:
-        status = "budget"
-    else:
-        status = "exhausted"
+    if hit is not None:
+        gens = generators_from_tuple(spec, hit[0])
+        config = generate_configuration(spec, gens, table)
+        witness = Witness(spec, gens, config, color, coloring.provenance, table.limit)
     return SearchReport(status, witness, nodes, skipped, time.perf_counter() - t0)
 
 
@@ -166,10 +185,7 @@ def verify_witness(w: Witness, coloring: Coloring, table: GroundTable) -> bool:
         raise MalformedWitnessError(f"generators do not fit the spec: {exc}") from exc
     if regen != tuple(w.configuration):
         return False
-    try:
-        return all(coloring.color_of(v) == w.color for v in w.configuration)
-    except OutOfDomainError as exc:  # pragma: no cover - guarded above
-        raise MalformedWitnessError(str(exc)) from exc
+    return all(coloring.color_of(v) == w.color for v in w.configuration)
 
 
 def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
@@ -182,10 +198,10 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
     """
     bounds = SearchBounds(generator_max=max(2, max_bound), value_bound=max_bound + 1)
     least = {}
-    for tup in candidate_tuples(spec, bounds):
+    for tup, stream in _candidate_values(spec, bounds, table):
         values = set()
         try:
-            for v in config_values(spec, generators_from_tuple(spec, tup), table):
+            for v in stream:
                 if not 1 <= v <= max_bound:
                     break
                 values.add(v)
@@ -204,27 +220,25 @@ def threshold(
     start_bound: int,
     max_bound: int,
     table: GroundTable,
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Optional[int]:
     """Least N in [start_bound, max_bound] forcing a witness in {1..N}.
 
-    N is forced when colorings.avoiding_word (at most cap nodes a window,
-    None: the default) finds no r-coloring of {1..N} leaving every
-    configuration admitted_configs gives the window non-monochromatic; its
-    avoiding word for N-1 certifies N-1.  The walk bound doubles from 16
-    up to max_bound, so the walks cost about one walk at the answer.
+    N is forced when colorings.avoiding_word (at most cap nodes a window)
+    finds no r-coloring of {1..N} leaving every configuration
+    admitted_configs gives the window non-monochromatic; its avoiding word
+    for N-1 certifies N-1.  The walk bound doubles from 16 up to
+    max_bound, so the walks cost about one walk at the answer.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
-    if start_bound < 1:
-        raise ValueError("start_bound must be positive")
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    n, walk = start_bound, min(max_bound, max(start_bound, 16))
-    while n <= max_bound:
-        least = admitted_configs(spec, walk, table)
-        for n in range(n, walk + 1):  # vertex v-1 stands for the value v
-            edges = [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
-            if avoiding_word(n, edges, r, cap) is None:
-                return n
-        n, walk = walk + 1, min(max_bound, 2 * walk)
-    return None
+
+    def windows():
+        if start_bound < 1:
+            raise ValueError("start_bound must be positive")
+        n, walk = start_bound, min(max_bound, max(start_bound, 16))
+        while n <= max_bound:
+            least = admitted_configs(spec, walk, table)
+            for n in range(n, walk + 1):  # vertex v-1 stands for the value v
+                yield n, n, [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
+            n, walk = walk + 1, min(max_bound, 2 * walk)
+
+    return forced_window(windows(), r, cap)

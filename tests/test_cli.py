@@ -113,9 +113,12 @@ def test_v1_cache_asks_for_rebuild(tmp_path, capsys):
     assert "version 1" in err and "rebuild" in err
 
 
-def test_missing_cache_exit(capsys):
+def test_missing_cache_exit(tmp_path, capsys):
     code, _, err = run(capsys, "--cache", "/nonexistent/t.sgt", "op", "2", "5")
     assert code == 2
+    code, _, err = run(capsys, "--cache", str(tmp_path), "op", "2", "5")  # a directory
+    assert code == 2
+    assert "error (usage)" in err
 
 
 def test_usage_errors(capsys, cache_path):
@@ -229,6 +232,28 @@ def test_verify_bad_provenance_is_corrupt_input(cache_path, tmp_path, capsys, pr
     assert code == 4
     assert "corrupt-input" in err and prov in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"r": true, "bound": 2, "colors": [true, true]}',
+    b'{"r": 2, "bound": 0, "colors": []}',
+    b"\xff\xfe",
+])
+def test_bad_coloring_file_is_corrupt_input(cache_path, tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                       "--k", "1", "--coloring", f"file:{path}", "--bound", "2")
+    assert code == 4
+    assert "error (corrupt-input)" in err
+
+
+def test_non_utf8_witness_is_corrupt_input(cache_path, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "--cache", cache_path, "verify", "--witness", str(path))
+    assert code == 4
+    assert "error (corrupt-input)" in err
 
 
 def test_search_exhausted_with_coloring_file(cache_path, tmp_path, capsys):

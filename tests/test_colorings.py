@@ -82,6 +82,18 @@ def test_file_schema_violations(tmp_path):
     open(path, "w").write("{not json")
     with pytest.raises(SchemaViolationError):
         from_file(path)
+    open(path, "wb").write(b"\xff\xfe")  # not UTF-8
+    with pytest.raises(SchemaViolationError):
+        from_file(path)
+    for doc in (
+        {"r": True, "bound": 2, "colors": [True, True]},  # bool is not an integer here
+        {"r": 2, "bound": True, "colors": [1]},
+        {"r": 2, "bound": 2, "colors": [1, True]},
+        {"r": 2, "bound": 0, "colors": []},
+    ):
+        dump(doc)
+        with pytest.raises(SchemaViolationError):
+            from_file(path)
     dump({"r": 2, "bound": 3, "colors": [1, 2, 1]})
     assert from_file(path).color_of(1) == 2
 

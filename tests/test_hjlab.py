@@ -206,9 +206,23 @@ def test_hj_search_budget():
     rep = hj_search(2, lambda w: None, 1, node_budget=0)
     assert rep.status == "budget"
     assert rep.nodes == 0
+    # a budget that reads every candidate of the window is still spent
+    rep = hj_search(2, lambda w: None, 1, node_budget=1)
+    assert rep.status == "budget"
+    assert rep.nodes == 1
     rep = hj_search(2, lambda w: None, 2, node_budget=5)
     assert rep.status == "budget"
     assert rep.nodes == 5
+
+
+def test_hj_search_first_deciding_word_settles_a_line():
+    # the one line over {1} colors its words 1, 2, None: the mismatch comes
+    # before the uncolorable word, so the line is rejected, not skipped
+    colors = {0: 1, 1: 2, 2: None}
+    rep = hj_search(3, lambda w: colors[w.letter_at(1)], 1)
+    assert (rep.status, rep.nodes, rep.skipped) == ("exhausted", 1, 0)
+    rep = hj_search(3, lambda w: colors[2 - w.letter_at(1)], 1)
+    assert (rep.status, rep.nodes, rep.skipped) == ("exhausted", 1, 1)
 
 
 def test_hj_search_ap_family(table_100k):
@@ -396,6 +410,9 @@ def test_phj_search_budget():
     rep = phj_search(2, 2, 1, 2, lambda p: None, node_budget=3)
     assert rep.status == "budget"
     assert rep.nodes == 3
+    rep = phj_search(2, 2, 1, 1, lambda p: None, node_budget=1)
+    assert rep.status == "budget"
+    assert rep.nodes == 1
 
 
 def test_phj_search_skips_uncolorable():
