@@ -104,6 +104,8 @@ def least_monochromatic(
     "budget" once node_budget candidates were read, else "exhausted".
     """
     if node_budget is not None:
+        if node_budget < 0:
+            raise ValueError("node_budget must be nonnegative")
         candidates = itertools.islice(candidates, node_budget)
     nodes = skipped = 0
     for cand in candidates:

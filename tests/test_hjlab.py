@@ -210,6 +210,8 @@ def test_hj_search_budget():
     rep = hj_search(2, lambda w: None, 1, node_budget=1)
     assert rep.status == "budget"
     assert rep.nodes == 1
+    with pytest.raises(ValueError, match="node_budget"):
+        hj_search(2, lambda w: None, 1, node_budget=-1)
     rep = hj_search(2, lambda w: None, 2, node_budget=5)
     assert rep.status == "budget"
     assert rep.nodes == 5
@@ -413,6 +415,8 @@ def test_phj_search_budget():
     rep = phj_search(2, 2, 1, 1, lambda p: None, node_budget=1)
     assert rep.status == "budget"
     assert rep.nodes == 1
+    with pytest.raises(ValueError, match="node_budget"):
+        phj_search(2, 2, 1, 1, lambda p: None, node_budget=-1)
 
 
 def test_phj_search_skips_uncolorable():
