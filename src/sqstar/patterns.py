@@ -251,12 +251,7 @@ class _Family:
     layout: tuple
 
     def _checked(self, generators: dict) -> dict:
-        # a plain loop: this runs once per search candidate, and a
-        # comprehension would add a frame to every call
-        out = {}
-        for key, kind, n in self.layout:
-            out[key] = kind.check(generators, key, n)
-        return out
+        return {key: kind.check(generators, key, n) for key, kind, n in self.layout}
 
     def _values(self, g: dict, table: GroundTable) -> Iterator[int]:
         raise NotImplementedError
@@ -345,6 +340,13 @@ class MillikenTaylor(_Family):
             raise ValueError("block count must be >= 1")
         if not isinstance(self.phi, _PHIS):
             raise TypeError(f"not a combination map: {self.phi!r}")
+        # the map receives exactly m block values
+        if isinstance(self.phi, PhiProjection) and self.phi.i > self.m:
+            raise ValueError(f"projection {self.phi.i} exceeds block count {self.m}")
+        if isinstance(self.phi, PhiLinear) and len(self.phi.coeffs) != self.m:
+            raise ValueError(
+                f"linear map of arity {len(self.phi.coeffs)} needs {self.m} coefficients"
+            )
 
     @cached_property
     def layout(self):
@@ -447,11 +449,10 @@ def block_tuples(length: int, m: int) -> Iterator[tuple]:
 def config_values(spec, generators: dict, table: GroundTable) -> Iterator[int]:
     """Stream the configuration values of a family in its canonical order.
 
-    The search consumes this incrementally (pruning on color mismatch);
-    generate_configuration materializes the same stream.  Duplicate values
-    may appear in the stream; configurations are their dedup.  Generators
-    are checked against the family's layout (ValueError) when the first
-    value is requested.
+    generate_configuration materializes this stream.  Duplicate values may
+    appear in the stream; configurations are their dedup.  Generators are
+    checked against the family's layout (ValueError) when the first value
+    is requested.
     """
     yield from spec._values(spec._checked(generators), table)
 

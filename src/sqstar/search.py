@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
-from .patterns import Witness, config_values, generate_configuration
+from .patterns import Witness, generate_configuration
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,13 @@ def generators_from_tuple(spec, tup: tuple) -> dict:
 
 
 def _candidate_values(spec, bounds: SearchBounds, table: GroundTable) -> Iterator[tuple]:
-    """(tup, value stream) for each candidate tuple, in the canonical order."""
+    """(tup, value stream) for each candidate tuple, in the canonical order.
+
+    Every position is >= 1 and every layout key gets its declared length,
+    so the generators need none of config_values' checks.
+    """
     for tup in candidate_tuples(spec, bounds):
-        yield tup, config_values(spec, generators_from_tuple(spec, tup), table)
+        yield tup, spec._values(generators_from_tuple(spec, tup), table)
 
 
 def least_monochromatic(
@@ -211,7 +215,7 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
                 cfg = tuple(sorted(values))
                 n = max(cfg[-1], *tup) if max(tup) > 2 else cfg[-1]
                 least[cfg] = min(n, least.get(cfg, n))
-        except (OutOfRangeError, ValueError):
+        except OutOfRangeError:
             continue
     return least
 

@@ -83,18 +83,26 @@ def eval_monomial(factors: Monomial, table: GroundTable) -> int:
 
 
 def star_many(ms, ns, table: GroundTable):
-    """Vectorized star over paired rank arrays.
+    """Vectorized star over rank arrays, broadcast against each other.
 
     Returns (ranks, valid) where valid marks pairs whose product stays
-    below the table limit; ranks is meaningful only where valid.  Members
-    are below the limit, which is at most 2**32, so their products are
-    exact in uint64.
+    below the table limit; ranks is 0 where not valid.  Members are below
+    the limit, which is at most 2**32, so their products are exact in
+    uint64.  A negative rank raises ValueError and a rank past the table
+    OutOfRangeError, as in star.
     """
     ms = np.asarray(ms, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
+    for rs in (ms, ns):
+        if rs.size and rs.min() < 0:
+            raise ValueError("rank must be nonnegative")
+        if rs.size and rs.max() >= table.size:
+            raise OutOfRangeError(
+                f"rank {int(rs.max())} exceeds table size {table.size} (limit {table.limit})"
+            )
     prod = table.elements[ms].astype(np.uint64) * table.elements[ns]
     valid = prod < table.limit
-    ranks = np.zeros(ms.shape, dtype=np.int64)
+    ranks = np.zeros(prod.shape, dtype=np.int64)
     if valid.any():
         ranks[valid] = table.count_below_many(prod[valid])
     return ranks, valid
@@ -145,15 +153,11 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         raise OutOfRangeError(
             f"table holds only {table.size} ranks, cannot check up to {range_max}"
         )
-    v = table.elements[: range_max + 1].astype(np.uint64)
+    idx = np.arange(range_max + 1)
+    v = table.elements[idx].astype(np.uint64)
     n = int(v.size)
-    limit = table.limit
-
+    ranks, in_range = star_many(idx[:, None], idx[None, :], table)
     prod = v[:, None] * v[None, :]
-    in_range = prod < limit
-    ranks = np.zeros_like(prod, dtype=np.int64)
-    if in_range.any():
-        ranks[in_range] = table.count_below_many(prod[in_range])
 
     checks = []
 
@@ -161,7 +165,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     # so compare the rank grid against its transpose
     comm_pairs = int(in_range.sum())
     bad = None
-    if not np.array_equal(ranks * in_range, (ranks * in_range).T):
+    if not np.array_equal(ranks, ranks.T):
         i, j = np.argwhere((ranks != ranks.T) & in_range & in_range.T)[0]
         bad = (int(i), int(j))
     checks.append(LawCheck("commutativity", comm_pairs, n * n - comm_pairs, bad))
@@ -173,7 +177,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         row = ranks[1]
         good = in_range[1]
         checked = int(good.sum())
-        mism = np.flatnonzero(good & (row != np.arange(n)))
+        mism = np.flatnonzero(good & (row != idx))
         if mism.size:
             bad = (1, int(mism[0]))
     checks.append(LawCheck("identity", checked, n - checked if n >= 2 else 0, bad))
@@ -189,39 +193,29 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
 
     # multiplicativity: element(star(m, n)) equals s_m * s_n wherever defined
     bad = None
-    el_of_rank = table.elements[ranks * in_range]
-    mism = np.argwhere(in_range & (el_of_rank != prod * in_range))
+    mism = np.argwhere(in_range & (table.elements[ranks] != prod))
     if mism.size:
         bad = (int(mism[0][0]), int(mism[0][1]))
     checks.append(LawCheck("multiplicativity", comm_pairs, n * n - comm_pairs, bad))
 
-    # associativity: (m*n)*k vs m*(n*k), composed through ranks as
-    # element(star(m, n)) * s_k against s_m * element(star(n, k)); a product
-    # that leaves the table on one side only is a counterexample.  Members
-    # are below 2**32, so where prod < limit the screen prod * v stays below
-    # 2**64 and is exact in uint64; other entries are masked out anyway
-    triple = prod[:, :, None] * v[None, None, :]
-    t_ok = in_range[:, :, None] & in_range[None, :, :] & (triple < limit)
+    # associativity: star(star(m, k), j) against star(m, star(k, j)); a
+    # product that leaves the table on one side only is a counterexample.
+    # The screen keeps the triples with s_m * s_k * s_j below the limit.
+    # Members are below 2**32, so where prod < limit the screen prod * v
+    # stays below 2**64 and is exact in uint64; other entries are masked
+    # out anyway
+    t_ok = in_range[:, :, None] & in_range[None, :, :]
+    t_ok &= prod[:, :, None] * v[None, None, :] < table.limit
     bad = None
     checked3 = int(t_ok.sum())
     if checked3:
         m, k, j = np.nonzero(t_ok)
-        el = table.elements
-        lhs = _ranks_in_range(el[ranks[m, k]].astype(np.uint64) * v[j], table)
-        rhs = _ranks_in_range(v[m] * el[ranks[k, j]], table)
-        mism = np.flatnonzero(lhs != rhs)
+        lhs, lhs_ok = star_many(ranks[m, k], j, table)
+        rhs, rhs_ok = star_many(m, ranks[k, j], table)
+        mism = np.flatnonzero((lhs != rhs) | (lhs_ok != rhs_ok))
         if mism.size:
             i = mism[0]
             bad = (int(m[i]), int(k[i]), int(j[i]))
     checks.append(LawCheck("associativity", checked3, n**3 - checked3, bad))
 
     return LawReport(range_max, checks)
-
-
-def _ranks_in_range(prods: np.ndarray, table: GroundTable) -> np.ndarray:
-    """count_below of each product, or -1 where it reaches the limit."""
-    out = np.full(prods.shape, -1, dtype=np.int64)
-    ok = prods < table.limit
-    out[ok] = table.count_below_many(prods[ok])
-    return out
-

@@ -10,6 +10,7 @@ import itertools
 import os
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,10 +332,10 @@ def test_criterion_12_cache_round_trip(report, tmp_path):
     save_cache(table, p1)
     back = load_cache(p1)
     save_cache(back, p2)
-    identical = open(p1, "rb").read() == open(p2, "rb").read()
-    data = open(p1, "rb").read()
+    identical = Path(p1).read_bytes() == Path(p2).read_bytes()
+    data = Path(p1).read_bytes()
     trunc = str(tmp_path / "t.sgt")
-    open(trunc, "wb").write(data[: len(data) // 2])
+    Path(trunc).write_bytes(data[: len(data) // 2])
     try:
         load_cache(trunc)
         truncation_detected = False

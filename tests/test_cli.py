@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_usage_errors(capsys, cache_path):
     assert main([]) == 2
     assert main(["--cache", cache_path, "pattern", "--family", "brauer",
                  "--gen", "2", "2"]) == 2  # missing --k
+    for phi in ("proj:3", "linear:1;1;1:0"):  # the map must take m = 2 values
+        assert main(["--cache", cache_path, "threshold", "--family", "mt", "--m", "2",
+                     "--phi", phi, "--colors", "2", "--max-bound", "20"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +200,19 @@ def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     assert code == 0 and out.strip() == "valid"
 
     # same color claim against a different coloring: invalid, not corrupt
-    doc = json.loads(open(wpath).read())
+    doc = json.loads(Path(wpath).read_text())
     doc["color"] = 3 - doc["color"]
     flipped = str(tmp_path / "flipped.json")
-    open(flipped, "w").write(json.dumps(doc))
+    Path(flipped).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "--cache", cache_path, "verify",
                        "--witness", flipped, "--bound", "400")
     assert code == 1 and out.strip() == "INVALID"
 
     # structurally broken document: corrupt
-    doc = json.loads(open(wpath).read())
+    doc = json.loads(Path(wpath).read_text())
     doc["configuration"] = list(reversed(doc["configuration"]))
     broken = str(tmp_path / "broken.json")
-    open(broken, "w").write(json.dumps(doc))
+    Path(broken).write_text(json.dumps(doc))
     code, _, err = run(capsys, "--cache", cache_path, "verify",
                        "--witness", broken, "--bound", "400")
     assert code == 4
@@ -224,9 +228,9 @@ def test_verify_bad_provenance_is_corrupt_input(cache_path, tmp_path, capsys, pr
     wpath = str(tmp_path / "w.json")
     code, _, _ = run(capsys, "--cache", cache_path, *SEARCH_ARGS, "--out", wpath)
     assert code == 0
-    doc = json.loads(open(wpath).read())
+    doc = json.loads(Path(wpath).read_text())
     doc["coloring-provenance"] = prov
-    open(wpath, "w").write(json.dumps(doc))
+    Path(wpath).write_text(json.dumps(doc))
     code, out, err = run(capsys, "--cache", cache_path, "verify",
                          "--witness", wpath, "--bound", "400")
     assert code == 4

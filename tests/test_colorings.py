@@ -1,6 +1,7 @@
 """Colorings: constructors, documents, avoiding-word search, provenance rebuild."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,10 +80,10 @@ def test_file_schema_violations(tmp_path):
     dump({"r": "2", "bound": 3, "colors": [1, 2, 1]})
     with pytest.raises(SchemaViolationError):
         from_file(path)
-    open(path, "w").write("{not json")
+    Path(path).write_text("{not json")
     with pytest.raises(SchemaViolationError):
         from_file(path)
-    open(path, "wb").write(b"\xff\xfe")  # not UTF-8
+    Path(path).write_bytes(b"\xff\xfe")  # not UTF-8
     with pytest.raises(SchemaViolationError):
         from_file(path)
     for doc in (

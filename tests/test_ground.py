@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,14 +151,14 @@ def test_cache_roundtrip(tmp_path, table_100k):
     # byte-identical on re-save
     path2 = str(tmp_path / "t2.sgt")
     save_cache(loaded, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_cache_truncation(tmp_path, table_100k):
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-4])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-4])
     with pytest.raises(CorruptCacheError):
         load_cache(path)
 
@@ -165,9 +166,9 @@ def test_cache_truncation(tmp_path, table_100k):
 def test_cache_bad_magic(tmp_path, table_100k):
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[0] = ord("X")
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     with pytest.raises(CorruptCacheError):
         load_cache(path)
 
@@ -175,22 +176,22 @@ def test_cache_bad_magic(tmp_path, table_100k):
 def test_cache_checksum_flip(tmp_path, table_100k):
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[40] ^= 0xFF  # somewhere inside the element payload
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     with pytest.raises(CorruptCacheError):
         load_cache(path)
 
 
 def _reseal(path, edit):
     """Apply edit(header, words) to a cache file and rewrite its CRC."""
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     head_len = 6 + data[5] + 16
     head = data[:head_len]
     words = np.frombuffer(bytes(data[head_len:-4]), dtype="<u8").copy()
     edit(head, words)
     body = bytes(head) + words.tobytes()
-    open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_cache_swapped_bits(tmp_path, table_100k):
@@ -198,11 +199,11 @@ def test_cache_swapped_bits(tmp_path, table_100k):
     # so only the CRC can tell
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     first = 6 + data[5] + 16  # byte holding bits 0..7: members 0 1 2 4 5
     assert data[first] & 0b1100 == 0b0100
     data[first] ^= 0b1100
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     with pytest.raises(CorruptCacheError, match="checksum"):
         load_cache(path)
 
@@ -247,7 +248,7 @@ def test_cache_predicate_mismatch(tmp_path, table_100k):
 
 def test_cache_short_file(tmp_path):
     path = str(tmp_path / "x.sgt")
-    open(path, "wb").write(b"SG")
+    Path(path).write_bytes(b"SG")
     with pytest.raises(CorruptCacheError):
         load_cache(path)
 

@@ -197,6 +197,14 @@ def test_spec_validation():
         PolyVdW(1, ((0,),))
     with pytest.raises(TypeError):
         MillikenTaylor(1, object())
+    # the combination map receives exactly m block values
+    for phi in (PhiProjection(3), PhiLinear((1, 1, 1), 0), PhiLinear((1,), 0)):
+        with pytest.raises(ValueError):
+            MillikenTaylor(2, phi)
+        with pytest.raises(MalformedWitnessError):
+            patterns.spec_from_doc({"family": "mt", "params": {"m": 2, "phi": str(phi)}})
+    MillikenTaylor(2, PhiProjection(2))
+    MillikenTaylor(2, PhiLinear((1, 1), 0))
 
 
 def test_every_family_is_declared_once():

@@ -14,6 +14,7 @@ from sqstar import (
     MillikenTaylor,
     OutOfDomainError,
     OutOfRangeError,
+    PhiProjection,
     PhiSum,
     PolyVdW,
     SearchBounds,
@@ -100,6 +101,16 @@ def test_candidate_order_is_pinned(spec, first, gens, count, count_with_identity
     ones = (1,) * (len(first[0]) - 1)
     assert tuples[:3] == [ones + (1,), ones + (2,), ones + (3,)]
     assert len(tuples) == count_with_identity
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("identity", [False, True])
+def test_candidate_generators_pass_the_layout_check(spec, identity):
+    # the search feeds these generators to the family unchecked
+    bounds = SearchBounds(generator_max=4, value_bound=10, include_identity=identity)
+    for tup in candidate_tuples(spec, bounds):
+        g = generators_from_tuple(spec, tup)
+        assert spec._checked(g) == g
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
@@ -358,6 +369,13 @@ def test_threshold_not_reached(table_100k):
 def test_threshold_cap(table_100k):
     with pytest.raises(EnumerationCapError):
         threshold(Brauer(1), 2, 16, 16, table_100k, cap=2**10)
+
+
+def test_threshold_walk_drops_only_out_of_range_candidates(table_100k):
+    spec = MillikenTaylor(2, PhiSum())
+    object.__setattr__(spec, "phi", PhiProjection(3))  # past the constructor's check
+    with pytest.raises(ValueError):
+        admitted_configs(spec, 8, table_100k)
 
 
 def test_threshold_validation(table_100k):

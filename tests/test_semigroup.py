@@ -164,3 +164,20 @@ def test_star_many(table_100k):
             assert not v
             continue
         assert v and r == want
+    # broadcast inputs give the broadcast shape; ranks read 0 where not valid
+    idx = np.arange(300)
+    ranks, valid = star_many(idx[:, None], idx[None, :], table_100k)
+    assert ranks.shape == valid.shape == (300, 300)
+    assert valid.any() and not valid.all() and not ranks[~valid].any()
+    flat_ranks, flat_valid = star_many(np.repeat(idx, 300), np.tile(idx, 300), table_100k)
+    assert np.array_equal(ranks.ravel(), flat_ranks)
+    assert np.array_equal(valid.ravel(), flat_valid)
+    # bad ranks raise as in star, not index from the end or past the table
+    with pytest.raises(ValueError):
+        star_many([-3], [1], table_100k)
+    with pytest.raises(ValueError):
+        star_many([1], [-1], table_100k)
+    with pytest.raises(OutOfRangeError):
+        star_many([table_100k.size], [1], table_100k)
+    with pytest.raises(OutOfRangeError):
+        star_many([1], [table_100k.size], table_100k)
