@@ -279,6 +279,11 @@ def test_hj_threshold_certificate(q, r, max_n, answer):
 # ---------------------------------------------------------------------------
 # polynomial grid
 
+def _flat(point):
+    """The point's letters as one tuple, read through its component arrays."""
+    return tuple(int(v) for c in point.components for v in c.ravel())
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         PhjPoint(2, 2, 1, [[1, 3]])
@@ -362,9 +367,18 @@ def test_point_coloring_skips(table_100k):
 
 def test_grid_points_match_oracle():
     pts = list(grid_points(2, 2, 2))
-    flats = [tuple(int(v) for c in p.components for v in c.ravel()) for p in pts]
-    assert flats == oracles.grid_tuples(2, 2, 2)
+    assert [_flat(p) for p in pts] == oracles.grid_tuples(2, 2, 2)
     assert len(set(pts)) == len(pts) == 64
+
+
+@pytest.mark.parametrize("q, n, d", [(2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2)])
+def test_phj_lines_match_oracle(q, n, d):
+    """The lines the search and the threshold scan are exactly the oracle's
+    substitution lines, each once."""
+    lines = [frozenset(_flat(p) for p in line) for *_, line in _phj_lines(q, n, d)]
+    expect = {frozenset(line) for line in oracles.grid_lines(q, n, d)}
+    assert len(lines) == len(set(lines)) == len(expect)
+    assert set(lines) == expect
 
 
 def test_phj_search_first_candidate(table_100k):
@@ -388,7 +402,7 @@ def test_phj_search_exhausted_below_threshold():
     assert not any(len({cmap[p] for p in line}) == 1 for line in lines)
 
     def pc(point):
-        return cmap[tuple(int(v) for c in point.components for v in c.ravel())]
+        return cmap[_flat(point)]
 
     rep = phj_search(2, 2, 1, 1, pc)
     assert rep.status == "exhausted"
@@ -401,7 +415,7 @@ def test_phj_search_forced_at_threshold():
         cmap = dict(zip(points, (int(v) for v in rng.integers(1, 3, len(points)))))
 
         def pc(point):
-            return cmap[tuple(int(v) for c in point.components for v in c.ravel())]
+            return cmap[_flat(point)]
 
         rep = phj_search(2, 2, 1, 2, pc)
         assert rep.found
@@ -436,8 +450,7 @@ def test_phj_threshold_matches_oracle():
 def test_phj_threshold_certificate():
     assert phj_threshold(2, 2, 1, 3) == 2
     points = list(grid_points(2, 1, 1))
-    flat = [tuple(int(v) for c in p.components for v in c.ravel()) for p in points]
-    cmap = dict(zip(flat, _avoiding(points, _phj_lines(2, 1, 1), 2)))
+    cmap = dict(zip(map(_flat, points), _avoiding(points, _phj_lines(2, 1, 1), 2)))
     assert set(cmap) == set(oracles.grid_tuples(2, 1, 1))
     assert not any(len({cmap[p] for p in line}) == 1 for line in oracles.grid_lines(2, 1, 1))
     assert _avoiding(list(grid_points(2, 2, 1)), _phj_lines(2, 2, 1), 2) is None
