@@ -16,6 +16,8 @@ from .errors import EnumerationCapError, OutOfDomainError, SchemaViolationError
 
 # avoiding_word gives up after visiting this many search nodes
 DEFAULT_ENUMERATION_CAP = 2**24
+# colors are stored as int32
+MAX_COLORS = 2**31 - 1
 
 
 class Coloring:
@@ -24,8 +26,8 @@ class Coloring:
     __slots__ = ("r", "bound", "assignment", "provenance")
 
     def __init__(self, r: int, bound: int, assignment, provenance: str):
-        if r < 1:
-            raise ValueError("need at least one color")
+        if not 1 <= r <= MAX_COLORS:
+            raise ValueError(f"need 1..{MAX_COLORS} colors, got {r}")
         if bound < 1:
             raise ValueError("bound must be positive")
         arr = np.ascontiguousarray(assignment, dtype=np.int32)
@@ -65,9 +67,9 @@ def periodic_coloring(q: int, mapping, bound: int) -> Coloring:
     mapping = [int(c) for c in mapping]
     if len(mapping) != q:
         raise ValueError(f"mapping must list exactly {q} colors")
-    if min(mapping) < 1:
-        raise ValueError("colors must be positive")
     r = max(mapping)
+    if min(mapping) < 1 or r > MAX_COLORS:
+        raise ValueError(f"colors must lie in 1..{MAX_COLORS}")
     pattern = np.asarray(mapping, dtype=np.int32)
     reps = -(-bound // q)
     assignment = np.tile(pattern, reps)[:bound]
@@ -102,7 +104,10 @@ def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Colori
     prov = doc.get("provenance", default_provenance)
     if not isinstance(prov, str):
         raise SchemaViolationError("provenance must be a string")
-    return Coloring(r, bound, colors, prov)
+    try:
+        return Coloring(r, bound, colors, prov)
+    except ValueError as exc:  # r past MAX_COLORS
+        raise SchemaViolationError(f"bad coloring document: {exc}") from exc
 
 
 def coloring_to_doc(c: Coloring) -> dict:

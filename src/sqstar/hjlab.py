@@ -14,6 +14,8 @@ every letter (as a rank index) with its multiplicity.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
@@ -206,6 +208,8 @@ def hj_search(
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
+    if ap_k is not None and ap_k < 0:
+        raise ValueError("ap_k must be >= 0")
     status, hit, color, nodes, skipped = least_monochromatic(
         _hj_lines(q, n, ap_k), word_color, node_budget)
     if hit is None:
@@ -258,6 +262,8 @@ def hj_threshold(
     words over {1..n} (in words_over order) leaving every line hj_search
     scans non-monochromatic; cap bounds its nodes per window.
     """
+    if ap_k is not None and ap_k < 0:
+        raise ValueError("ap_k must be >= 0")
     windows = (_line_window(n, words_over(range(1, n + 1), q), _hj_lines(q, n, ap_k))
                for n in range(1, max_n + 1))
     return forced_window(windows, r, cap)
@@ -266,55 +272,72 @@ def hj_threshold(
 # ---------------------------------------------------------------------------
 # the polynomial grid
 
+@functools.lru_cache
+def _cells(n: int, d: int) -> tuple:
+    """The grid cells as (j, multi-index) pairs, in the one order a point
+    stores its letters: degree 1 first, each component row-major."""
+    return tuple((j, idx) for j in range(1, d + 1)
+                 for idx in itertools.product(range(1, n + 1), repeat=j))
+
+
 class PhjPoint:
     """A point of the degree-d grid over window [n] with letters 1..q.
 
-    Component j (1-based) is an ndarray of shape (n,)*j holding the letter
-    assigned to each j-tuple of window positions.
+    The point is one tuple `letters`, the letter of each cell in _cells(n, d)
+    order.  `components` gives component j (1-based) as a read-only int16
+    array of shape (n,)*j, the letter of each j-tuple of window positions.
     """
 
-    __slots__ = ("q", "n", "d", "components")
+    __slots__ = ("q", "n", "d", "letters")
 
     def __init__(self, q: int, n: int, d: int, components):
         if q < 1 or n < 1 or d < 1:
             raise ValueError("need q, n, d >= 1")
-        comps = []
         if len(components) != d:
             raise ValueError(f"need {d} components, got {len(components)}")
-        for j, comp in enumerate(components, start=1):
-            arr = np.array(comp, dtype=np.int16).reshape((n,) * j)
-            if arr.size and (arr.min() < 1 or arr.max() > q):
-                raise ValueError("letters must lie in 1..q")
-            arr.setflags(write=False)
-            comps.append(arr)
-        self.q = q
-        self.n = n
-        self.d = d
-        self.components = tuple(comps)
+        letters = tuple(int(v) for j, comp in enumerate(components, start=1)
+                        for v in np.reshape(comp, n**j).tolist())
+        if not all(1 <= v <= q for v in letters):
+            raise ValueError("letters must lie in 1..q")
+        self.q, self.n, self.d, self.letters = q, n, d, letters
+
+    @classmethod
+    def _of(cls, q: int, n: int, d: int, letters: tuple) -> "PhjPoint":
+        """A point from letters already in _cells(n, d) order and in 1..q."""
+        point = object.__new__(cls)
+        point.q, point.n, point.d, point.letters = q, n, d, letters
+        return point
 
     def key(self) -> tuple:
-        return tuple(tuple(int(v) for v in c.ravel()) for c in self.components)
+        """The letters split into components, each row-major."""
+        ends = list(itertools.accumulate(self.n**j for j in range(1, self.d + 1)))
+        return tuple(self.letters[a:b] for a, b in zip([0] + ends, ends))
+
+    @property
+    def components(self) -> tuple:
+        comps = []
+        for j, block in enumerate(self.key(), start=1):
+            arr = np.array(block, dtype=np.int16).reshape((self.n,) * j)
+            arr.setflags(write=False)
+            comps.append(arr)
+        return tuple(comps)
 
     def __eq__(self, other):
         return (
             isinstance(other, PhjPoint)
-            and (self.q, self.n, self.d) == (other.q, other.n, other.d)
-            and self.key() == other.key()
+            and (self.q, self.n, self.d, self.letters)
+            == (other.q, other.n, other.d, other.letters)
         )
 
     def __hash__(self):
-        return hash((self.q, self.n, self.d, self.key()))
+        return hash((self.q, self.n, self.d, self.letters))
 
     def __repr__(self):
         return f"PhjPoint(q={self.q}, n={self.n}, d={self.d}, {self.key()})"
 
     def to_doc(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "d": self.d,
-            "components": [[int(v) for v in c.ravel()] for c in self.components],
-        }
+        return {"q": self.q, "n": self.n, "d": self.d,
+                "components": [list(block) for block in self.key()]}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PhjPoint":
@@ -322,37 +345,30 @@ class PhjPoint:
 
 
 def constant_point(q: int, n: int, d: int, letter: int = 1) -> PhjPoint:
-    comps = [np.full((n,) * j, letter, dtype=np.int16) for j in range(1, d + 1)]
-    return PhjPoint(q, n, d, comps)
+    return PhjPoint(q, n, d, [[letter] * n**j for j in range(1, d + 1)])
 
 
 def phj_substitute(point: PhjPoint, gamma, xs: Sequence[int]) -> PhjPoint:
     """Overwrite each gamma^j block of component j with the letter xs[j-1]."""
-    gamma = sorted(set(int(t) for t in gamma))
+    gamma = {int(t) for t in gamma}
     if not gamma:
         raise ValueError("gamma must be nonempty")
-    if gamma[0] < 1 or gamma[-1] > point.n:
+    if min(gamma) < 1 or max(gamma) > point.n:
         raise ValueError(f"gamma must lie inside 1..{point.n}")
     if len(xs) != point.d:
         raise ValueError(f"need {point.d} letters, got {len(xs)}")
+    xs = [int(x) for x in xs]
     for x in xs:
         if not 1 <= x <= point.q:
             raise ValueError(f"letter {x} outside 1..{point.q}")
-    idx = [g - 1 for g in gamma]
-    comps = []
-    for j, comp in enumerate(point.components, start=1):
-        arr = comp.copy()
-        arr[np.ix_(*([idx] * j))] = xs[j - 1]
-        comps.append(arr)
-    return PhjPoint(point.q, point.n, point.d, comps)
+    letters = tuple(xs[j - 1] if gamma.issuperset(idx) else a
+                    for (j, idx), a in zip(_cells(point.n, point.d), point.letters))
+    return PhjPoint._of(point.q, point.n, point.d, letters)
 
 
 def m_project(point: PhjPoint, table: GroundTable) -> int:
     """Rank of the product of all letters, with multiplicity, as rank indices."""
-    flat = np.concatenate([c.ravel() for c in point.components])
-    counts = np.bincount(flat, minlength=point.q + 1)
-    mono = [(int(v), int(counts[v])) for v in range(1, point.q + 1) if counts[v]]
-    return eval_monomial(mono, table)
+    return eval_monomial(sorted(collections.Counter(point.letters).items()), table)
 
 
 def point_coloring(coloring: Coloring, table: GroundTable) -> Callable:
@@ -373,17 +389,6 @@ class PhjReport:
     @property
     def found(self) -> bool:
         return self.status == "witness"
-
-
-def _free_cells(n: int, d: int, gamma: tuple) -> list:
-    """Grid cells outside every gamma^j block, as (j, multi-index) pairs."""
-    gset = set(gamma)
-    cells = []
-    for j in range(1, d + 1):
-        for tup in itertools.product(range(1, n + 1), repeat=j):
-            if not all(t in gset for t in tup):
-                cells.append((j, tup))
-    return cells
 
 
 def phj_search(
@@ -415,32 +420,21 @@ def phj_search(
 def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
     """Candidate grid lines as (gamma, base, line), in the one canonical
     order that phj_search and phj_threshold both read."""
+    alphabet = range(1, q + 1)
     for gamma in gamma_order(n):
-        cells = _free_cells(n, d, gamma)
-        base0 = constant_point(q, n, d, 1)
-        for values in itertools.product(range(1, q + 1), repeat=len(cells)):
-            comps = [c.copy() for c in base0.components]
-            for (j, tup), v in zip(cells, values):
-                comps[j - 1][tuple(t - 1 for t in tup)] = v
-            base = PhjPoint(q, n, d, comps)
-            line = [
-                phj_substitute(base, gamma, xs)
-                for xs in itertools.product(range(1, q + 1), repeat=d)
-            ]
-            yield gamma, base, line
+        choices = [(1,) if set(gamma).issuperset(idx) else alphabet for _, idx in _cells(n, d)]
+        for letters in itertools.product(*choices):
+            base = PhjPoint._of(q, n, d, letters)
+            yield gamma, base, [phj_substitute(base, gamma, xs)
+                                for xs in itertools.product(alphabet, repeat=d)]
 
 
 def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
-    """Every grid point, letters enumerated row-major, degree 1 slowest."""
-    sizes = [n**j for j in range(1, d + 1)]
-    total = sum(sizes)
-    for flat in itertools.product(range(1, q + 1), repeat=total):
-        comps = []
-        pos = 0
-        for j, size in enumerate(sizes, start=1):
-            comps.append(np.array(flat[pos : pos + size]).reshape((n,) * j))
-            pos += size
-        yield PhjPoint(q, n, d, comps)
+    """Every grid point, as itertools.product over the cells in _cells order."""
+    if q < 1 or n < 1 or d < 1:
+        raise ValueError("need q, n, d >= 1")
+    for letters in itertools.product(range(1, q + 1), repeat=len(_cells(n, d))):
+        yield PhjPoint._of(q, n, d, letters)
 
 
 def phj_threshold(

@@ -130,6 +130,8 @@ def test_usage_errors(capsys, cache_path):
     for phi in ("proj:3", "linear:1;1;1:0"):  # the map must take m = 2 values
         assert main(["--cache", cache_path, "threshold", "--family", "mt", "--m", "2",
                      "--phi", phi, "--colors", "2", "--max-bound", "20"]) == 2
+    assert main(["--cache", cache_path, "hj", "--q", "2", "--r", "2", "--n", "2",
+                 "--ap-k", "-1"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,7 @@ def test_verify_bad_provenance_is_corrupt_input(cache_path, tmp_path, capsys, pr
 @pytest.mark.parametrize("content", [
     b'{"r": true, "bound": 2, "colors": [true, true]}',
     b'{"r": 2, "bound": 0, "colors": []}',
+    b'{"r": 1099511627776, "bound": 2, "colors": [1099511627776, 1]}',  # past int32
     b"\xff\xfe",
 ])
 def test_bad_coloring_file_is_corrupt_input(cache_path, tmp_path, capsys, content):
@@ -250,6 +253,19 @@ def test_bad_coloring_file_is_corrupt_input(cache_path, tmp_path, capsys, conten
                        "--k", "1", "--coloring", f"file:{path}", "--bound", "2")
     assert code == 4
     assert "error (corrupt-input)" in err
+
+
+@pytest.mark.parametrize("desc", [
+    "periodic:q=2,map=1;99999999999",  # a color past int32
+    "periodic:q=2,map=1;x",
+    "random:seed=1",
+    "enumerated:r=2",
+])
+def test_bad_coloring_descriptor_is_usage_error(cache_path, capsys, desc):
+    code, _, err = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                       "--k", "1", "--coloring", desc, "--bound", "2")
+    assert code == 2
+    assert "error (usage)" in err and desc in err
 
 
 def test_non_utf8_witness_is_corrupt_input(cache_path, tmp_path, capsys):

@@ -91,6 +91,7 @@ def test_file_schema_violations(tmp_path):
         {"r": 2, "bound": True, "colors": [1]},
         {"r": 2, "bound": 2, "colors": [1, True]},
         {"r": 2, "bound": 0, "colors": []},
+        {"r": 2**40, "bound": 2, "colors": [2**40, 1]},  # colors are int32
     ):
         dump(doc)
         with pytest.raises(SchemaViolationError):
@@ -106,6 +107,11 @@ def test_coloring_validation():
         Coloring(2, 5, [1, 2, 3, 1, 1], "x")
     with pytest.raises(ValueError):
         Coloring(2, 5, [1, 2], "x")
+    with pytest.raises(ValueError):
+        Coloring(2**31, 2, [2**31, 1], "x")  # colors are int32
+    with pytest.raises(ValueError):
+        periodic_coloring(2, [1, 2**31], 4)
+    assert Coloring(2**31 - 1, 1, [2**31 - 1], "x").color_of(0) == 2**31 - 1
 
 
 def test_avoiding_word():
@@ -187,6 +193,7 @@ def test_from_provenance_unknown():
         "periodic:q=0,r=2,bound=9",
         "periodic:q=2,map=1;x,bound=9",
         "periodic:q=2,map=1;2;3,bound=9",
+        "periodic:q=2,map=1;99999999999,bound=9",
     ):
         with pytest.raises(SchemaViolationError):
             from_provenance(bad)

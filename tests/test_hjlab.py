@@ -242,6 +242,10 @@ def test_hj_search_validation():
         hj_search(0, lambda w: 1, 2)
     with pytest.raises(ValueError):
         hj_search(2, lambda w: 1, 0)
+    with pytest.raises(ValueError, match="ap_k"):  # checked before any line is read
+        hj_search(2, lambda w: 1, 3, ap_k=-1, node_budget=0)
+    with pytest.raises(ValueError, match="ap_k"):
+        hj_threshold(2, 2, 3, ap_k=-1)
 
 
 def test_hj_threshold_matches_oracle():
@@ -291,17 +295,36 @@ def test_point_validation():
         PhjPoint(2, 2, 2, [[1, 1]])
     with pytest.raises(ValueError):
         PhjPoint(0, 2, 1, [[1, 1]])
-    p = PhjPoint(2, 2, 2, [[1, 2], [1, 2, 2, 1]])
-    assert p.components[1].shape == (2, 2)
+    with pytest.raises(ValueError):
+        PhjPoint(2, 2, 1, [np.array([1, 65537])])  # no int16 wrap-around to 1
+    with pytest.raises(ValueError):
+        PhjPoint(2, 2, 1, [[1, 2, 1]])
+    comp2 = np.array([[1, 2], [2, 1]])
+    p = PhjPoint(2, 2, 2, [[1, 2], comp2])
+    assert p.key() == ((1, 2), (1, 2, 2, 1))
+    for j, c in enumerate(p.components, start=1):
+        assert c.dtype == np.int16 and c.shape == (2,) * j
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[(0,) * j] = 2
+    assert p.components[1].tolist() == [[1, 2], [2, 1]]
+    comp2[0, 0] = 2  # the caller's array is copied, not shared
     assert p.key() == ((1, 2), (1, 2, 2, 1))
 
 
 def test_point_equality_and_doc():
     p = PhjPoint(2, 2, 2, [[1, 2], [1, 2, 2, 1]])
+    assert p.to_doc() == {"q": 2, "n": 2, "d": 2, "components": [[1, 2], [1, 2, 2, 1]]}
     q = PhjPoint.from_doc(p.to_doc())
     assert p == q
     assert hash(p) == hash(q)
     assert p != constant_point(2, 2, 2)
+    # equality and hash follow (q, n, d, key()): distinct keys, distinct points
+    points = [*grid_points(2, 2, 2), *grid_points(3, 2, 1), *grid_points(2, 1, 2)]
+    assert len(set(points)) == len({(x.q, x.n, x.d, x.key()) for x in points}) == len(points)
+    same = PhjPoint(2, 2, 2, p.key())
+    assert same == p and hash(same) == hash(p) and same is not p
+    assert PhjPoint(3, 2, 2, p.key()) != p  # same letters, other alphabet
 
 
 def test_constant_point():
