@@ -16,8 +16,7 @@ from .errors import EnumerationCapError, OutOfDomainError, SchemaViolationError
 
 # avoiding_word gives up after visiting this many search nodes
 DEFAULT_ENUMERATION_CAP = 2**24
-# colors are stored as int32
-MAX_COLORS = 2**31 - 1
+MAX_COLORS = 2**31 - 1  # colors are stored as int32
 
 
 class Coloring:

@@ -206,10 +206,8 @@ def hj_search(
     line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  The lines
     are scanned by search.least_monochromatic (status, nodes, skips).
     """
-    if q < 1 or n < 1:
-        raise ValueError("need q >= 1 and n >= 1")
-    if ap_k is not None and ap_k < 0:
-        raise ValueError("ap_k must be >= 0")
+    if q < 1 or n < 1 or (ap_k is not None and ap_k < 0):
+        raise ValueError("need q >= 1, n >= 1 and ap_k >= 0")
     status, hit, color, nodes, skipped = least_monochromatic(
         _hj_lines(q, n, ap_k), word_color, node_budget)
     if hit is None:
@@ -272,6 +270,9 @@ def hj_threshold(
 # ---------------------------------------------------------------------------
 # the polynomial grid
 
+_MAX_Q = 2**15 - 1  # letters must fit the int16 components
+
+
 @functools.lru_cache
 def _cells(n: int, d: int) -> tuple:
     """The grid cells as (j, multi-index) pairs, in the one order a point
@@ -291,8 +292,8 @@ class PhjPoint:
     __slots__ = ("q", "n", "d", "letters")
 
     def __init__(self, q: int, n: int, d: int, components):
-        if q < 1 or n < 1 or d < 1:
-            raise ValueError("need q, n, d >= 1")
+        if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
+            raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
         if len(components) != d:
             raise ValueError(f"need {d} components, got {len(components)}")
         letters = tuple(int(v) for j, comp in enumerate(components, start=1)
@@ -407,8 +408,8 @@ def phj_search(
     the q^d substitutions of the blocks.  k_colors only documents the
     expected color count; the coloring callable is authoritative.
     """
-    if q < 1 or d < 1 or n < 1:
-        raise ValueError("need q, d, n >= 1")
+    if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
+        raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
     status, hit, color, nodes, skipped = least_monochromatic(
         _phj_lines(q, n, d), point_color, node_budget)
     if hit is None:
@@ -431,8 +432,8 @@ def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
 
 def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
     """Every grid point, as itertools.product over the cells in _cells order."""
-    if q < 1 or n < 1 or d < 1:
-        raise ValueError("need q, n, d >= 1")
+    if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
+        raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
     for letters in itertools.product(range(1, q + 1), repeat=len(_cells(n, d))):
         yield PhjPoint._of(q, n, d, letters)
 

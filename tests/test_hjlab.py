@@ -297,6 +297,12 @@ def test_point_validation():
         PhjPoint(0, 2, 1, [[1, 1]])
     with pytest.raises(ValueError):
         PhjPoint(2, 2, 1, [np.array([1, 65537])])  # no int16 wrap-around to 1
+    with pytest.raises(ValueError):  # letters must fit the int16 components
+        PhjPoint(2**15, 1, 1, [[2**15]])
+    with pytest.raises(ValueError):
+        phj_search(2**15, 2, 1, 1, lambda p: None, node_budget=0)
+    with pytest.raises(ValueError):
+        next(grid_points(2**15, 1, 1))
     with pytest.raises(ValueError):
         PhjPoint(2, 2, 1, [[1, 2, 1]])
     comp2 = np.array([[1, 2], [2, 1]])
