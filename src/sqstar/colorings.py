@@ -147,6 +147,7 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
         watch[top].append(sum(1 << u for u in vs if u != top))
     if any(0 in masks for masks in watch):
         return None  # a single vertex (mask 0) is monochromatic under every word
+    r = min(r, size)  # vertex v uses at most color v + 1
     word = [0] * size
     masks = [0] * (r + 1)  # masks[c]: vertices colored c (masks[0] is unused)
     top_color = [0] * (size + 1)  # top_color[v]: largest color on 0..v-1

@@ -245,6 +245,12 @@ class _Family:
                tuple order; n is the number of tuple positions the key fills
       _values  the configuration stream, in canonical order, over checked
                generators
+
+    _values must be monotone in every candidate-tuple position: when a
+    tuple t is at most t' componentwise, each stream position's value at t
+    is at most its value at t', and if t raises OutOfRangeError before some
+    position, t' raises at or before it.  search.admitted_configs prunes
+    its walk by this rule.
     """
 
     family: str

@@ -307,6 +307,12 @@ def test_threshold(cache_path, capsys):
                             "--max-bound", "10")
     assert code == 1
     assert doc["threshold"] is None
+    # more colors than values: no window is forced, and no per-color allocation
+    code, doc, _ = run_json(capsys, "--cache", cache_path, "threshold",
+                            "--family", "brauer", "--k", "1", "--colors", "99999999999",
+                            "--max-bound", "20")
+    assert code == 1
+    assert doc["threshold"] is None and doc["colors"] == 99999999999
 
 
 # ---------------------------------------------------------------------------

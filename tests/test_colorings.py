@@ -131,6 +131,12 @@ def test_avoiding_word():
             avoiding_word(3, bad, 2)
     with pytest.raises(ValueError):
         avoiding_word(3, path, 0)
+    # vertex v uses at most color v + 1, so r past the vertex count changes
+    # nothing and allocates nothing per color
+    cases = [(3, path), (3, triangle), (4, []), (0, []), (3, [(1,)]), (3, [(1, 1)]),
+             (2, [(0, 1, 1)])]
+    for size, edges in cases:
+        assert avoiding_word(size, edges, 10**11) == avoiding_word(size, edges, max(size, 1))
 
 
 def test_avoiding_word_cap_counts_nodes():
@@ -156,6 +162,7 @@ def test_avoiding_word_is_the_least_avoider():
         ]
         configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
         assert avoiding_word(size, edges, r) == oracles.avoider_coloring(configs, r, size)
+        assert avoiding_word(size, edges, 10**11) == avoiding_word(size, edges, size)
 
 
 def test_from_provenance_random():

@@ -252,6 +252,7 @@ def test_hj_threshold_matches_oracle():
     assert hj_threshold(2, 2, 3) == oracles.hj_threshold_oracle(2, 2, 3) == 2
     assert hj_threshold(2, 3, 2) == oracles.hj_threshold_oracle(2, 3, 2)
     assert hj_threshold(1, 2, 2) == 1
+    assert hj_threshold(2, 10**11, 2) is None  # no per-color allocation
     with pytest.raises(EnumerationCapError):
         hj_threshold(2, 2, 3, cap=50)
     with pytest.raises(ValueError):
@@ -470,6 +471,7 @@ def test_phj_search_skips_uncolorable():
 
 def test_phj_threshold_matches_oracle():
     assert phj_threshold(2, 2, 1, 3) == oracles.phj_threshold_oracle(2, 2, 1, 3) == 2
+    assert phj_threshold(2, 10**11, 1, 2) is None  # no per-color allocation
     with pytest.raises(EnumerationCapError):
         phj_threshold(2, 2, 2, 3, cap=100)
     with pytest.raises(ValueError):

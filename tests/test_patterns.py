@@ -37,6 +37,7 @@ from sqstar.patterns import (
     witness_from_doc,
     witness_to_doc,
 )
+from sqstar.search import generators_from_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,55 @@ def test_every_family_is_declared_once():
         GeoArithmetic: "geo",
         PolyVdW: "pvw",
     }
+
+
+MONOTONE_SPECS = [
+    FpF(3),
+    Brauer(2),
+    Deuber(2, 1),
+    MillikenTaylor(2, PhiProjection(2)),
+    MillikenTaylor(2, PhiSum()),
+    MillikenTaylor(2, PhiProduct()),
+    MillikenTaylor(2, PhiLinear((1, 2), 3)),
+    MillikenTaylor(2, PhiStarFold()),
+    GeoArithmetic(1),
+    PolyVdW(2, ((2, 3), (3, 5))),
+]
+
+
+def _stream(spec, tup, table):
+    """The stream's values at a candidate tuple, and whether it then raised
+    OutOfRangeError."""
+    values = []
+    try:
+        for v in config_values(spec, generators_from_tuple(spec, tup), table):
+            values.append(v)
+    except OutOfRangeError:
+        return values, True
+    return values, False
+
+
+@pytest.mark.parametrize("spec", MONOTONE_SPECS, ids=repr)
+def test_values_are_monotone_in_every_tuple_position(spec, table_100k):
+    """The _Family contract the threshold walk prunes by: t <= t' componentwise
+    makes every stream position's value at t at most its value at t', and
+    t' past the table no later than t."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(zlib.crc32(repr(spec).encode())))
+    width = sum(n for _, _, n in spec.layout)
+    outcomes = set()
+    for _ in range(200):
+        top = float(np.exp(rng.uniform(0, np.log(400))))
+        t = tuple(int(x) for x in rng.integers(1, top + 1, width))
+        t2 = tuple(a + int(x) for a, x in zip(t, rng.integers(0, top + 1, width)))
+        values, past = _stream(spec, t, table_100k)
+        values2, past2 = _stream(spec, t2, table_100k)
+        assert all(v <= v2 for v, v2 in zip(values, values2)), (t, t2)
+        if past:
+            assert past2 and len(values2) <= len(values), (t, t2)
+        outcomes.add((past, past2))
+    assert outcomes == {(False, False), (False, True), (True, True)}
 
 
 # ---------------------------------------------------------------------------

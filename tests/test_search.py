@@ -14,7 +14,10 @@ from sqstar import (
     MillikenTaylor,
     OutOfDomainError,
     OutOfRangeError,
+    PhiLinear,
+    PhiProduct,
     PhiProjection,
+    PhiStarFold,
     PhiSum,
     PolyVdW,
     SearchBounds,
@@ -329,7 +332,10 @@ def test_threshold_reach(table_100k):
     assert not oracles.mono_configs_exist(word, configs)
 
 
-@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", [pytest.param(s, id=type(s).__name__) for s in FAMILIES] + [
+    pytest.param(MillikenTaylor(2, phi), id=f"MillikenTaylor2-{phi}")
+    for phi in (PhiProjection(2), PhiSum(), PhiProduct(), PhiLinear((1, 2), 0), PhiStarFold())
+] + [pytest.param(FpF(3), id="FpF3"), pytest.param(Deuber(2, 1), id="Deuber21")])
 def test_single_walk_matches_per_window_walk(table_100k, spec):
     """admitted_configs' per-window view equals a fresh walk per window, and
     threshold equals the raw-word oracle over those windows."""
@@ -341,6 +347,48 @@ def test_single_walk_matches_per_window_walk(table_100k, spec):
     for r in (1, 2):
         want = oracles.threshold_oracle(per_window.get, r, 1, 12)
         assert threshold(spec, r, 1, 12, table_100k) == want
+
+
+def _walked(spec, bound, table, monkeypatch):
+    """admitted_configs(spec, bound) and the candidate tuples it evaluated."""
+    seen = []
+    real = search.generators_from_tuple
+
+    def record(spec, tup):
+        seen.append(tup)
+        return real(spec, tup)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "generators_from_tuple", record)
+        return admitted_configs(spec, bound, table), seen
+
+
+@pytest.mark.parametrize("spec, evaluated", [
+    (GeoArithmetic(1), 47),
+    (Brauer(2), 8),
+    (FpF(3), 26),
+    (MillikenTaylor(2, PhiProduct()), 17),
+    (MillikenTaylor(2, PhiLinear((0, 0), 0)), 15**3),  # every value is 0: no jump
+], ids=["geo1", "brauer2", "fpf3", "mt2-product", "mt2-zero"])
+def test_threshold_walk_is_a_pruned_subsequence(table_100k, monkeypatch, spec, evaluated):
+    """The pruned walk evaluates candidates in candidate_tuples' order,
+    jumping only past candidates above one with a value above the bound or
+    past the table."""
+    _, seen = _walked(spec, 16, table_100k, monkeypatch)
+    order = candidate_tuples(spec, SearchBounds(generator_max=16, value_bound=17))
+    assert all(tup in order for tup in seen)  # consumes order: an in-order subsequence
+    assert len(seen) == evaluated
+
+
+@pytest.mark.parametrize("spec", [GeoArithmetic(1), Brauer(2)], ids=["geo1", "brauer2"])
+def test_threshold_walk_at_64_restricts_to_16(table_100k, monkeypatch, spec):
+    """The unpruned walk at 64 is about 16M candidates for geo k=1; the walk
+    at 16 is the part of the walk at 64 that windows up to 16 admit."""
+    least, seen = _walked(spec, 64, table_100k, monkeypatch)
+    if spec == GeoArithmetic(1):
+        assert len(seen) == 747
+    assert {cfg: m for cfg, m in least.items() if m <= 16} == admitted_configs(
+        spec, 16, table_100k)
 
 
 def test_threshold_walk_follows_the_answer(table_100k, monkeypatch):
