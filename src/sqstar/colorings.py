@@ -69,10 +69,15 @@ def periodic_coloring(q: int, mapping, bound: int) -> Coloring:
     r = max(mapping)
     if min(mapping) < 1 or r > MAX_COLORS:
         raise ValueError(f"colors must lie in 1..{MAX_COLORS}")
-    pattern = np.asarray(mapping, dtype=np.int32)
-    reps = -(-bound // q)
-    assignment = np.tile(pattern, reps)[:bound]
     prov = f"periodic:q={q},map={';'.join(str(c) for c in mapping)},bound={bound}"
+    return _tiled(np.asarray(mapping, dtype=np.int32), r, bound, prov)
+
+
+def _tiled(pattern: np.ndarray, r: int, bound: int, prov: str) -> Coloring:
+    """Coloring of n by pattern[n mod len(pattern)] over [0, bound)."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    assignment = np.tile(pattern, -(-bound // pattern.size))[:bound]
     return Coloring(r, bound, assignment, prov)
 
 
@@ -208,13 +213,16 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
             raise ValueError("periodic needs exactly one of r= and map=")
         q = int(fields["q"])
         if "map" in fields:
-            mapping = [int(c) for c in fields["map"].split(";")]
-        else:
-            r = int(fields["r"])
-            if r < 1:
-                raise ValueError("need at least one color")
-            mapping = [(i % r) + 1 for i in range(q)]
-        return periodic_coloring(q, mapping, b)
+            return periodic_coloring(q, [int(c) for c in fields["map"].split(";")], b)
+        # n -> (n mod q) mod r + 1 uses colors 1..min(q, r); only the first
+        # min(q, b) are built, and i mod r = i mod min(r, b) for i < b
+        r = int(fields["r"])
+        if q < 1:
+            raise ValueError("period must be positive")
+        if r < 1:
+            raise ValueError("need at least one color")
+        pattern = np.arange(min(q, b)) % min(r, b) + 1
+        return _tiled(pattern, min(q, r), b, f"periodic:q={q},r={r},bound={b}")
     except KeyError as exc:
         raise SchemaViolationError(f"coloring {prov!r} lacks {exc.args[0]}=") from exc
     except ValueError as exc:

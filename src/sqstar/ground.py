@@ -3,9 +3,10 @@
 The ground set is the set of sums of two integer squares (0 and 1
 included).  A GroundTable stores the members below a limit as a bitset
 with a popcount rank directory (Jacobson, FOCS 1989; Vigna, WEA 2008)
-plus the sorted member array for unranking; everything upstream (the
-induced product, pattern generation, searches) is expressed through its
-rank and unrank queries.
+and selects the sorted members for unranking on demand, as a prefix up
+to the largest rank asked for; everything upstream (the induced product,
+pattern generation, searches) is expressed through its rank and unrank
+queries.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ _VERSION = 2
 # the ground-set id every cache carries; any other id is corrupt
 _GROUND_ID = b"sigma"
 
-# Bits unpacked at a time while filling the member array; small enough
-# that the scratch (one bool byte per bit plus an int64 per member found)
-# stays under a megabyte.
-_SELECT_CHUNK = 2**16
+# Words selected at a time while filling the member buffer (2^16 bits);
+# small enough that the scratch (one bool byte per bit plus an int64 per
+# member found) stays under a megabyte.
+_CHUNK_WORDS = 2**10
+
+# Values sieved at a time by build_table, one bool byte each.
+_SEGMENT = 2**22
 
 
 def is_member(n: int) -> bool:
@@ -71,31 +75,29 @@ def is_member(n: int) -> bool:
     return not (m > 1 and m % 4 == 3)
 
 
-def _two_squares_flags(limit: int) -> np.ndarray:
-    """Bool flags for [0, limit): mark a^2 + b^2 for every a <= b."""
-    flags = np.zeros(limit, dtype=bool)
-    squares = np.arange(math.isqrt(limit - 1) + 1, dtype=np.int64) ** 2
-    for a in range(squares.size):
-        a2 = int(squares[a])
-        bmax = math.isqrt(limit - 1 - a2)
-        if bmax < a:
-            break
-        flags[squares[a : bmax + 1] + a2] = True
-    return flags
+def _sieve(limit: int) -> np.ndarray:
+    """Bitset words of [0, limit) with bit n set iff n = a^2 + b^2.
 
-
-def _select(words: np.ndarray, count: int) -> np.ndarray:
-    """Positions of the set bits of a little-endian bitset, as uint32."""
-    out = np.empty(count, dtype=np.uint32)
+    Marks a^2 + b^2 for every a <= b into one bool segment of _SEGMENT
+    values at a time, then packs the segment straight into the words.
+    """
+    words = np.zeros((limit >> 6) + 1, dtype="<u8")
     data = words.view(np.uint8)
-    step = _SELECT_CHUNK // 8
-    pos = 0
-    for lo in range(0, data.size, step):
-        bits = np.unpackbits(data[lo : lo + step], bitorder="little").view(bool)
-        idx = np.flatnonzero(bits)
-        np.add(idx, 8 * lo, out=out[pos : pos + idx.size], casting="unsafe")
-        pos += idx.size
-    return out
+    squares = np.arange(math.isqrt(limit - 1) + 1, dtype=np.int64) ** 2
+    seg = np.empty(min(_SEGMENT, limit), dtype=bool)
+    for lo in range(0, limit, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit)
+        seg[:] = False
+        # a <= b and a^2 + b^2 < hi give 2 a^2 < hi
+        for a in range(math.isqrt((hi - 1) // 2) + 1):
+            a2 = a * a
+            b0 = max(a, math.isqrt(lo - a2 - 1) + 1) if lo > a2 else a
+            b1 = math.isqrt(hi - 1 - a2)
+            if b0 <= b1:
+                seg[squares[b0 : b1 + 1] + (a2 - lo)] = True
+        packed = np.packbits(seg[: hi - lo], bitorder="little")
+        data[lo >> 3 : (lo >> 3) + packed.size] = packed
+    return words
 
 
 class GroundTable:
@@ -106,11 +108,17 @@ class GroundTable:
     inside it and needs no special case; bits at or above the limit are
     zero.  The rank directory holds the popcount of all words before each
     word, so counting members below x is one directory read plus one
-    masked popcount.  elements is a read-only uint32 array of the sorted
-    members (select, i.e. unrank, in O(1)); ranks are positions within it.
+    masked popcount.
+
+    Members (select, i.e. unrank) are read from one uint32 buffer that
+    holds a slot per member but is filled only on demand: as a prefix, a
+    chunk of _CHUNK_WORDS words at a time, up to the chunk that holds the
+    largest rank asked for.  Pages never filled are never touched, so a
+    table that only answers rank queries costs the bitset and the
+    directory.  members(n) and elements are read-only views of it.
     """
 
-    __slots__ = ("limit", "elements", "_words", "_prefix")
+    __slots__ = ("limit", "_words", "_prefix", "_members", "_filled", "_ready")
 
     def __init__(self, limit: int, words: np.ndarray):
         self.limit = int(limit)
@@ -123,24 +131,59 @@ class GroundTable:
         np.cumsum(np.bitwise_count(words), dtype=np.int64, out=prefix[1:])
         prefix.setflags(write=False)
         self._prefix = prefix
-        el = _select(words, int(prefix[-1]))
-        el.setflags(write=False)
-        self.elements = el
+        self._members = np.empty(int(prefix[-1]), dtype=np.uint32)
+        self._members.setflags(write=False)
+        self._filled = 0  # words whose members are in the buffer
+        self._ready = 0  # members in the buffer: _prefix[_filled]
 
     @property
     def size(self) -> int:
         """Number of members below the limit."""
         return int(self._prefix[-1])
 
-    def element(self, n: int) -> int:
-        """Member with rank n (the n-th smallest, counting from 0)."""
+    def _select_through(self, n: int) -> None:
+        """Fill the member buffer through the chunk holding rank n."""
         if n < 0:
             raise ValueError("rank must be nonnegative")
-        if n >= self.elements.size:
-            raise OutOfRangeError(
-                f"rank {n} exceeds table size {self.elements.size} (limit {self.limit})"
-            )
-        return self.elements.item(n)
+        size = self._members.size
+        if n >= size:
+            raise OutOfRangeError(f"rank {n} exceeds table size {size} (limit {self.limit})")
+        prefix, out = self._prefix, self._members
+        # the word holding rank n is the last w with prefix[w] <= n
+        w = int(np.searchsorted(prefix, n, side="right")) - 1
+        end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, self._words.size)
+        data = self._words.view(np.uint8)
+        out.setflags(write=True)
+        try:
+            for lo in range(self._filled, end, _CHUNK_WORDS):
+                bits = np.unpackbits(data[8 * lo : 8 * (lo + _CHUNK_WORDS)], bitorder="little")
+                idx = np.flatnonzero(bits.view(bool))
+                pos = prefix.item(lo)
+                np.add(idx, 64 * lo, out=out[pos : pos + idx.size], casting="unsafe")
+        finally:
+            out.setflags(write=False)
+        self._filled = end
+        self._ready = prefix.item(end)
+
+    def element(self, n: int) -> int:
+        """Member with rank n (the n-th smallest, counting from 0)."""
+        if 0 <= n < self._ready:
+            return self._members.item(n)
+        self._select_through(n)
+        return self._members.item(n)
+
+    def members(self, n: int) -> np.ndarray:
+        """Read-only uint32 view of the n smallest members (ranks 0..n-1)."""
+        if n < 0:
+            raise ValueError("member count must be nonnegative")
+        if n > self._ready:
+            self._select_through(n - 1)
+        return self._members[:n]
+
+    @property
+    def elements(self) -> np.ndarray:
+        """Read-only uint32 view of every member, in order."""
+        return self.members(self._members.size)
 
     def _bit(self, s: int) -> int:
         s = operator.index(s)
@@ -199,25 +242,26 @@ def build_table(
     """Sieve all members below limit into a GroundTable.
 
     The build has two peaks, and each is checked against max_bytes before
-    its allocation.  The sieve holds one bool flag per candidate plus the
-    packed bitset (limit/8 bytes).  Once the flags are freed, the table
-    holds the bitset, the rank directory (8 bytes per 64 candidates) and
-    4 bytes per member, plus the chunked select scratch.
+    its allocation.  The segmented sieve holds the bitset (limit/8 bytes),
+    one bool segment of at most _SEGMENT values with its packed copy, and
+    the squares.  The table then holds the bitset, the rank directory
+    (8 bytes per 64 candidates, plus a byte per word while it is summed)
+    and the member buffer (4 bytes per member, reserved at once but filled
+    only as members are asked for), plus the chunked select scratch.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
     nwords = (limit >> 6) + 1
-    sieve = limit + 8 * nwords + 16 * (math.isqrt(limit) + 1)
+    seg = min(_SEGMENT, limit)
+    sieve = 8 * nwords + seg + seg // 8 + 1 + 16 * (math.isqrt(limit) + 1)
     _check_budget(sieve, max_bytes, limit, "sieve")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} above {MAX_LIMIT}: uint32 members would overflow")
-    packed = np.packbits(_two_squares_flags(limit), bitorder="little")
-    words = np.zeros(nwords, dtype="<u8")
-    words.view(np.uint8)[: packed.size] = packed
-    del packed
+    words = _sieve(limit)
     count = int(np.bitwise_count(words).sum())
-    scratch = _SELECT_CHUNK + 8 * min(count, _SELECT_CHUNK)
-    _check_budget(16 * nwords + 4 * count + scratch, max_bytes, limit, "table")
+    bits = 64 * _CHUNK_WORDS
+    scratch = bits + 8 * min(count, bits)
+    _check_budget(17 * nwords + 8 + 4 * count + scratch, max_bytes, limit, "table")
     return GroundTable(limit, words)
 
 
@@ -249,8 +293,9 @@ def load_cache(path: str) -> GroundTable:
     length versus file size, the CRC, no bit at or above the declared
     limit, and the declared count against the bitset's popcount.  Any
     failure, a ground-set id other than "sigma" included, raises
-    CorruptCacheError.  The rank directory and member array are rebuilt
-    from the bitset.
+    CorruptCacheError.  The rank directory is rebuilt from the bitset, and
+    its last entry is the popcount checked against the count; members are
+    selected only when asked for.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -289,6 +334,7 @@ def load_cache(path: str) -> GroundTable:
         raise CorruptCacheError("checksum mismatch")
     if int(words[-1]) >> (limit & 63):
         raise CorruptCacheError("member at or above declared limit")
-    if int(np.bitwise_count(words).sum()) != count:
+    table = GroundTable(int(limit), words)
+    if table.size != count:
         raise CorruptCacheError(f"declared count {count} does not match the bitset")
-    return GroundTable(int(limit), words)
+    return table

@@ -22,6 +22,9 @@ from .ground import GroundTable
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
 
+# values of m per block of verify_laws' associativity check
+_LAW_ROWS = 8
+
 
 def star(m: int, n: int, table: GroundTable) -> int:
     """Induced product of ranks m and n."""
@@ -93,14 +96,19 @@ def star_many(ms, ns, table: GroundTable):
     """
     ms = np.asarray(ms, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
+    top = 0
     for rs in (ms, ns):
-        if rs.size and rs.min() < 0:
-            raise ValueError("rank must be nonnegative")
-        if rs.size and rs.max() >= table.size:
-            raise OutOfRangeError(
-                f"rank {int(rs.max())} exceeds table size {table.size} (limit {table.limit})"
-            )
-    prod = table.elements[ms].astype(np.uint64) * table.elements[ns]
+        if rs.size:
+            if rs.min() < 0:
+                raise ValueError("rank must be nonnegative")
+            hi = int(rs.max())
+            if hi >= table.size:
+                raise OutOfRangeError(
+                    f"rank {hi} exceeds table size {table.size} (limit {table.limit})"
+                )
+            top = max(top, hi + 1)
+    s = table.members(top)
+    prod = s[ms].astype(np.uint64) * s[ns]
     valid = prod < table.limit
     ranks = np.zeros(prod.shape, dtype=np.int64)
     if valid.any():
@@ -154,9 +162,10 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
             f"table holds only {table.size} ranks, cannot check up to {range_max}"
         )
     idx = np.arange(range_max + 1)
-    v = table.elements[idx].astype(np.uint64)
-    n = int(v.size)
     ranks, in_range = star_many(idx[:, None], idx[None, :], table)
+    s = table.members(max(int(ranks.max()), range_max) + 1)
+    v = s[idx].astype(np.uint64)
+    n = int(v.size)
     prod = v[:, None] * v[None, :]
 
     checks = []
@@ -193,7 +202,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
 
     # multiplicativity: element(star(m, n)) equals s_m * s_n wherever defined
     bad = None
-    mism = np.argwhere(in_range & (table.elements[ranks] != prod))
+    mism = np.argwhere(in_range & (s[ranks] != prod))
     if mism.size:
         bad = (int(mism[0][0]), int(mism[0][1]))
     checks.append(LawCheck("multiplicativity", comm_pairs, n * n - comm_pairs, bad))
@@ -203,13 +212,20 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     # The screen keeps the triples with s_m * s_k * s_j below the limit.
     # Members are below 2**32, so where prod < limit the screen prod * v
     # stays below 2**64 and is exact in uint64; other entries are masked
-    # out anyway
-    t_ok = in_range[:, :, None] & in_range[None, :, :]
-    t_ok &= prod[:, :, None] * v[None, None, :] < table.limit
+    # out anyway.  Blocks of _LAW_ROWS values of m bound the scratch and
+    # keep C order, so the first counterexample is the same.
     bad = None
-    checked3 = int(t_ok.sum())
-    if checked3:
+    checked3 = 0
+    for lo in range(0, n, _LAW_ROWS):
+        rows = slice(lo, lo + _LAW_ROWS)
+        t_ok = in_range[rows, :, None] & in_range[None, :, :]
+        t_ok &= prod[rows, :, None] * v[None, None, :] < table.limit
+        block = int(t_ok.sum())
+        checked3 += block
+        if bad is not None or not block:
+            continue
         m, k, j = np.nonzero(t_ok)
+        m += lo
         lhs, lhs_ok = star_many(ranks[m, k], j, table)
         rhs, rhs_ok = star_many(m, ranks[k, j], table)
         mism = np.flatnonzero((lhs != rhs) | (lhs_ok != rhs_ok))

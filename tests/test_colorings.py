@@ -183,6 +183,27 @@ def test_from_provenance_periodic():
     assert d.provenance == random_coloring(9, 2, 77).provenance
 
 
+def test_from_provenance_periodic_r_form():
+    # the r form records itself, not a q-long map, and builds only
+    # min(q, bound) colors, so a huge period costs nothing
+    c = from_provenance("periodic:q=10000000,r=2", 10)
+    assert c.provenance == "periodic:q=10000000,r=2,bound=10"
+    assert (c.r, c.bound) == (2, 10)
+    assert c.assignment.tolist() == [1, 2] * 5
+    back = from_provenance(c.provenance)
+    assert back.provenance == c.provenance
+    assert np.array_equal(back.assignment, c.assignment)
+    # n -> (n mod q) mod r + 1, with r the colors actually used, min(q, r)
+    for q, r, bound in ((3, 5, 7), (4, 3, 11), (5, 2, 3), (1, 1, 4)):
+        want = [(n % q) % r + 1 for n in range(bound)]
+        got = from_provenance(f"periodic:q={q},r={r},bound={bound}")
+        assert got.assignment.tolist() == want, (q, r, bound)
+        assert got.r == min(q, r)
+        mapped = periodic_coloring(q, [i % r + 1 for i in range(q)], bound)
+        assert np.array_equal(mapped.assignment, got.assignment)
+        assert from_provenance(mapped.provenance).provenance == mapped.provenance
+
+
 def test_from_provenance_unknown():
     with pytest.raises(SchemaViolationError):
         from_provenance("enumerated:r=2,bound=3,index=0")

@@ -1,6 +1,10 @@
 """Ground set: sieve correctness, rank queries, cache format."""
 
+import os
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+import sqstar
 from sqstar import (
     CorruptCacheError,
     NotMemberError,
@@ -119,15 +124,47 @@ def test_budget_estimate_tracks_measured_peak():
     assert build_table(10**7, max_bytes=int(1.25 * peak)).limit == 10**7
 
 
-@pytest.mark.parametrize("query", ["count_below", "contains", "rank"])
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_build_peak_rss_is_bounded():
+    # the segmented sieve holds the bitset, the rank directory and one
+    # bool segment, not a bool per candidate: a 1e8 build grows a fresh
+    # process's peak by about 37 MB over its imports, where a whole-range
+    # sieve grew it by about 108 MB.  The child reads its VmHWM in KiB,
+    # because Linux carries ru_maxrss across exec from the forking process.
+    code = (
+        "import sqstar\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:'))\n"
+        "base = peak()\n"
+        "sqstar.build_table(10**8)\n"
+        "print(peak() - base)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sqstar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    growth_mb = int(out.stdout) / 1024
+    assert growth_mb < 60, growth_mb
+
+
+# 99999997 = 1346^2 + 9909^2 is a member; element takes a rank instead
+SCALAR_ARGS = {"count_below": 99_999_997, "contains": 99_999_997, "rank": 99_999_997,
+               "element": 123_456}
+
+
+@pytest.mark.parametrize("query", ["count_below", "contains", "rank", "element"])
 def test_scalar_query_allocates_almost_nothing(table_100m_timed, query):
-    # a scalar query must not touch more than a word of the table
+    # a scalar query must not touch more than a word of the table; the
+    # warm-up call selects the members element reads
     table, _ = table_100m_timed
     fn = getattr(table, query)
-    fn(99_999_997)  # 99999997 = 1346^2 + 9909^2, a member
+    arg = SCALAR_ARGS[query]
+    fn(arg)
     tracemalloc.start()
     try:
-        fn(99_999_997)
+        fn(arg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -140,6 +177,56 @@ def test_sieve_matches_oracle_at_edge_limits():
         t = build_table(limit)
         assert np.array_equal(t.elements, np.flatnonzero(want)), limit
         assert t.count_below(limit) == int(want.sum()), limit
+
+
+@pytest.mark.parametrize("limit", [2, 64, 65537, 10**6])
+def test_members_on_demand_match_oracle(limit):
+    # members are selected a chunk of 2^16 values at a time: check rank 0,
+    # each chunk's first rank +-1 and the last rank, filling in order
+    want = np.flatnonzero(oracles.two_squares_flags(limit))
+    t = build_table(limit)
+    assert t.size == want.size
+    firsts = [t.count_below(x) for x in range(0, limit + 1, 2**16)]
+    ranks = {r + d for r in firsts for d in (-1, 0, 1)} | {0, want.size - 1}
+    for r in sorted(r for r in ranks if 0 <= r < want.size):
+        assert t.element(r) == want[r], (limit, r)
+        assert np.array_equal(t.members(r + 1), want[: r + 1]), (limit, r)
+    # a table asked for its last member first selects every chunk at once
+    cold = build_table(limit)
+    assert cold.element(want.size - 1) == want[-1]
+    assert np.array_equal(cold.elements, want)
+    assert cold.members(0).size == 0
+
+
+def test_members_view_is_read_only(table_100k):
+    for view in (table_100k.members(100), table_100k.elements):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 7
+        with pytest.raises(ValueError):
+            view.setflags(write=True)
+    with pytest.raises(ValueError):
+        table_100k.members(-1)
+    with pytest.raises(OutOfRangeError):
+        table_100k.members(table_100k.size + 1)
+
+
+def test_rank_past_table_message():
+    t = build_table(1000)  # nothing selected yet
+    msg = f"rank {t.size} exceeds table size {t.size} (limit 1000)"
+    with pytest.raises(OutOfRangeError, match=re.escape(msg)):
+        t.element(t.size)
+    t.element(t.size - 1)  # everything selected
+    with pytest.raises(OutOfRangeError, match=re.escape(msg)):
+        t.element(t.size)
+
+
+def test_load_then_element_selects_one_chunk(tmp_path, table_1m):
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    loaded = load_cache(path)
+    assert loaded.element(10) == table_1m.element(10)
+    assert 0 < loaded._ready <= loaded.count_below(2**16)
 
 
 def test_cache_roundtrip(tmp_path, table_100k):
@@ -229,6 +316,7 @@ def test_cache_count_disagrees(tmp_path, table_100k):
         "<Q", head, len(head) - 8, table_100k.size - 1))
     with pytest.raises(CorruptCacheError, match="count"):
         load_cache(path)
+    assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_cache_predicate_mismatch(tmp_path, table_100k):

@@ -152,6 +152,31 @@ def test_verify_laws_catches_corrupt_ranks(monkeypatch):
     assert assoc.counterexample is not None
 
 
+def test_verify_laws_counts_on_1m(table_1m):
+    # counts of the unblocked check, pinned before its associativity
+    # triples were taken in blocks of m rows
+    counts = [(c.checked, c.skipped) for c in verify_laws(100, table_1m).checks]
+    assert counts == [(10201, 0), (101, 0), (101, 0), (10201, 0), (564_154, 466_147)]
+
+
+def test_verify_laws_first_counterexample(monkeypatch):
+    # products equal to 400 get the next rank; the unblocked check met
+    # (2, 7, 20) first in C order, and so must the blocked one
+    table = build_table(1000)
+    honest = GroundTable.count_below_many
+
+    def corrupt(self, xs):
+        out = honest(self, xs)
+        out[np.asarray(xs) == 400] += 1
+        return out
+
+    monkeypatch.setattr(GroundTable, "count_below_many", corrupt)
+    checks = verify_laws(20, table).checks
+    assert (checks[3].name, checks[3].counterexample) == ("multiplicativity", (7, 20))
+    assoc = checks[4]
+    assert (assoc.checked, assoc.skipped, assoc.counterexample) == (3426, 5835, (2, 7, 20))
+
+
 def test_star_many(table_100k):
     rng = np.random.Generator(np.random.PCG64(3))
     ms = rng.integers(0, 2000, size=400)
