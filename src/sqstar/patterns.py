@@ -279,8 +279,9 @@ class FpF(_Family):
     def _values(self, g, table):
         # every member is looked up before the first value is yielded
         svals = [table.element(x) for x in g["xs"]]
-        prods = [0] * (1 << self.k)
-        prods[0] = 1
+        # products in mask order, appended as they are formed, so a long
+        # sequence overflows the table before it could exhaust memory
+        prods = [1]
         for mask in range(1, 1 << self.k):
             low = (mask & -mask).bit_length() - 1
             p = prods[mask & (mask - 1)] * svals[low]
@@ -290,7 +291,7 @@ class FpF(_Family):
                     f"subset {positions} of ranks {g['xs']} has product {p} "
                     f"beyond table limit {table.limit}"
                 )
-            prods[mask] = p
+            prods.append(p)
             yield table.count_below(p)
 
 

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqstar import build_table, periodic_coloring, save_cache
+from sqstar import (
+    GeoArithmetic,
+    build_table,
+    generate_configuration,
+    load_cache,
+    periodic_coloring,
+    save_cache,
+)
 from sqstar.cli import main
 from sqstar.colorings import to_file as coloring_to_file
 
@@ -75,6 +82,25 @@ def test_fp_rank_zero_is_usage_error(cache_path, capsys):
     code, _, err = run(capsys, "--cache", cache_path, "fp", "0", "5")
     assert code == 2
     assert "must be >= 1" in err
+
+
+def test_fp_past_the_table_is_out_of_range(cache_path, capsys):
+    # 70 ranks would mean 2**70 subset products; the 17th factor of 2
+    # already passes the limit 100000
+    code, _, err = run(capsys, "--cache", cache_path, "fp", *["2"] * 70)
+    assert code == 3
+    assert "error (out-of-range)" in err and "Traceback" not in err
+
+
+def test_default_cache_dir(tmp_path, monkeypatch, capsys):
+    save_cache(build_table(10000), str(tmp_path / "sigma-default.sgt"))
+    monkeypatch.setenv("SQSTAR_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "op", "2", "5")
+    assert code == 0 and out.strip() == "9"
+    assert "no cache configured" not in err
+    # rank 5000 lies past the 1e4 cache, not past an in-memory default table
+    code, _, err = run(capsys, "element", "5000")
+    assert code == 3
 
 
 def test_rank_of_nonmember_is_usage_error(cache_path, capsys):
@@ -162,6 +188,24 @@ def test_pattern_families(cache_path, capsys):
     assert doc["spec"]["family"] == "brauer"
 
 
+def test_pattern_monomial_generators(cache_path, capsys):
+    table = load_cache(cache_path)
+    for b_token, b, want in (("2:1,5:2", [(2, 1), (5, 2)], [54, 337, 633]),
+                             ("-", [], [1, 5, 9])):
+        code, doc, _ = run_json(capsys, "--cache", cache_path, "pattern", "--family",
+                                "geo", "--k", "1", "--gen", b_token, "3", "2", "1")
+        assert code == 0 and doc["configuration"] == want
+        gens = {"b": b, "gamma": [3], "a": 2, "d": 1}
+        assert list(generate_configuration(GeoArithmetic(1), gens, table)) == want
+
+
+def test_pattern_wrong_gen_count_is_usage_error(cache_path, capsys):
+    code, _, err = run(capsys, "--cache", cache_path, "pattern", "--family",
+                       "geo", "--k", "1", "--gen", "-", "3", "2")
+    assert code == 2
+    assert "geo takes --gen B GAMMA A D" in err
+
+
 SEARCH_ARGS = [
     "search", "--family", "brauer", "--k", "1",
     "--coloring", "periodic:q=2,r=2", "--bound", "400", "--gen-max", "16",
@@ -200,6 +244,14 @@ def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     code, out, _ = run(capsys, "--cache", cache_path, "verify",
                        "--witness", wpath, "--bound", "400")
     assert code == 0 and out.strip() == "valid"
+
+    # an explicit --coloring replaces the witness's provenance: its own
+    # coloring passes, the one with the two colors swapped does not
+    for desc, code_want, out_want in (("periodic:q=2,r=2", 0, "valid"),
+                                      ("periodic:q=2,map=2;1", 1, "INVALID")):
+        code, out, _ = run(capsys, "--cache", cache_path, "verify", "--witness",
+                           wpath, "--coloring", desc, "--bound", "400")
+        assert (code, out.strip()) == (code_want, out_want)
 
     # same color claim against a different coloring: invalid, not corrupt
     doc = json.loads(Path(wpath).read_text())

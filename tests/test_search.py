@@ -79,6 +79,24 @@ def test_least_witness_matches_unpruned_rescan(spec, table_100k):
     assert report.witness.table_limit == table_100k.limit
 
 
+def test_candidates_past_the_table_are_skipped():
+    # the table's 79 ranks all lie below the value bound 100, so every skip
+    # is a candidate whose products leave the table, not the value window
+    table = build_table(200)
+    assert table.size == 79
+    bounds = SearchBounds(generator_max=12, value_bound=100)
+    coloring = random_coloring(1, 2, 100)
+    report = find_witness(table, coloring, FpF(3), bounds)
+    assert (report.status, report.nodes, report.skipped_out_of_range) == (
+        "exhausted", 1331, 238)
+    for spec in FAMILIES:
+        report = find_witness(table, coloring, spec, bounds)
+        ref = _reference_least(spec, bounds, coloring, table)
+        assert report.found and ref is not None
+        assert (report.witness.generators, report.witness.configuration,
+                report.witness.color) == ref
+
+
 # first three candidate tuples, the generators of the second, and the count,
 # at generator_max=3 without and with the identity
 PINNED_ORDER = [
@@ -125,7 +143,7 @@ def test_witness_under_constant_coloring(spec, table_100k):
     assert verify_witness(report.witness, coloring, table_100k)
 
 
-def test_deterministic_across_runs_and_workers(table_100k):
+def test_deterministic_across_runs(table_100k):
     coloring = random_coloring(11, 3, 400)
     spec = Brauer(2)
     base = find_witness(table_100k, coloring, spec, BOUNDS)
@@ -339,18 +357,25 @@ WALK_SPECS = [pytest.param(s, id=type(s).__name__) for s in FAMILIES] + [
 ] + [pytest.param(FpF(3), id="FpF3"), pytest.param(Deuber(2, 1), id="Deuber21")]
 
 
-@pytest.mark.parametrize("spec", WALK_SPECS)
-def test_single_walk_matches_per_window_walk(table_100k, spec):
+# each walk spec on the 1e5 table, then on the table below 30: its 16 ranks
+# make walks at bound 12 also prune candidates whose products leave the table
+WALK_CASES = [pytest.param(p.values[0], 100_000, id=p.id) for p in WALK_SPECS] + [
+    pytest.param(p.values[0], 30, id=f"{p.id}-limit30") for p in WALK_SPECS]
+
+
+@pytest.mark.parametrize("spec, limit", WALK_CASES)
+def test_single_walk_matches_per_window_walk(spec, limit):
     """admitted_configs' per-window view equals a fresh walk per window, and
     threshold equals the raw-word oracle over those windows."""
-    least = admitted_configs(spec, 12, table_100k)
-    per_window = {n: oracles.configs_within(spec, n, table_100k) for n in range(1, 13)}
+    table = build_table(limit)
+    least = admitted_configs(spec, 12, table)
+    per_window = {n: oracles.configs_within(spec, n, table) for n in range(1, 13)}
     assert per_window[12]
     for n, configs in per_window.items():
         assert {cfg for cfg, m in least.items() if m <= n} == set(configs)
     for r in (1, 2):
         want = oracles.threshold_oracle(per_window.get, r, 1, 12)
-        assert threshold(spec, r, 1, 12, table_100k) == want
+        assert threshold(spec, r, 1, 12, table) == want
 
 
 def _walked(spec, bound, table, monkeypatch):

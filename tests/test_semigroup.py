@@ -16,6 +16,7 @@ from sqstar import (
     star_many,
     verify_laws,
 )
+from sqstar import semigroup
 
 
 def test_worked_product(table_100k):
@@ -175,6 +176,46 @@ def test_verify_laws_first_counterexample(monkeypatch):
     assert (checks[3].name, checks[3].counterexample) == ("multiplicativity", (7, 20))
     assoc = checks[4]
     assert (assoc.checked, assoc.skipped, assoc.counterexample) == (3426, 5835, (2, 7, 20))
+
+
+def _fault_pair_3_5(monkeypatch, fault):
+    """Route verify_laws through a star_many that applies fault(ranks,
+    valid, at) to its answers, at marking the pair (3, 5)."""
+    honest = semigroup.star_many
+
+    def faulty(ms, ns, table):
+        ranks, valid = honest(ms, ns, table)
+        ms, ns = np.broadcast_arrays(ms, ns)
+        fault(ranks, valid, (ms == 3) & (ns == 5))
+        return ranks, valid
+
+    monkeypatch.setattr(semigroup, "star_many", faulty)
+
+
+def test_verify_laws_reports_a_wrong_rank(monkeypatch, table_100k):
+    def wrong_rank(ranks, valid, at):
+        ranks[at] += 1
+
+    _fault_pair_3_5(monkeypatch, wrong_rank)
+    rep = verify_laws(10, table_100k)
+    assert not rep.ok
+    comm = rep.checks[0]
+    assert (comm.name, comm.checked, comm.skipped) == ("commutativity", 121, 0)
+    assert comm.counterexample == (3, 5)
+    assert "commutativity: FAIL at (3, 5)" in str(rep)
+
+
+def test_verify_laws_reports_a_one_sided_range(monkeypatch, table_100k):
+    # (3, 5) alone is marked out of range while (5, 3) is in range: the law
+    # is defined at (5, 3) and fails there
+    def out_of_range(ranks, valid, at):
+        ranks[at] = 0
+        valid[at] = False
+
+    _fault_pair_3_5(monkeypatch, out_of_range)
+    comm = verify_laws(10, table_100k).checks[0]
+    assert (comm.name, comm.checked, comm.skipped) == ("commutativity", 120, 1)
+    assert comm.counterexample == (5, 3)
 
 
 def test_star_many(table_100k):
