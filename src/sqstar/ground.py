@@ -2,11 +2,11 @@
 
 The ground set is the set of sums of two integer squares (0 and 1
 included).  A GroundTable stores the members below a limit as a bitset
-with a popcount rank directory (Jacobson, FOCS 1989; Vigna, WEA 2008)
-and selects the sorted members for unranking on demand, as a prefix up
-to the largest rank asked for; everything upstream (the induced product,
-pattern generation, searches) is expressed through its rank and unrank
-queries.
+with a popcount rank directory (Jacobson, FOCS 1989; Vigna, WEA 2008).
+Both the directory and the sorted members used for unranking are filled
+on demand, as prefixes up to the largest bound or rank asked for;
+everything upstream (the induced product, pattern generation, searches)
+is expressed through its rank and unrank queries.
 """
 
 from __future__ import annotations
@@ -100,38 +100,50 @@ def _sieve(limit: int) -> np.ndarray:
     return words
 
 
+def _index_array(xs) -> np.ndarray:
+    """xs as an array, refusing non-integer values as operator.index does."""
+    arr = np.asarray(xs)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise TypeError(f"{arr.dtype} values cannot be interpreted as integers")
+    return arr
+
+
 class GroundTable:
     """Ground-set members below a limit, with rank and unrank queries.
 
     Bit n of the little-endian uint64 bitset is set iff n is a member.
     The bitset has limit // 64 + 1 words, so the bound x = limit falls
     inside it and needs no special case; bits at or above the limit are
-    zero.  The rank directory holds the popcount of all words before each
-    word, so counting members below x is one directory read plus one
-    masked popcount.
+    zero.  size is the bitset's popcount, taken here unless build_table
+    passes the one its budget check took.  Entry w of the rank directory
+    counts the members in the words before w, so counting members below x
+    is one directory read plus one masked popcount.  The directory is
+    reserved zeroed and filled like the buffer below, one cumsum per
+    extension.
 
     Members (select, i.e. unrank) are read from one uint32 buffer that
     holds a slot per member but is filled only on demand: as a prefix, a
     chunk of _CHUNK_WORDS words at a time, up to the chunk that holds the
-    largest rank asked for.  Pages never filled are never touched, so a
-    table that only answers rank queries costs the bitset and the
-    directory.  members(n) and elements are read-only views of it.
+    largest rank asked for.  Pages of either never filled are never
+    touched, so queries near the bottom of the range cost little beyond
+    the bitset.  members(n) and elements are read-only views of it.
     """
 
-    __slots__ = ("limit", "_words", "_prefix", "_members", "_filled", "_ready")
+    __slots__ = ("limit", "_words", "_prefix", "_known", "_cover", "_members", "_filled", "_ready")
 
-    def __init__(self, limit: int, words: np.ndarray):
+    def __init__(self, limit: int, words: np.ndarray, size: int | None = None):
         self.limit = int(limit)
         words = np.ascontiguousarray(words, dtype="<u8")
         if words.size != (self.limit >> 6) + 1:
             raise ValueError(f"a table with limit {limit} needs {(self.limit >> 6) + 1} words")
         words.setflags(write=False)
         self._words = words
-        prefix = np.zeros(words.size + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(words), dtype=np.int64, out=prefix[1:])
-        prefix.setflags(write=False)
-        self._prefix = prefix
-        self._members = np.empty(int(prefix[-1]), dtype=np.uint32)
+        if size is None:
+            size = int(np.bitwise_count(words).sum())
+        self._prefix = np.zeros(words.size + 1, dtype=np.int64)
+        self._known = 0  # directory entries 0.._known are filled
+        self._cover = min(64, self.limit + 1)  # count_below reads the filled part below this
+        self._members = np.empty(size, dtype=np.uint32)
         self._members.setflags(write=False)
         self._filled = 0  # words whose members are in the buffer
         self._ready = 0  # members in the buffer: _prefix[_filled]
@@ -139,7 +151,16 @@ class GroundTable:
     @property
     def size(self) -> int:
         """Number of members below the limit."""
-        return int(self._prefix[-1])
+        return self._members.size
+
+    def _fill(self, w: int) -> None:
+        """Fill the rank directory through the chunk of words holding word w."""
+        lo, prefix = self._known, self._prefix
+        end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, self._words.size)
+        prefix[lo + 1 : end + 1] = np.bitwise_count(self._words[lo:end])
+        np.cumsum(prefix[lo : end + 1], out=prefix[lo : end + 1])
+        self._known = end
+        self._cover = min(64 * end + 64, self.limit + 1)
 
     def _select_through(self, n: int) -> None:
         """Fill the member buffer through the chunk holding rank n."""
@@ -149,8 +170,10 @@ class GroundTable:
         if n >= size:
             raise OutOfRangeError(f"rank {n} exceeds table size {size} (limit {self.limit})")
         prefix, out = self._prefix, self._members
+        while prefix.item(self._known) <= n:
+            self._fill(self._known)
         # the word holding rank n is the last w with prefix[w] <= n
-        w = int(np.searchsorted(prefix, n, side="right")) - 1
+        w = int(np.searchsorted(prefix[: self._known + 1], n, side="right")) - 1
         end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, self._words.size)
         data = self._words.view(np.uint8)
         out.setflags(write=True)
@@ -204,17 +227,23 @@ class GroundTable:
         x = operator.index(x)
         if x < 0:
             raise ValueError("count_below requires a nonnegative bound")
-        if x > self.limit:
-            raise OutOfRangeError(f"bound {x} exceeds table limit {self.limit}")
+        if x >= self._cover:
+            if x > self.limit:
+                raise OutOfRangeError(f"bound {x} exceeds table limit {self.limit}")
+            self._fill(x >> 6)
         i = x >> 6
         low = self._words.item(i) & ((1 << (x & 63)) - 1)
         return self._prefix.item(i) + low.bit_count()
 
     def count_below_many(self, xs) -> np.ndarray:
         """Vectorized count_below over an array of bounds."""
-        arr = np.asarray(xs)
-        if arr.size and (arr.min() < 0 or int(arr.max()) > self.limit):
-            raise OutOfRangeError("bounds must lie in [0, limit]")
+        arr = _index_array(xs)
+        if arr.size:
+            top = int(arr.max())
+            if arr.min() < 0 or top > self.limit:
+                raise OutOfRangeError("bounds must lie in [0, limit]")
+            if top >= self._cover:
+                self._fill(top >> 6)
         x = arr.astype(np.uint64, copy=False)
         i = x >> np.uint64(6)
         mask = (np.uint64(1) << (x & np.uint64(63))) - np.uint64(1)
@@ -245,9 +274,10 @@ def build_table(
     its allocation.  The segmented sieve holds the bitset (limit/8 bytes),
     one bool segment of at most _SEGMENT values with its packed copy, and
     the squares.  The table then holds the bitset, the rank directory
-    (8 bytes per 64 candidates, plus a byte per word while it is summed)
-    and the member buffer (4 bytes per member, reserved at once but filled
-    only as members are asked for), plus the chunked select scratch.
+    (8 bytes per 64 candidates, plus a byte per word while it is filled),
+    the member buffer (4 bytes per member) and the chunked select scratch;
+    the directory and buffer are reserved after the check, sized from the
+    build's one popcount, and filled only as queries reach them.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -262,7 +292,7 @@ def build_table(
     bits = 64 * _CHUNK_WORDS
     scratch = bits + 8 * min(count, bits)
     _check_budget(17 * nwords + 8 + 4 * count + scratch, max_bytes, limit, "table")
-    return GroundTable(limit, words)
+    return GroundTable(limit, words, count)
 
 
 def save_cache(table: GroundTable, path: str) -> None:
@@ -293,9 +323,9 @@ def load_cache(path: str) -> GroundTable:
     length versus file size, the CRC, no bit at or above the declared
     limit, and the declared count against the bitset's popcount.  Any
     failure, a ground-set id other than "sigma" included, raises
-    CorruptCacheError.  The rank directory is rebuilt from the bitset, and
-    its last entry is the popcount checked against the count; members are
-    selected only when asked for.
+    CorruptCacheError.  The table's popcount sum, taken at construction, is
+    the count checked against the declared one; the rank directory and the
+    members are filled only when queries reach them.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

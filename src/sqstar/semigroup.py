@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRangeError
-from .ground import GroundTable
+from .ground import GroundTable, _index_array
 
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
@@ -91,11 +91,11 @@ def star_many(ms, ns, table: GroundTable):
     Returns (ranks, valid) where valid marks pairs whose product stays
     below the table limit; ranks is 0 where not valid.  Members are below
     the limit, which is at most 2**32, so their products are exact in
-    uint64.  A negative rank raises ValueError and a rank past the table
-    OutOfRangeError, as in star.
+    uint64.  A negative rank raises ValueError, a rank past the table
+    OutOfRangeError and a non-integer rank TypeError, as in star.
     """
-    ms = np.asarray(ms, dtype=np.int64)
-    ns = np.asarray(ns, dtype=np.int64)
+    ms = _index_array(ms).astype(np.int64, copy=False)
+    ns = _index_array(ns).astype(np.int64, copy=False)
     top = 0
     for rs in (ms, ns):
         if rs.size:

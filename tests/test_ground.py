@@ -126,10 +126,10 @@ def test_budget_estimate_tracks_measured_peak():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_build_peak_rss_is_bounded():
-    # the segmented sieve holds the bitset, the rank directory and one
-    # bool segment, not a bool per candidate: a 1e8 build grows a fresh
-    # process's peak by about 37 MB over its imports, where a whole-range
-    # sieve grew it by about 108 MB.  The child reads its VmHWM in KiB,
+    # the segmented sieve holds the bitset and one bool segment, not a
+    # bool per candidate, and the rank directory is filled only on demand:
+    # a 1e8 build grows a fresh process's peak by about 17 MB over its
+    # imports, where a whole-range sieve grew it by about 108 MB.  The child reads its VmHWM in KiB,
     # because Linux carries ru_maxrss across exec from the forking process.
     code = (
         "import sqstar\n"
@@ -227,6 +227,74 @@ def test_load_then_element_selects_one_chunk(tmp_path, table_1m):
     loaded = load_cache(path)
     assert loaded.element(10) == table_1m.element(10)
     assert 0 < loaded._ready <= loaded.count_below(2**16)
+
+
+def test_load_then_count_fills_one_directory_chunk(tmp_path, table_1m):
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    loaded = load_cache(path)
+    assert loaded.count_below(1000) == table_1m.count_below(1000)
+    assert 0 < loaded._known <= 1024  # one chunk of 2^10 words
+    assert not loaded._prefix[loaded._known + 1 :].any()
+
+
+def test_count_below_many_refuses_non_integers():
+    # 0, 1 and 2 lie below 2.5; truncating the bound to 2 would answer 2
+    t = build_table(1000)
+    with pytest.raises(TypeError):
+        t.count_below(2.5)
+    with pytest.raises(TypeError):
+        t.count_below_many([2.5])
+    with pytest.raises(TypeError):
+        t.count_below_many(np.array([3, 4], dtype=np.float32))
+    # bools are bounds, as operator.index(True) == 1
+    assert t.count_below_many(np.array([True, False])).tolist() == [1, 0]
+    assert t.count_below_many([]).size == 0
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("limit", [2, 63, 64, 65, 65536, 65537, 10**6])
+def test_directory_on_demand_matches_oracle(tmp_path, limit, source):
+    # the rank directory is filled a chunk of 2^16 values at a time: query
+    # fresh tables in ascending, descending and random order, at word and
+    # chunk edges and at x = limit, with each query kind alone and then
+    # with the kinds taking turns at being the first to reach a new bound
+    flags = oracles.two_squares_flags(limit)
+    cum = np.concatenate([[0], np.cumsum(flags)])
+    want = np.flatnonzero(flags)
+    rng = np.random.Generator(np.random.PCG64(limit))
+    edges = {e + d for e in range(0, limit + 1, 64) if e % 2**16 in (0, 64)
+             for d in (-1, 0, 1)}
+    xs = np.array(sorted({x for x in edges | {0, 1, limit - 1, limit}
+                          | set(rng.integers(0, limit + 1, size=40).tolist())
+                          if 0 <= x <= limit}))
+    path = str(tmp_path / "t.sgt")
+    save_cache(build_table(limit), path)
+
+    def refuses_past_limit(t):
+        with pytest.raises(OutOfRangeError):
+            t.count_below(limit + 1)
+        with pytest.raises(OutOfRangeError):
+            t.count_below_many([limit + 1])
+
+    for order in (xs, xs[::-1], rng.permutation(xs)):
+        for kinds in ([0], [1], [2], [3], [4], [0, 1, 2, 3, 4]):
+            t = build_table(limit) if source == "built" else load_cache(path)
+            refuses_past_limit(t)
+            for i, x in enumerate(order.tolist()):
+                r = int(cum[x])
+                queries = [
+                    lambda: t.count_below(x) == r,
+                    lambda: t.count_below_many([x, x // 2]).tolist() == [r, cum[x // 2]],
+                    lambda: x == limit or not flags[x] or t.rank(x) == r,
+                    lambda: r == want.size or t.element(r) == want[r],
+                    lambda: np.array_equal(t.members(r), want[:r]),
+                ]
+                j = i % len(kinds)
+                for k in kinds[j:] + kinds[:j]:
+                    assert queries[k](), (limit, source, x, k)
+            assert t.size == want.size
+            refuses_past_limit(t)
 
 
 def test_cache_roundtrip(tmp_path, table_100k):

@@ -247,3 +247,17 @@ def test_star_many(table_100k):
         star_many([table_100k.size], [1], table_100k)
     with pytest.raises(OutOfRangeError):
         star_many([1], [table_100k.size], table_100k)
+
+
+def test_star_many_refuses_non_integer_ranks():
+    # as star(2.7, 3) does, instead of truncating 2.7 to rank 2
+    t = build_table(1000)
+    with pytest.raises(TypeError):
+        star(2.7, 3, t)
+    with pytest.raises(TypeError):
+        star_many([2.7], [3], t)
+    with pytest.raises(TypeError):
+        star_many([2], np.array([3.0]), t)
+    # bools are ranks, as operator.index(True) == 1
+    ranks, valid = star_many([True, False], [3, 3], t)
+    assert valid.all() and ranks.tolist() == [star(1, 3, t), star(0, 3, t)]
