@@ -240,7 +240,7 @@ class GroundTable:
         arr = _index_array(xs)
         if arr.size:
             top = int(arr.max())
-            if arr.min() < 0 or top > self.limit:
+            if top > self.limit or (arr.dtype.kind == "i" and arr.min() < 0):
                 raise OutOfRangeError("bounds must lie in [0, limit]")
             if top >= self._cover:
                 self._fill(top >> 6)

@@ -24,57 +24,62 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
-from .semigroup import eval_monomial
+from .semigroup import _Exact
 
 
 # ---------------------------------------------------------------------------
-# closed-form combination maps for the mt family; each applies itself to a
-# tuple of ranks and prints as the text phi_from_str reads back
+# closed-form combination maps for the mt family; each combines a tuple of
+# ranks in a family arithmetic (see _Family) and prints as the text
+# phi_from_str reads back
+
+class _Phi:
+    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+        return self._apply(values, _Exact(table))
+
 
 @dataclass(frozen=True)
-class PhiProjection:
+class PhiProjection(_Phi):
     i: int  # 1-based coordinate
 
     def __post_init__(self):
         if self.i < 1:
             raise ValueError("projection coordinate must be >= 1")
 
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+    def _apply(self, values, ar):
         if self.i > len(values):
             raise ValueError(f"projection {self.i} exceeds arity {len(values)}")
-        return int(values[self.i - 1])
+        return values[self.i - 1]
 
     def __str__(self):
         return f"proj:{self.i}"
 
 
 @dataclass(frozen=True)
-class PhiSum:
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
-        return int(sum(values))
+class PhiSum(_Phi):
+    def _apply(self, values, ar):
+        return reduce(ar.plus, values)
 
     def __str__(self):
         return "sum"
 
 
 @dataclass(frozen=True)
-class PhiProduct:
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
-        return int(math.prod(values))
+class PhiProduct(_Phi):
+    def _apply(self, values, ar):
+        return reduce(ar.times, values)
 
     def __str__(self):
         return "product"
 
 
 @dataclass(frozen=True)
-class PhiLinear:
+class PhiLinear(_Phi):
     coeffs: Tuple[int, ...]
     constant: int = 0
 
@@ -82,21 +87,22 @@ class PhiLinear:
         if any(c < 0 for c in self.coeffs) or self.constant < 0:
             raise ValueError("linear coefficients must be nonnegative")
 
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
+    def _apply(self, values, ar):
         if len(self.coeffs) != len(values):
             raise ValueError(
                 f"linear map of arity {len(self.coeffs)} applied to {len(values)} values"
             )
-        return int(sum(c * v for c, v in zip(self.coeffs, values)) + self.constant)
+        terms = (ar.times(c, v) for c, v in zip(self.coeffs, values))
+        return reduce(ar.plus, terms, self.constant)
 
     def __str__(self):
         return f"linear:{';'.join(str(c) for c in self.coeffs)}:{self.constant}"
 
 
 @dataclass(frozen=True)
-class PhiStarFold:
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
-        return eval_monomial([(v, 1) for v in values], table)
+class PhiStarFold(_Phi):
+    def _apply(self, values, ar):
+        return ar.rank(_product(ar, [(v, 1) for v in values]))
 
     def __str__(self):
         return "starfold"
@@ -244,7 +250,21 @@ class _Family:
       layout   the generator schema, as (key, kind, n) entries in candidate
                tuple order; n is the number of tuple positions the key fills
       _values  the configuration stream, in canonical order, over checked
-               generators
+               generators and a family arithmetic ar
+
+    _values is each family's one value definition.  It computes in ar
+    only: ar.member(x) is the member s_x of rank x, ar.mul and ar.pow
+    form member products and powers (exponents >= 0), ar.rank(p) counts
+    the members below p, and ar.plus and ar.times combine values; index
+    arithmetic such as geo's a + i*d is plain + and *.  semigroup._Exact
+    evaluates one candidate whose generators are Python ints: its values
+    are exact, and a member past the table or a product at or above the
+    limit raises OutOfRangeError, which ends the stream there.
+    semigroup._Saturating evaluates a block of candidates whose generator
+    positions are int64 columns (search.find_witness): each yield is a
+    column, and after it ar.ok marks the rows whose exact stream would
+    have reached it.  So a stream looks up each member and forms each
+    product where the value that needs it is computed, not earlier.
 
     _values must be monotone in every candidate-tuple position: when a
     tuple t is at most t' componentwise, each stream position's value at t
@@ -259,8 +279,16 @@ class _Family:
     def _checked(self, generators: dict) -> dict:
         return {key: kind.check(generators, key, n) for key, kind, n in self.layout}
 
-    def _values(self, g: dict, table: GroundTable) -> Iterator[int]:
+    def _values(self, g: dict, ar) -> Iterator[int]:
         raise NotImplementedError
+
+
+def _product(ar, factors):
+    """The member product prod s_x^e of (rank, exponent) factors, e a
+    Python int >= 0; as in eval_monomial, no member with exponent 0 is
+    looked up."""
+    powers = [ar.member(x) if e == 1 else ar.pow(ar.member(x), e) for x, e in factors if e]
+    return reduce(ar.mul, powers) if powers else 1
 
 
 @dataclass(frozen=True)
@@ -276,23 +304,23 @@ class FpF(_Family):
     def layout(self):
         return (("xs", SEQUENCE, self.k),)
 
-    def _values(self, g, table):
+    def _values(self, g, ar):
         # every member is looked up before the first value is yielded
-        svals = [table.element(x) for x in g["xs"]]
+        svals = [ar.member(x) for x in g["xs"]]
         # products in mask order, appended as they are formed, so a long
         # sequence overflows the table before it could exhaust memory
         prods = [1]
         for mask in range(1, 1 << self.k):
             low = (mask & -mask).bit_length() - 1
-            p = prods[mask & (mask - 1)] * svals[low]
-            if p >= table.limit:
+            try:
+                prods.append(ar.mul(prods[mask & (mask - 1)], svals[low]))
+            except OutOfRangeError:  # only _Exact raises: name the subset
                 positions = [i + 1 for i in range(self.k) if mask >> i & 1]
                 raise OutOfRangeError(
-                    f"subset {positions} of ranks {g['xs']} has product {p} "
-                    f"beyond table limit {table.limit}"
-                )
-            prods.append(p)
-            yield table.count_below(p)
+                    f"subset {positions} of ranks {g['xs']} has product "
+                    f"{prods[mask & (mask - 1)] * svals[low]} beyond table limit {ar.table.limit}"
+                ) from None
+            yield ar.rank(prods[-1])
 
 
 @dataclass(frozen=True)
@@ -305,12 +333,14 @@ class Brauer(_Family):
         if self.k < 1:
             raise ValueError("progression length must be >= 1")
 
-    def _values(self, g, table):
+    def _values(self, g, ar):
         x, z = g["x"], g["z"]
         yield x
         yield z
-        for j in range(1, self.k + 1):
-            yield eval_monomial([(x, j), (z, 1)], table)
+        p, s = ar.member(z), ar.member(x)
+        for _ in range(self.k):  # s_x^j * s_z
+            p = ar.mul(p, s)
+            yield ar.rank(p)
 
 
 @dataclass(frozen=True)
@@ -327,13 +357,12 @@ class Deuber(_Family):
     def layout(self):
         return (("xs", SEQUENCE, self.m + 1),)
 
-    def _values(self, g, table):
+    def _values(self, g, ar):
         xs = g["xs"]
         yield xs[0]
         for j in range(1, self.m + 1):
             for expo in itertools.product(range(self.p + 1), repeat=j):
-                mono = [(xs[i], expo[i]) for i in range(j)] + [(xs[j], 1)]
-                yield eval_monomial(mono, table)
+                yield ar.rank(_product(ar, [*zip(xs, expo), (xs[j], 1)]))
 
 
 @dataclass(frozen=True)
@@ -360,13 +389,13 @@ class MillikenTaylor(_Family):
         # shortest sequence allowing a non-singleton block: m + 1 entries
         return (("xs", INDICES, self.m + 1),)
 
-    def _values(self, g, table):
+    def _values(self, g, ar):
         xs = g["xs"]
         if len(xs) < self.m:
             raise ValueError(f"no {self.m}-block families fit into {len(xs)} positions")
         for fs in block_tuples(len(xs), self.m):
-            values = [eval_monomial([(xs[t - 1], 1) for t in f], table) for f in fs]
-            yield self.phi(values, table)
+            values = [ar.rank(_product(ar, [(xs[t - 1], 1) for t in f])) for f in fs]
+            yield self.phi._apply(values, ar)
 
 
 @dataclass(frozen=True)
@@ -379,12 +408,19 @@ class GeoArithmetic(_Family):
         if self.k < 1:
             raise ValueError("grid size must be >= 1")
 
-    def _values(self, g, table):
-        b, a, d = g["b"], g["a"], g["d"]
-        gamma = sorted(set(g["gamma"]))
+    def _values(self, g, ar):
+        a, d, gamma = g["a"], g["d"], g["gamma"]
+        # repeated gamma ranks count once; a search block's gamma is one
+        # column, so this compares no columns
+        gamma = [t for n, t in enumerate(gamma) if t not in gamma[:n]]
+        base = _product(ar, g["b"])
+        low = ar.rank(base)
         for i in range(self.k + 1):
-            for j in range(self.k + 1):
-                yield eval_monomial(b + [(t, j) for t in gamma] + [(a + i * d, j)], table)
+            yield low  # j = 0
+            p, u = base, _product(ar, [(t, 1) for t in gamma + [a + i * d]])
+            for _ in range(self.k):  # s_b * (prod_gamma s_t * s_{a+i*d})^j
+                p = ar.mul(p, u)
+                yield ar.rank(p)
 
 
 @dataclass(frozen=True)
@@ -409,10 +445,15 @@ class PolyVdW(_Family):
             if min(f) < 1:
                 raise ValueError("index sets must contain ranks >= 1")
 
-    def _values(self, g, table):
-        b, c = g["b"], g["c"]
+    def _values(self, g, ar):
+        c = g["c"]
+        base = _product(ar, g["b"])
         for f in self.sets:
-            yield eval_monomial(b + [(a, c ** (j + 1)) for j, a in enumerate(f)], table)
+            p = base
+            for j, a in enumerate(f):  # s_b * s_{a_1}^c * s_{a_2}^(c^2) * ...
+                e = ar.times(e, c) if j else c
+                p = ar.mul(p, ar.pow(ar.member(a), e))
+            yield ar.rank(p)
 
 
 FAMILIES = {
@@ -461,7 +502,7 @@ def config_values(spec, generators: dict, table: GroundTable) -> Iterator[int]:
     checked against the family's layout (ValueError) when the first value
     is requested.
     """
-    yield from spec._values(spec._checked(generators), table)
+    yield from spec._values(spec._checked(generators), _Exact(table))
 
 
 def generate_configuration(spec, generators: dict, table: GroundTable) -> tuple:

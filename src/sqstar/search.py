@@ -2,26 +2,38 @@
 
 Candidates are enumerated in a canonical lexicographic order (smallest
 generator tuple first, indices starting at 2 so the absorber 0 and the
-identity 1 stay out unless explicitly included), and the search scans
-them serially, so it returns the least witness in that order.  Candidates
-whose configurations leave the value window or the table are skipped and
-tallied, never treated as failures.
+identity 1 stay out unless explicitly included), and the search returns
+the least witness in that order.  Candidates whose configurations leave
+the value window or the table are skipped and tallied, never treated as
+failures.
 
-least_monochromatic is the one candidate scan and forced_window the one
+least_monochromatic is the one candidate rule and forced_window the one
 forcing loop; the word and grid searches of hjlab use them too.
+find_witness applies the rule to blocks of candidates, whose values the
+families compute in semigroup._Saturating; verify_witness and
+admitted_configs evaluate one candidate at a time in semigroup._Exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
 from .patterns import Witness, generate_configuration
+from .semigroup import _Exact, _Saturating
+
+# Rows of find_witness' successive blocks.  The first already holds a
+# whole 121-candidate space, so such a search pays one block's fixed
+# cost, and the rows double up to a bounded scratch.
+_BLOCK_ROWS = (128, 256, 512, 1024, 2048, 4096)
 
 
 @dataclass(frozen=True)
@@ -90,14 +102,16 @@ def generators_from_tuple(spec, tup: tuple) -> dict:
     return gens
 
 
-def _candidate_values(spec, bounds: SearchBounds, table: GroundTable) -> Iterator[tuple]:
-    """(tup, value stream) for each candidate tuple, in the canonical order.
-
-    Every position is >= 1 and every layout key gets its declared length,
-    so the generators need none of config_values' checks.
-    """
-    for tup in candidate_tuples(spec, bounds):
-        yield tup, spec._values(generators_from_tuple(spec, tup), table)
+def _block_columns(ranges: list, start: int, rows: int) -> list:
+    """Positions of candidate_tuples' entries start..start+rows-1, one
+    int64 column per position, by mixed-radix division of their indices."""
+    idx = np.arange(start, start + rows, dtype=np.int64)
+    cols = []
+    for r in reversed(ranges[1:]):
+        idx, digit = np.divmod(idx, len(r))
+        cols.append(digit + r.start)
+    cols.append(idx + ranges[0].start)
+    return cols[::-1]
 
 
 def least_monochromatic(
@@ -152,24 +166,50 @@ def find_witness(
     """Scan the canonical candidate order for a monochromatic configuration.
 
     Returns the least witness of that order; values at or above
-    value_bound are uncolorable.  Status and counts as least_monochromatic.
+    value_bound are uncolorable.  Status and counts as least_monochromatic,
+    whose rule classifies the candidates a block at a time: the family's
+    _values runs once per block of _BLOCK_ROWS rows in the saturating
+    arithmetic (see patterns._Family), the block's values get their
+    colors in one lookup, and the least witness row ends the scan.  The
+    candidate generators come from valid positions, so they need none of
+    config_values' checks.
     """
     if bounds.value_bound > coloring.bound:
         raise ValueError(
             f"value_bound {bounds.value_bound} exceeds coloring bound {coloring.bound}"
         )
     t0 = time.perf_counter()
-    vb, color_of = bounds.value_bound, coloring.color_of
-    status, hit, color, nodes, skipped = least_monochromatic(
-        _candidate_values(spec, bounds, table),
-        lambda v: None if v >= vb else color_of(v),
-        bounds.node_budget,
-    )
+    ranges = _position_ranges(spec, bounds)
+    budget = math.prod(len(r) for r in ranges)
+    if bounds.node_budget is not None:
+        budget = min(budget, bounds.node_budget)
+    ar = _Saturating(table)
+    sizes = itertools.chain(_BLOCK_ROWS, itertools.repeat(_BLOCK_ROWS[-1]))
+    nodes = skipped = 0
     witness = None
-    if hit is not None:
-        gens = generators_from_tuple(spec, hit[0])
-        config = generate_configuration(spec, gens, table)
-        witness = Witness(spec, gens, config, color, coloring.provenance, table.limit)
+    while nodes < budget and witness is None:
+        rows = min(next(sizes), budget - nodes)
+        cols = _block_columns(ranges, nodes, rows)
+        vals, ok = ar.lines(spec._values(generators_from_tuple(spec, cols), ar), rows)
+        ok &= vals < bounds.value_bound
+        color = coloring.assignment[np.where(ok, vals, 0)]
+        # the first point that decides a row: uncolorable skips it, a
+        # second color rejects it, and a row with none is a witness
+        bad = ~ok | (color != color[0])
+        first = bad.argmax(axis=0), np.arange(rows)
+        skip = ~ok[first]
+        mono = ~bad[first]
+        hit = int(mono.argmax())
+        if mono[hit]:
+            rows = hit + 1  # the scan ends at the least witness
+            gens = generators_from_tuple(spec, tuple(int(c[hit]) for c in cols))
+            config = tuple(sorted(set(vals[:, hit].tolist())))
+            witness = Witness(spec, gens, config, int(color[0, hit]),
+                              coloring.provenance, table.limit)
+        nodes += rows
+        skipped += int(skip[:rows].sum())
+    status = ("witness" if witness else "budget" if nodes == bounds.node_budget
+              else "exhausted")
     return SearchReport(status, witness, nodes, skipped, time.perf_counter() - t0)
 
 
@@ -215,6 +255,7 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
     above its minimum: geo k=1 evaluates 47 of 57,600 candidates at 16.
     """
     bounds = SearchBounds(generator_max=max(2, max_bound), value_bound=max_bound + 1)
+    ar = _Exact(table)
     ranges = _position_ranges(spec, bounds)
     lo = [r.start for r in ranges]
     hi = [r.stop - 1 for r in ranges]
@@ -225,7 +266,7 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
         values = set()
         jump = False
         try:
-            for v in spec._values(generators_from_tuple(spec, t), table):
+            for v in spec._values(generators_from_tuple(spec, t), ar):
                 if not 1 <= v <= max_bound:
                     jump = v > max_bound
                     break

@@ -6,18 +6,22 @@ Rank 1 is the identity (s_1 = 1) and rank 0 absorbs (s_0 = 0).  Repeated
 products and monomials reduce to one exact integer product followed by a
 single counting query, which is also how overflow stays impossible: the
 product is formed in Python integers and checked against the table limit
-before any array arithmetic sees it.
+before any array arithmetic sees it.  The pattern families compute in one
+of two arithmetics defined here: _Exact does exactly that for one
+candidate, and _Saturating forms uint64 products for a block of
+candidates, saturated at the limit so that none wraps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .ground import GroundTable, _index_array
+from .ground import MAX_LIMIT, GroundTable, _index_array
 
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
@@ -94,10 +98,9 @@ def star_many(ms, ns, table: GroundTable):
     uint64.  A negative rank raises ValueError, a rank past the table
     OutOfRangeError and a non-integer rank TypeError, as in star.
     """
-    ms = _index_array(ms).astype(np.int64, copy=False)
-    ns = _index_array(ns).astype(np.int64, copy=False)
+    ms, ns = _index_array(ms), _index_array(ns)
     top = 0
-    for rs in (ms, ns):
+    for rs in (ms, ns):  # in their own dtype: a uint64 rank past 2**63 is past the table
         if rs.size:
             if rs.min() < 0:
                 raise ValueError("rank must be nonnegative")
@@ -107,6 +110,7 @@ def star_many(ms, ns, table: GroundTable):
                     f"rank {hi} exceeds table size {table.size} (limit {table.limit})"
                 )
             top = max(top, hi + 1)
+    ms, ns = ms.astype(np.int64, copy=False), ns.astype(np.int64, copy=False)
     s = table.members(top)
     prod = s[ms].astype(np.uint64) * s[ns]
     valid = prod < table.limit
@@ -114,6 +118,148 @@ def star_many(ms, ns, table: GroundTable):
     if valid.any():
         ranks[valid] = table.count_below_many(prod[valid])
     return ranks, valid
+
+
+# ---------------------------------------------------------------------------
+# the two forms of the arithmetic that pattern families compute in (see
+# patterns._Family): member, mul, pow and rank on ground-set members, plus
+# and times on values
+
+def _pow(ar, s, e: int):
+    """s**e in ar, e a Python int >= 0, by squaring: every square formed
+    divides s**e, so none passes the limit unless s**e does."""
+    p = None
+    while e:
+        if e & 1:
+            p = s if p is None else ar.mul(p, s)
+        e >>= 1
+        if e:
+            s = ar.mul(s, s)
+    return 1 if p is None else p
+
+
+class _Exact:
+    """One candidate's arithmetic, in Python integers.
+
+    member is table.element and rank is table.count_below; a product or
+    power at or above the table limit raises OutOfRangeError, as in
+    eval_monomial.  plus and times are exact.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: GroundTable):
+        self.table = table
+
+    def member(self, x):
+        return self.table.element(x)
+
+    def mul(self, p, q):
+        p *= q
+        if p >= self.table.limit:
+            raise OutOfRangeError(f"product {p} exceeds table limit {self.table.limit}")
+        return p
+
+    pow = _pow
+
+    def rank(self, p):
+        return self.table.count_below(p)
+
+    plus = staticmethod(operator.add)
+    times = staticmethod(operator.mul)
+
+
+# Block values saturate here: ranks stay below 2**32, and no coloring has
+# this many ranks, so a saturated value lies outside every value window.
+_VALUE_CAP = 2**62 - 1
+
+
+def _cap(v):
+    """A Python int capped at _VALUE_CAP; a column, whose entries are
+    ranks or capped values already, as it is."""
+    return min(v, _VALUE_CAP) if isinstance(v, int) else v
+
+
+class _Saturating:
+    """The arithmetic of a block of candidates, one row each.
+
+    Operands are columns (one entry per row) or Python integers shared by
+    every row.  Members and their products are uint64, saturated at top:
+    the table limit, or 2**32 - 1 for a 2**32 limit, which is no member
+    (3 * 5 * 17 * 257 * 65537), so top * top never wraps.  A rank past the
+    table has member top.  Ranks, and the values plus and times form from
+    them, are int64, and plus and times saturate at _VALUE_CAP.
+
+    ok holds, per row, whether _Exact would still be producing values: a
+    member looked up past the table or a rank asked of a saturated
+    product clears it for good.  Every power or product formed on the way
+    to a value divides it, so a saturated one shows in that value's rank.
+    """
+
+    __slots__ = ("table", "top", "ok", "_s", "_past")
+
+    def __init__(self, table: GroundTable):
+        self.table = table
+        self.top = min(table.limit, MAX_LIMIT - 1)
+        self.ok = True
+        self._s = np.empty(0, dtype=np.uint64)  # members of ranks 0.._s.size-1
+        self._past = False  # whether _s ends in top, for every rank past the table
+
+    def lines(self, stream, rows: int):
+        """The values of a block's stream, one int64 line per stream
+        position, and the lines of ok after each."""
+        self.ok = np.ones(rows, dtype=bool)
+        values, ok = [], []
+        for v in stream:
+            values.append(v)
+            ok.append(self.ok)
+        return np.array(values, dtype=np.int64), np.array(ok)
+
+    def member(self, x):
+        x = _cap(x)
+        try:
+            s = self._s[np.minimum(x, self.table.size) if self._past else x]
+        except IndexError:
+            # rows already out of range look up rank 0: their exact stream
+            # ended before this lookup, so no member is selected for them
+            x = np.where(self.ok, x, 0)
+            hi, size = int(np.max(x)), self.table.size
+            if hi >= self._s.size:
+                s = self.table.members(min(max(hi + 1, 2 * self._s.size), size))
+                self._s = s.astype(np.uint64)
+                if hi >= size:
+                    self._s = np.append(self._s, np.uint64(self.top))
+                    self._past = True
+            return self.member(x)
+        if self._past:
+            self.ok = self.ok & (s < self.top)
+        return s
+
+    def mul(self, p, q):
+        return np.minimum(p * q, self.top)
+
+    def pow(self, s, e):
+        # a member >= 2 passes 2**32 by its 33rd power
+        if isinstance(e, int):
+            return _pow(self, s, min(e, 64))
+        p = 1  # a column of exponents: squaring, multiplying in where a bit is set
+        e = np.minimum(e, 64)
+        while e.any():
+            p = np.where(e & 1, self.mul(p, s), p)
+            e = e >> 1
+            s = self.mul(s, s)
+        return p
+
+    def rank(self, p):
+        self.ok = self.ok & (p < self.top)
+        return self.table.count_below_many(p)
+
+    def plus(self, a, b):
+        return np.minimum(_cap(a) + _cap(b), _VALUE_CAP)
+
+    def times(self, a, b):
+        a, b = _cap(a), _cap(b)
+        return np.where(a > _VALUE_CAP // np.maximum(b, 1), _VALUE_CAP, a * b)
 
 
 @dataclass

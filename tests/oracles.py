@@ -111,6 +111,13 @@ def window_configs(family: str, params: tuple, n: int, members) -> set:
     over 1..max(2, n), and a configuration counts when all its values lie
     in 1..n.
     """
+    cands = window_rows(family, params, n, members)
+    return {tuple(sorted(set(c))) for c in cands if all(1 <= v <= n for v in c)}
+
+
+def window_rows(family: str, params: tuple, n: int, members) -> list:
+    """The value list of every candidate of window_configs, in candidate
+    order; fpf lists its subset products in mask order."""
     s = [int(x) for x in members]
     rank = lambda x: bisect.bisect_left(s, x)
     gens = range(2, max(2, n) + 1)
@@ -124,9 +131,8 @@ def window_configs(family: str, params: tuple, n: int, members) -> set:
         (k,) = params
         for xs in itertools.product(gens, repeat=k):
             cands.append([
-                rank(math.prod(s[x] for x in sub))
-                for size in range(1, k + 1)
-                for sub in itertools.combinations(xs, size)
+                rank(math.prod(s[x] for i, x in enumerate(xs) if mask >> i & 1))
+                for mask in range(1, 1 << k)
             ])
     elif family == "deuber":
         m, p = params
@@ -149,7 +155,7 @@ def window_configs(family: str, params: tuple, n: int, members) -> set:
             ])
     else:
         raise ValueError(f"no oracle for family {family!r}")
-    return {tuple(sorted(set(c))) for c in cands if all(1 <= v <= n for v in c)}
+    return cands
 
 
 def avoider_coloring(configs, r: int, n: int):

@@ -1,5 +1,10 @@
 """Witness search, verification, and thresholds with their certificates."""
 
+import dataclasses
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +37,9 @@ from sqstar import (
     verify_witness,
 )
 from sqstar import search
+from sqstar.patterns import config_values
 from sqstar.search import admitted_configs, candidate_tuples, generators_from_tuple
+from sqstar.semigroup import _VALUE_CAP, _Saturating
 
 FAMILIES = [
     FpF(2),
@@ -45,10 +52,17 @@ FAMILIES = [
 
 BOUNDS = SearchBounds(generator_max=5, value_bound=400)
 
+# the families, and mt(2) with each of the five combination maps
+SEARCH_SPECS = [pytest.param(s, id=type(s).__name__) for s in FAMILIES] + [
+    pytest.param(MillikenTaylor(2, phi), id=f"MillikenTaylor2-{phi}")
+    for phi in (PhiProjection(2), PhiSum(), PhiProduct(), PhiLinear((1, 2), 3), PhiStarFold())
+]
+
 
 def _reference_least(spec, bounds, coloring, table):
-    """Unpruned rescan: first candidate whose configuration is mono in window."""
-    for tup in candidate_tuples(spec, bounds):
+    """Unpruned rescan: first candidate, within the node budget, whose
+    configuration is mono in window."""
+    for tup in itertools.islice(candidate_tuples(spec, bounds), bounds.node_budget):
         gens = generators_from_tuple(spec, tup)
         try:
             cfg = generate_configuration(spec, gens, table)
@@ -62,21 +76,54 @@ def _reference_least(spec, bounds, coloring, table):
     return None
 
 
-@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
-def test_least_witness_matches_unpruned_rescan(spec, table_100k):
-    coloring = random_coloring(7, 2, 400)
-    report = find_witness(table_100k, coloring, spec, BOUNDS)
-    ref = _reference_least(spec, BOUNDS, coloring, table_100k)
+def _exact_scan(spec, bounds, coloring, table):
+    """(status, nodes, skipped, generators) of search.least_monochromatic
+    over each candidate's exact value stream, one candidate at a time."""
+    vb = bounds.value_bound
+    candidates = ((tup, config_values(spec, generators_from_tuple(spec, tup), table))
+                  for tup in candidate_tuples(spec, bounds))
+    status, hit, _, nodes, skipped = search.least_monochromatic(
+        candidates, lambda v: None if v >= vb else coloring.color_of(v), bounds.node_budget)
+    return status, nodes, skipped, hit and generators_from_tuple(spec, hit[0])
+
+
+def _budgets(spec, bounds):
+    """bounds at node budgets 0, 1, the candidate count and None."""
+    count = sum(1 for _ in candidate_tuples(spec, bounds))
+    return [dataclasses.replace(bounds, node_budget=b) for b in (0, 1, count, None)]
+
+
+def _assert_searches_alike(spec, bounds, coloring, table):
+    """find_witness against both references; returns its report."""
+    report = find_witness(table, coloring, spec, bounds)
+    status, nodes, skipped, gens = _exact_scan(spec, bounds, coloring, table)
+    assert (report.status, report.nodes, report.skipped_out_of_range) == (
+        status, nodes, skipped)
+    ref = _reference_least(spec, bounds, coloring, table)
     if ref is None:
-        assert report.status == "exhausted"
-        return
-    gens, cfg, color = ref
-    assert report.status == "witness"
-    assert report.witness.generators == gens
-    assert report.witness.configuration == cfg
-    assert report.witness.color == color
+        assert not report.found and gens is None
+        return report
+    assert report.witness.generators == gens == ref[0]
+    assert (report.witness.configuration, report.witness.color) == ref[1:]
     assert report.witness.coloring_provenance == coloring.provenance
-    assert report.witness.table_limit == table_100k.limit
+    assert report.witness.table_limit == table.limit
+    return report
+
+
+@pytest.mark.parametrize("spec", SEARCH_SPECS)
+def test_least_witness_matches_unpruned_rescan(spec, table_100k):
+    """The block search equals the exact one-candidate scan (status, nodes,
+    skips) and the unpruned rescan (witness) on the tables of 200 and 1e5,
+    at every r, with and without the identity, and at node budgets 0, 1,
+    the candidate count and None."""
+    for table in (build_table(200), table_100k):
+        for r, identity in itertools.product((2, 3, 8), (False, True)):
+            coloring = random_coloring(7 if r == 2 else 7 + r, r, 400)
+            bounds = SearchBounds(generator_max=5, value_bound=400, include_identity=identity)
+            for b in _budgets(spec, bounds):
+                report = _assert_searches_alike(spec, b, coloring, table)
+                if b.node_budget == 0:
+                    assert (report.status, report.nodes) == ("budget", 0)
 
 
 def test_candidates_past_the_table_are_skipped():
@@ -89,12 +136,135 @@ def test_candidates_past_the_table_are_skipped():
     report = find_witness(table, coloring, FpF(3), bounds)
     assert (report.status, report.nodes, report.skipped_out_of_range) == (
         "exhausted", 1331, 238)
-    for spec in FAMILIES:
-        report = find_witness(table, coloring, spec, bounds)
-        ref = _reference_least(spec, bounds, coloring, table)
-        assert report.found and ref is not None
-        assert (report.witness.generators, report.witness.configuration,
-                report.witness.color) == ref
+    # every family alike, each finding a witness under the 2-coloring; on
+    # the table below 30, whose 16 ranks leave generator ranks up to 20
+    # past the table itself, for 400 nodes
+    tiny = build_table(30)
+    for spec in [p.values[0] for p in SEARCH_SPECS] + [FpF(3)]:
+        for r, identity in itertools.product((2, 3, 8), (False, True)):
+            coloring = random_coloring(1 if r == 2 else r, r, 100)
+            bounds = SearchBounds(generator_max=12, value_bound=100, include_identity=identity)
+            for b in _budgets(spec, bounds):
+                report = _assert_searches_alike(spec, b, coloring, table)
+                if r == 2 and b.node_budget is None and (spec, identity) != (FpF(3), False):
+                    assert report.found
+            bounds = SearchBounds(generator_max=20, value_bound=100, node_budget=400,
+                                  include_identity=identity)
+            _assert_searches_alike(spec, bounds, coloring, tiny)
+
+
+def _block(spec, bounds, table):
+    """find_witness' value lines and ok lines for every candidate tuple,
+    evaluated as one block in the saturating arithmetic."""
+    ranges = search._position_ranges(spec, bounds)
+    rows = math.prod(len(r) for r in ranges)
+    ar = _Saturating(table)
+    cols = search._block_columns(ranges, 0, rows)
+    return ar.lines(spec._values(generators_from_tuple(spec, cols), ar), rows)
+
+
+@pytest.mark.parametrize("limit", [2000, 100_000])
+@pytest.mark.parametrize("family, spec, params", [
+    ("brauer", Brauer(2), (2,)),
+    ("fpf", FpF(3), (3,)),
+    ("deuber", Deuber(1, 2), (1, 2)),
+    ("geo", GeoArithmetic(1), (1,)),
+], ids=["brauer", "fpf", "deuber", "geo"])
+def test_block_values_match_the_window_oracle(family, spec, params, limit):
+    """Row by row, a block's values equal the oracle's rebuilt from a
+    member list, up to the first product past the table (an oracle rank
+    of table.size or more); ok is set before it and cleared from it on."""
+    table = build_table(limit)
+    want_rows = oracles.window_rows(family, params, 10, oracles.members_brute(limit))
+    vals, ok = _block(spec, SearchBounds(generator_max=10, value_bound=1), table)
+    assert vals.shape == ok.shape == (len(want_rows[0]), len(want_rows))
+    past = 0
+    for row, want in enumerate(want_rows):
+        f = next((i for i, v in enumerate(want) if v >= table.size), len(want))
+        past += f < len(want)
+        assert ok[:f, row].all() and not ok[f:, row].any()
+        assert vals[:f, row].tolist() == want[:f]
+    assert past if limit == 2000 else not past
+
+
+def test_block_search_of_a_space_past_2_63(table_100k):
+    """FpF(5) at generator_max 10**4 has 9999**5 > 2**63 candidates; the
+    search indexes only the blocks it reads and matches the exact scan."""
+    bounds = SearchBounds(generator_max=10**4, value_bound=400, node_budget=50)
+    for r in (2, 8):
+        report = _assert_searches_alike(FpF(5), bounds, random_coloring(r, r, 400), table_100k)
+        assert report.nodes <= 50
+
+
+def test_block_powers_take_logarithmic_steps(table_100k, monkeypatch):
+    """pvw exponents c**(j+1) reach 64**4 with the identity admitted: a
+    power costs two products per bit of min(e, 64), a member 1 stays 1,
+    and every row agrees with the exact stream."""
+    products = []
+    real = _Saturating.mul
+    monkeypatch.setattr(_Saturating, "mul", lambda ar, p, q: products.append(1) or real(ar, p, q))
+    bounds = SearchBounds(generator_max=64, value_bound=1, include_identity=True)
+    vals, ok = _block(PolyVdW(1, ((1,),)), bounds, table_100k)  # s_b * 1^c
+    assert ok.all() and vals[0].tolist() == [b for b in range(1, 65) for _ in range(64)]
+    spec = PolyVdW(4, ((1, 2, 3, 4),))
+    products.clear()
+    vals, ok = _block(spec, bounds, table_100k)
+    assert len(products) <= 4 * (2 * 7 + 1)
+    assert ok.any() and not ok.all()
+    for tup, v, o in zip(candidate_tuples(spec, bounds), vals[0], ok[0]):
+        try:
+            (want,) = config_values(spec, generators_from_tuple(spec, tup), table_100k)
+        except OutOfRangeError:
+            assert not o
+            continue
+        assert o and v == want
+
+
+def test_block_combination_maps_saturate(table_100k):
+    """mt's product and linear maps of large ranks saturate at _VALUE_CAP in
+    a block, never wrapping, and stay exact for one candidate."""
+    big = np.array([2**31, 5, 2**31 - 1])
+    ar = _Saturating(table_100k)
+    assert PhiProduct()._apply([big] * 3, ar).tolist() == [_VALUE_CAP, 125, _VALUE_CAP]
+    linear = PhiLinear((10**30, 1, 2**62), 7)
+    assert linear._apply([big, big, big], ar).tolist() == [_VALUE_CAP] * 3
+    assert PhiLinear((0, 2**40), 3)._apply([big, big], ar).tolist() == [
+        _VALUE_CAP, 5 * 2**40 + 3, _VALUE_CAP]
+    assert PhiProduct()([2**31] * 3, table_100k) == 2**93
+    assert linear([2**31] * 3, table_100k) == (10**30 + 1 + 2**62) * 2**31 + 7
+
+
+def test_saturated_rows_select_no_members():
+    """The rank of a saturated product, table.size, is looked up in no
+    later member call: the exact stream ended at that rank, so the block
+    selects only the members its rows still in range need."""
+    table = build_table(10**6)
+    ar = _Saturating(table)
+    ar.ok = np.ones(2, dtype=bool)
+    ranks = ar.rank(ar.mul(ar.member(np.array([5, 9])), np.array([1, 10**6], dtype=np.uint64)))
+    assert ranks.tolist() == [5, table.size] and ar.ok.tolist() == [True, False]
+    assert ar.member(ranks)[0] == table.element(5)
+    assert table._ready < table.size
+
+
+def test_block_scratch_does_not_grow_with_generator_max(table_100k):
+    """A 2,000-node geo(1) search allocates alike at generator_max 12 and
+    1,000: its blocks stop at search._BLOCK_ROWS[-1] rows.  The traced peak
+    read 338 and 352 kB (numpy 2.4); one 2,000-row block would exceed
+    the bound."""
+    coloring = periodic_coloring(400, list(range(1, 401)), 400)  # all colors distinct
+    peaks = []
+    for gm in (12, 1000):
+        bounds = SearchBounds(generator_max=gm, value_bound=400, node_budget=2000)
+        find_witness(table_100k, coloring, GeoArithmetic(1), bounds)  # selects the members
+        tracemalloc.start()
+        try:
+            report = find_witness(table_100k, coloring, GeoArithmetic(1), bounds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (report.status, report.nodes) == ("budget", 2000)
+    assert max(peaks) < 480_000
 
 
 # first three candidate tuples, the generators of the second, and the count,

@@ -247,6 +247,14 @@ def test_star_many(table_100k):
         star_many([table_100k.size], [1], table_100k)
     with pytest.raises(OutOfRangeError):
         star_many([1], [table_100k.size], table_100k)
+    # a uint64 rank at or above 2**63 is past the table too, not negative
+    for big in (2**63, 2**63 + 1, 2**64 - 1):
+        with pytest.raises(OutOfRangeError):
+            star(big, 1, table_100k)
+        with pytest.raises(OutOfRangeError):
+            star_many(np.array([big], dtype=np.uint64), [1], table_100k)
+        with pytest.raises(OutOfRangeError):
+            star_many([1], np.array([3, big], dtype=np.uint64), table_100k)
 
 
 def test_star_many_refuses_non_integer_ranks():
