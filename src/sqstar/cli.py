@@ -35,6 +35,7 @@ from .errors import (
     ResourceBudgetError,
     SchemaViolationError,
 )
+from .semigroup import power, star
 
 DEFAULT_BUILD_LIMIT = 10**7
 DEFAULT_CACHE_NAME = "sigma-default.sgt"
@@ -314,16 +315,12 @@ def _dispatch(args) -> int:
 
     if cmd == "op":
         table = _get_table(args)
-        from .semigroup import star
-
         r = star(args.m, args.n, table)
         _emit(args, {"m": args.m, "n": args.n, "result": r}, [r])
         return 0
 
     if cmd == "power":
         table = _get_table(args)
-        from .semigroup import power
-
         r = power(args.x, args.n, table)
         _emit(args, {"x": args.x, "n": args.n, "result": r}, [r])
         return 0

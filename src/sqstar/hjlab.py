@@ -14,7 +14,6 @@ every letter (as a rank index) with its multiplicity.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -108,7 +107,7 @@ def substitute(vw: LocatedVariableWord, s: int) -> LocatedWord:
 
 def h_project(w: LocatedWord, table: GroundTable) -> int:
     """Rank of prod s_pos^letter over the word's support; empty word -> 1."""
-    return eval_monomial(list(w.letters), table)
+    return eval_monomial(w.letters, table)
 
 
 def _projection_coloring(
@@ -369,7 +368,7 @@ def phj_substitute(point: PhjPoint, gamma, xs: Sequence[int]) -> PhjPoint:
 
 def m_project(point: PhjPoint, table: GroundTable) -> int:
     """Rank of the product of all letters, with multiplicity, as rank indices."""
-    return eval_monomial(sorted(collections.Counter(point.letters).items()), table)
+    return eval_monomial([(x, 1) for x in point.letters], table)
 
 
 def point_coloring(coloring: Coloring, table: GroundTable) -> Callable:

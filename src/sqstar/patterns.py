@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
-from .semigroup import _Exact
+from .semigroup import _Exact, _product
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +281,6 @@ class _Family:
 
     def _values(self, g: dict, ar) -> Iterator[int]:
         raise NotImplementedError
-
-
-def _product(ar, factors):
-    """The member product prod s_x^e of (rank, exponent) factors, e a
-    Python int >= 0; as in eval_monomial, no member with exponent 0 is
-    looked up."""
-    powers = [ar.member(x) if e == 1 else ar.pow(ar.member(x), e) for x, e in factors if e]
-    return reduce(ar.mul, powers) if powers else 1
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 
 With s_n the n-th ground-set member, the product of ranks m and n is the
 rank of s_m * s_n (the ground set is closed under integer products).
-Rank 1 is the identity (s_1 = 1) and rank 0 absorbs (s_0 = 0).  Repeated
-products and monomials reduce to one exact integer product followed by a
-single counting query, which is also how overflow stays impossible: the
-product is formed in Python integers and checked against the table limit
-before any array arithmetic sees it.  The pattern families compute in one
-of two arithmetics defined here: _Exact does exactly that for one
-candidate, and _Saturating forms uint64 products for a block of
-candidates, saturated at the limit so that none wraps.
+Rank 1 is the identity (s_1 = 1) and rank 0 absorbs (s_0 = 0).  _Exact
+and _product are the one scalar arithmetic: star, power, eval_monomial
+and every pattern family form a member product in Python integers,
+checked against the table limit at each step, and then ask for its rank
+once, so overflow stays impossible.  A block of search candidates
+computes in _Saturating instead, which forms uint64 products saturated
+at the limit so that none wraps.
 """
 
 from __future__ import annotations
@@ -32,61 +31,32 @@ _LAW_ROWS = 8
 
 def star(m: int, n: int, table: GroundTable) -> int:
     """Induced product of ranks m and n."""
-    p = table.element(m) * table.element(n)
-    if p >= table.limit:
-        raise OutOfRangeError(
-            f"product {table.element(m)}*{table.element(n)} = {p} "
-            f"exceeds table limit {table.limit}"
-        )
-    return table.count_below(p)
+    ar = _Exact(table)
+    return ar.rank(ar.mul(ar.member(m), ar.member(n)))
 
 
 def power(x: int, n: int, table: GroundTable) -> int:
     """n-th star-power of rank x; the 0-th power is the identity rank 1."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    if n == 0:
-        return 1
-    s = table.element(x)
-    if s == 0:
-        return 0
-    if s == 1:
-        return 1
-    p = 1
-    for _ in range(n):
-        p *= s
-        if p >= table.limit:
-            raise OutOfRangeError(
-                f"power {s}^{n} exceeds table limit {table.limit}"
-            )
-    return table.count_below(p)
+    return eval_monomial([(x, n)], table)
 
 
 def eval_monomial(factors: Monomial, table: GroundTable) -> int:
     """Rank of the product of element values prod s_{x_i}^{e_i}.
 
-    The empty monomial evaluates to the identity rank 1.  A factor with
-    element value 0 and positive exponent short-circuits to rank 0.
+    Every exponent is checked first (ValueError if negative).  A factor
+    of rank 0 with positive exponent then gives rank 0 without a member
+    lookup; otherwise the empty monomial evaluates to the identity rank 1.
     """
-    p = 1
+    zero = False
     for x, e in factors:
         if e < 0:
             raise ValueError(f"exponent {e} for rank {x} is negative")
-        if e == 0:
-            continue
-        s = table.element(x)
-        if s == 0:
-            return 0
-        if s == 1:
-            continue
-        for _ in range(e):
-            p *= s
-            if p >= table.limit:
-                raise OutOfRangeError(
-                    f"monomial value passes table limit {table.limit} at factor "
-                    f"(rank {x}, element {s})"
-                )
-    return table.count_below(p)
+        if x == 0 and e:
+            zero = True
+    if zero:
+        return 0
+    ar = _Exact(table)
+    return ar.rank(_product(ar, factors))
 
 
 def star_many(ms, ns, table: GroundTable):
@@ -138,12 +108,23 @@ def _pow(ar, s, e: int):
     return 1 if p is None else p
 
 
+def _product(ar, factors):
+    """The member product prod s_x^e of (rank, exponent) factors in ar, e
+    a Python int >= 0; a factor with exponent 0 looks up no member."""
+    p = None
+    for x, e in factors:
+        if e:
+            s = ar.member(x) if e == 1 else ar.pow(ar.member(x), e)
+            p = s if p is None else ar.mul(p, s)
+    return 1 if p is None else p
+
+
 class _Exact:
     """One candidate's arithmetic, in Python integers.
 
     member is table.element and rank is table.count_below; a product or
-    power at or above the table limit raises OutOfRangeError, as in
-    eval_monomial.  plus and times are exact.
+    power at or above the table limit raises OutOfRangeError.  plus and
+    times are exact.
     """
 
     __slots__ = ("table",)

@@ -2,22 +2,22 @@
 
 Nothing here goes through the package's sieve, product, or search code,
 except `configs_within` (see there): membership is literal two-squares
-enumeration, folds go through pairwise star/power only, thresholds walk
-colorings as raw words, window configurations are rebuilt from a member
-list, and the line oracles re-enumerate line sets from first principles.
+enumeration, folds multiply members of that enumeration pairwise and
+bisect for each rank, thresholds walk colorings as raw words, window
+configurations are rebuilt from a member list, and the line oracles
+re-enumerate line sets from first principles.
 """
 
 import bisect
+import functools
 import itertools
 import math
-from functools import reduce
 
 import numpy as np
 
 from sqstar.errors import OutOfRangeError
 from sqstar.patterns import generate_configuration
 from sqstar.search import SearchBounds, candidate_tuples, generators_from_tuple
-from sqstar.semigroup import power, star
 
 
 def two_squares_flags(limit: int) -> np.ndarray:
@@ -38,16 +38,40 @@ def members_brute(limit: int) -> np.ndarray:
     return np.flatnonzero(two_squares_flags(limit)).astype(np.uint64)
 
 
+@functools.lru_cache(maxsize=None)
+def _member_list(limit: int) -> list:
+    return members_brute(limit).tolist()
+
+
+def _member(members: list, r: int) -> int:
+    if r >= len(members):
+        raise OutOfRangeError(f"rank {r} past the {len(members)} members")
+    return members[r]
+
+
+def _rank(members: list, p: int, limit: int) -> int:
+    """Rank of the member p: the number of members below it."""
+    if p >= limit:
+        raise OutOfRangeError(f"product {p} reaches limit {limit}")
+    return bisect.bisect_left(members, p)
+
+
 def fold_eval(factors, table) -> int:
-    """Monomial evaluation by pairwise star over power chains only."""
+    """Monomial evaluation by pairwise products over power chains only:
+    the fold takes acc to the rank of s_acc * s_y, y the rank of s_x^e,
+    over the brute-force members below table.limit."""
+    s, limit = _member_list(table.limit), table.limit
     acc = 1
     for x, e in factors:
-        acc = star(acc, power(x, e, table), table)
+        if e < 0:
+            raise ValueError(f"exponent {e} is negative")
+        y = _rank(s, _member(s, x) ** e, limit) if e else 1
+        acc = _rank(s, _member(s, acc) * _member(s, y), limit)
     return acc
 
 
 def fold_star(ranks, table) -> int:
-    return reduce(lambda a, b: star(a, b, table), ranks, 1)
+    return fold_eval([(r, 1) for r in ranks], table)
 
 
 def mono_configs_exist(word, configs) -> bool:

@@ -235,6 +235,11 @@ def test_search_accepts_a_witness_provenance(cache_path, capsys):
     code, again, _ = run_json(capsys, "--cache", cache_path, *args, "--coloring", prov)
     assert code == 0
     assert again == doc
+    # the provenance carries bound 400, which cannot cover --bound 401
+    code, _, err = run(capsys, "--cache", cache_path, *args, "--coloring", prov,
+                       "--bound", "401")
+    assert code == 2
+    assert "coloring bound 400 below requested bound 401" in err
 
 
 def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
@@ -383,6 +388,11 @@ def test_hj_command(cache_path, capsys):
                             "--budget", "0")
     assert code == 1
     assert doc["status"] == "budget"
+    # a one-color coloring makes the first family line monochromatic
+    code, out, _ = run(capsys, "--cache", cache_path, "hj", "--q", "2", "--r", "1",
+                       "--n", "3", "--ap-k", "1", "--coloring", "periodic:q=1,r=1")
+    assert code == 0
+    assert "family set: [2, 3]" in out.splitlines()
 
 
 def test_phj_command(cache_path, capsys):

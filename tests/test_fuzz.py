@@ -1,6 +1,8 @@
 """Fuzzed parser input: malformed documents raise only the parser's own error."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -9,9 +11,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sqstar import MalformedWitnessError, patterns  # noqa: E402
+from sqstar import (  # noqa: E402
+    MalformedWitnessError,
+    build_table,
+    load_cache,
+    patterns,
+    save_cache,
+)
 from sqstar.colorings import coloring_from_doc  # noqa: E402
-from sqstar.errors import SchemaViolationError  # noqa: E402
+from sqstar.errors import CorruptCacheError, SchemaViolationError  # noqa: E402
 from sqstar.patterns import witness_from_doc  # noqa: E402
 
 
@@ -78,3 +86,38 @@ def test_document_parsers_raise_only_their_errors(data):
         parse(doc)
     except error:
         pass
+
+
+# header bytes of a cache: magic, version, id length, "sigma", limit, count
+_CACHE_HEAD = 27
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_cache_raises_only_corrupt_cache_error(data, tmp_path_factory):
+    """A truncated, flipped, rewritten (raw or CRC-resealed) or extended
+    cache raises CorruptCacheError, or loads a table whose size is its
+    bitset's popcount and the count its header declares."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.sgt"
+    save_cache(build_table(1000), str(path))
+    raw = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "header", "reseal", "append"]))
+    if kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    elif kind == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    elif kind == "append":
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        edits = st.tuples(st.integers(0, _CACHE_HEAD - 1), st.integers(0, 255))
+        for i, b in data.draw(st.lists(edits, min_size=1, max_size=4)):
+            raw[i] = b
+        if kind == "reseal":
+            raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+    path.write_bytes(bytes(raw))
+    try:
+        table = load_cache(str(path))
+    except CorruptCacheError:
+        return
+    assert table.size == sum(int(w).bit_count() for w in table._words)
+    assert struct.unpack_from("<QQ", raw, _CACHE_HEAD - 16) == (table.limit, table.size)

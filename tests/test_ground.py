@@ -407,6 +407,22 @@ def test_cache_short_file(tmp_path):
     Path(path).write_bytes(b"SG")
     with pytest.raises(CorruptCacheError):
         load_cache(path)
+    # good magic and version, but the file ends inside the id, limit and
+    # count fields
+    for cut in (7, 11, 20, 26):
+        Path(path).write_bytes((b"SGT1\x02\x05sigma" + bytes(16))[:cut])
+        with pytest.raises(CorruptCacheError, match="truncated header"):
+            load_cache(path)
+
+
+def test_cache_declared_limit_out_of_range(tmp_path, table_100k):
+    path = str(tmp_path / "t.sgt")
+    for limit in (1, 2**32 + 1):
+        save_cache(table_100k, path)
+        _reseal(path, lambda head, words: struct.pack_into("<Q", head, len(head) - 16, limit))
+        with pytest.raises(CorruptCacheError, match=f"declared limit {limit} outside"):
+            load_cache(path)
+        assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_multiplicative_closure(table_1m):

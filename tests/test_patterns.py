@@ -1,6 +1,7 @@
 """Pattern families: worked values, validation, witnesses, documents."""
 
 import inspect
+import itertools
 import pickle
 import zlib
 
@@ -319,7 +320,8 @@ def _random_spec_and_gens(rng, family, table):
 
 
 def _fold_value_paths(spec, gens, table):
-    """Recompute every configuration value via pairwise star/power only."""
+    """Recompute every configuration value through the oracle folds only."""
+    fold = lambda factors: oracles.fold_eval(factors, table)
     out = []
     if isinstance(spec, FpF):
         xs = gens["xs"]
@@ -329,50 +331,31 @@ def _fold_value_paths(spec, gens, table):
     elif isinstance(spec, Brauer):
         x, z = gens["x"], gens["z"]
         out += [x, z]
-        from sqstar import power
-
         for j in range(1, spec.k + 1):
-            out.append(star(power(x, j, table), z, table))
+            out.append(fold([(x, j), (z, 1)]))
     elif isinstance(spec, Deuber):
-        import itertools
-
-        from sqstar import power
-
         xs = gens["xs"]
         out.append(xs[0])
         for j in range(1, spec.m + 1):
             for expo in itertools.product(range(spec.p + 1), repeat=j):
-                acc = 1
-                for i in range(j):
-                    acc = star(acc, power(xs[i], expo[i], table), table)
-                out.append(star(acc, xs[j], table))
+                out.append(fold([*zip(xs, expo), (xs[j], 1)]))
     elif isinstance(spec, MillikenTaylor):
         xs = gens["xs"]
         for fs in block_tuples(len(xs), spec.m):
             vs = [oracles.fold_star([xs[t - 1] for t in f], table) for f in fs]
-            out.append(spec.phi(vs, table))
+            starfold = isinstance(spec.phi, PhiStarFold)
+            out.append(oracles.fold_star(vs, table) if starfold else spec.phi(vs, table))
     elif isinstance(spec, GeoArithmetic):
-        from sqstar import power
-
-        b = oracles.fold_eval(gens["b"], table)
+        b = fold(gens["b"])
         for i in range(spec.k + 1):
+            inner = oracles.fold_star(gens["gamma"] + [gens["a"] + i * gens["d"]], table)
             for j in range(spec.k + 1):
-                inner = star(
-                    oracles.fold_star(gens["gamma"], table),
-                    gens["a"] + i * gens["d"],
-                    table,
-                )
-                out.append(star(b, power(inner, j, table), table))
+                out.append(fold([(b, 1), (inner, j)]))
     elif isinstance(spec, PolyVdW):
-        from sqstar import power
-
-        b = oracles.fold_eval(gens["b"], table)
+        b = fold(gens["b"])
         c = gens["c"]
         for f in spec.sets:
-            acc = b
-            for j, a in enumerate(f):
-                acc = star(acc, power(a, c ** (j + 1), table), table)
-            out.append(acc)
+            out.append(fold([(b, 1)] + [(a, c ** (j + 1)) for j, a in enumerate(f)]))
     return out
 
 

@@ -1,5 +1,7 @@
 """Induced product: worked values, law checks, monomial evaluation."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ def test_star_out_of_range(table_100k):
     big = table_100k.size - 1
     with pytest.raises(OutOfRangeError):
         star(big, big, table_100k)
+    # ranks whose members multiply to exactly the limit: 100000 = 250 * 400
+    t = table_100k
+    m, n = t.rank(250), t.rank(400)
+    with pytest.raises(OutOfRangeError, match="product 100000 exceeds table limit 100000"):
+        star(m, n, t)
+    assert star(m, n - 1, t) == t.count_below(250 * t.element(n - 1))
 
 
 def test_power(table_100k):
@@ -61,6 +69,15 @@ def test_power(table_100k):
         power(2, -1, t)
     with pytest.raises(OutOfRangeError):
         power(2, 64, t)
+    # the 0-th power looks up no member, even past the table
+    assert power(t.size + 5, 0, t) == 1
+    # squaring keeps huge exponents cheap, and 2**(10**18) is never formed
+    t0 = time.perf_counter()
+    assert power(1, 10**18, t) == 1
+    assert power(0, 10**18, t) == 0
+    with pytest.raises(OutOfRangeError):
+        power(2, 10**18, t)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_eval_monomial_basics(table_100k):
@@ -73,6 +90,19 @@ def test_eval_monomial_basics(table_100k):
         eval_monomial([(2, -1)], t)
     with pytest.raises(OutOfRangeError):
         eval_monomial([(2, 100)], t)
+    # a factor of rank 0 gives 0 before any member is looked up or any
+    # product formed, wherever it stands
+    assert eval_monomial([(0, 1), (2, 100)], t) == 0
+    assert eval_monomial([(2, 100), (0, 1)], t) == 0
+    assert eval_monomial([(10**9, 1), (0, 1)], t) == 0
+    assert eval_monomial([(0, 0), (2, 1)], t) == 2
+    # every exponent is checked before that rule and before any lookup
+    with pytest.raises(ValueError):
+        eval_monomial([(10**9, 1), (2, -1)], t)
+    with pytest.raises(ValueError):
+        eval_monomial([(0, 1), (2, -1)], t)
+    with pytest.raises(OutOfRangeError):
+        eval_monomial([(10**9, 1), (2, 1)], t)
 
 
 def test_eval_monomial_matches_fold(table_100k):
