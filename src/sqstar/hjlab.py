@@ -14,18 +14,19 @@ every letter (as a rank index) with its multiplicity.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .colorings import DEFAULT_ENUMERATION_CAP, Coloring
-from .errors import DomainOverlapError, OutOfRangeError
+from .errors import DomainOverlapError
 from .ground import GroundTable
-from .search import forced_window, least_monochromatic
-from .semigroup import eval_monomial
+from .search import forced_window, scan_blocks
+from .semigroup import _Saturating, eval_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +111,117 @@ def h_project(w: LocatedWord, table: GroundTable) -> int:
     return eval_monomial(w.letters, table)
 
 
-def _projection_coloring(
-    project: Callable, coloring: Coloring, table: GroundTable
-) -> Callable:
-    """Color objects by the numeric color of project(obj, table).
+def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
+    """The coloring hj_search and phj_search read: color(vertices) gives
+    each of a window's Vertices the color of its projection (h for a word,
+    m for a grid point), or 0 where the projection leaves the table or
+    the coloring domain.  The vertices are ranked in one _Saturating
+    product of their factors, padded with (0, 0), afresh on every call."""
 
-    Objects whose projection leaves the table or the coloring domain are
-    reported uncolorable (None), which searches treat as skips.
-    """
-
-    def color(obj) -> Optional[int]:
-        try:
-            v = project(obj, table)
-        except OutOfRangeError:
-            return None
-        if v >= coloring.bound:
-            return None
-        return coloring.color_of(v)
+    def color(vertices: Vertices) -> np.ndarray:
+        rows = len(vertices.factors)
+        cols = max(map(len, vertices.factors), default=0)
+        pairs = [f + [(0, 0)] * (cols - len(f)) for f in vertices.factors]
+        ar = _Saturating(table)
+        p = np.ones(rows, dtype=np.uint64)
+        for x, e in np.array(pairs, dtype=np.int64).reshape(rows, cols, 2).transpose(1, 2, 0):
+            p = ar.mul(p, ar.pow(ar.member(x), e))
+        v = ar.rank(p)
+        ok = ar.ok & (v < coloring.bound)
+        return np.where(ok, coloring.assignment[np.where(ok, v, 0)], 0)
 
     return color
 
 
-def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
-    """Color words by the numeric color of their h-projection (None: skip)."""
-    return _projection_coloring(h_project, coloring, table)
+point_coloring = word_coloring
+
+
+class Vertices(NamedTuple):
+    """A run of a window's vertices, as a coloring reads them.
+
+    vertices holds their letter keys: a word's position-sorted (position,
+    letter) pairs, a grid point's letters.  factors holds their
+    projections: vertex i projects to the rank of the product of s_x ** e
+    over the (x, e) pairs of the list factors[i].
+    """
+
+    vertices: list
+    factors: list
+
+
+class _Window:
+    """The lines of one hj or phj window, filled as a prefix on demand.
+
+    lines() yields the window's lines in the canonical order, each as
+    (group, point keys); a group is the report data that a run of lines
+    shares and their points do not show (gamma, and the family set), one
+    object for the run.  Line i's group is groups[i] and its points are
+    edges[i], indices into vertices, the point keys in order of first
+    appearance; monomial(key) gives a vertex's factors.
+    """
+
+    def __init__(self, lines: Callable, width: int, monomial: Callable):
+        self._lines, self._width, self._monomial = lines, width, monomial
+        self._clear()
+
+    def _clear(self) -> None:
+        self._source, self._index = self._lines(), {}
+        self.vertices, self._factors, self.groups = [], [], []
+        self.edges = np.zeros((0, self._width), dtype=np.int32)
+
+    def fill(self, count: Optional[int] = None) -> None:
+        """Fill the first count lines, or every line for None.  A fill cut
+        short by an exception empties the window."""
+        start = len(self.edges)
+        if count is not None and count <= start:
+            return
+        try:
+            index, rows = self._index, []
+            more = None if count is None else count - start
+            for group, keys in itertools.islice(self._source, more):
+                self.groups.append(group)
+                rows.append([index.setdefault(k, len(index)) for k in keys])
+            new = list(index)[len(self.vertices):]
+            self._factors += map(self._monomial, new)
+            self.vertices += new
+            self.edges = np.concatenate(
+                [self.edges, np.array(rows, dtype=np.int32).reshape(-1, self._width)])
+        except BaseException:
+            self._clear()
+            raise
+
+    def part(self, lo: int, hi: int) -> Vertices:
+        """Vertices lo..hi-1 of the filled lines."""
+        return Vertices(self.vertices[lo:hi], self._factors[lo:hi])
+
+    def search(self, color: Callable, node_budget: Optional[int]) -> tuple:
+        """search.scan_blocks over the lines, color coloring each vertex
+        once, with the first block that reads it: (status, nodes, skipped,
+        the hit line's group and point keys, its color)."""
+        colors = np.zeros(0, dtype=np.int64)
+
+        def block(start, rows):
+            nonlocal colors
+            self.fill(start + rows)
+            edges = self.edges[start:start + rows].T
+            lo, hi = colors.size, int(edges.max(initial=-1)) + 1
+            if hi > lo:
+                colors = np.concatenate([colors, color(self.part(lo, hi))])
+            return colors[edges]
+
+        status, nodes, skipped, hit, c = scan_blocks(block, node_budget)
+        if hit is None:
+            return status, nodes, skipped, None, None, None
+        line = [self.vertices[v] for v in self.edges[nodes - 1]]
+        return status, nodes, skipped, self.groups[nodes - 1], line, c
+
+    def hypergraph(self, keys: Iterator) -> tuple:
+        """(size, edges) for forced_window: the vertex count of keys, and
+        every line's points as indices into the order of keys."""
+        index = {k: i for i, k in enumerate(keys)}
+        self.fill()
+        order = np.array([index[k] for k in self.vertices], dtype=np.int64)
+        return len(index), order[self.edges].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +290,38 @@ def hj_search(
     Without a family: candidates are (gamma, alpha) with disjoint supports
     and the line {alpha + gamma x {s} : s in alphabet}.  With ap_k: an
     additional (ap_k+1)-term progression F disjoint from both, and the
-    line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  The lines
-    are scanned by search.least_monochromatic (status, nodes, skips).
+    line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  The
+    window's lines are read in blocks by search.scan_blocks (status,
+    nodes, skips).  word_color, a callable over the window's Vertices
+    such as word_coloring returns, colors each word once, with the first
+    block that reads it.  Only the hit line's words are built.
     """
     if q < 1 or n < 1 or (ap_k is not None and ap_k < 0):
         raise ValueError("need q >= 1, n >= 1 and ap_k >= 0")
-    status, hit, color, nodes, skipped = least_monochromatic(
-        _hj_lines(q, n, ap_k), word_color, node_budget)
-    if hit is None:
+    status, nodes, skipped, group, line, color = _hj_window(q, n, ap_k).search(
+        word_color, node_budget)
+    if group is None:
         return HjReport(status, None, None, None, None, None, nodes, skipped)
-    gamma, fam, alpha_pairs, line = hit
-    return HjReport(status, LocatedWord(q, alpha_pairs), gamma, fam, color, tuple(line),
-                    nodes, skipped)
+    gamma, fam = group
+    variable = set(gamma) if fam is None else {*gamma, fam[0]}
+    alpha = LocatedWord(q, tuple(pair for pair in line[0] if pair[0] not in variable))
+    return HjReport(status, alpha, gamma, fam, color,
+                    tuple(LocatedWord(q, key) for key in line), nodes, skipped)
 
 
-def _line_window(n: int, vertices: Iterable, lines: Iterable) -> tuple:
-    """(n, size, edges) for forced_window: each line's points as indices
-    into the vertex order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    return n, len(index), [[index[v] for v in cand[-1]] for cand in lines]
+@functools.lru_cache(maxsize=16)
+def _hj_window(q: int, n: int, ap_k: Optional[int]) -> _Window:
+    """The lines of hj_search and hj_threshold.  A word's factors are its
+    (position, letter) pairs with a nonzero letter, the ones whose members
+    h_project looks up."""
+    return _Window(functools.partial(_hj_lines, q, n, ap_k), q * (1 if ap_k is None else ap_k + 1),
+                   lambda key: [pair for pair in key if pair[1]])
 
 
 def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
-    """Candidate lines over {1..n} as (gamma, family set, alpha pairs, line),
-    in the one canonical order that hj_search and hj_threshold both read."""
+    """Candidate lines over {1..n} as ((gamma, family set), word keys), in
+    the canonical order; alpha is the first word without the positions of
+    its first variable block."""
     window = tuple(range(1, n + 1))
     for gamma in gamma_order(n):
         rest = tuple(p for p in window if p not in gamma)
@@ -234,10 +330,11 @@ def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
             avail = rest if fam is None else tuple(p for p in rest if p not in fam)
             # the positions the variable fills: gamma, or gamma u {t} per t in F
             blocks = [gamma] if fam is None else [sorted(set(gamma) | {t}) for t in fam]
+            group = gamma, fam
             for alpha_pairs in _alpha_order(avail, q):
-                line = [LocatedWord(q, alpha_pairs + tuple((p, s) for p in block))
-                        for s in range(q) for block in blocks]
-                yield gamma, fam, alpha_pairs, line
+                yield group, [
+                    tuple(sorted(alpha_pairs + tuple((p, s) for p in block)))
+                    for s in range(q) for block in blocks]
 
 
 def words_over(window: Sequence[int], q: int) -> Iterator[LocatedWord]:
@@ -261,7 +358,8 @@ def hj_threshold(
     """
     if ap_k is not None and ap_k < 0:
         raise ValueError("ap_k must be >= 0")
-    windows = (_line_window(n, words_over(range(1, n + 1), q), _hj_lines(q, n, ap_k))
+    windows = ((n, *_hj_window(q, n, ap_k).hypergraph(
+                    w.letters for w in words_over(range(1, n + 1), q)))
                for n in range(1, max_n + 1))
     return forced_window(windows, r, cap)
 
@@ -371,11 +469,6 @@ def m_project(point: PhjPoint, table: GroundTable) -> int:
     return eval_monomial([(x, 1) for x in point.letters], table)
 
 
-def point_coloring(coloring: Coloring, table: GroundTable) -> Callable:
-    """Color grid points by the numeric color of their m-projection (None: skip)."""
-    return _projection_coloring(m_project, coloring, table)
-
-
 @dataclass
 class PhjReport:
     status: str
@@ -404,29 +497,42 @@ def phj_search(
     Candidates are (gamma, base point) pairs; base points carry letter 1
     on every gamma^j block (substitution overwrites those blocks, so
     nothing is lost) and range over all letters elsewhere.  The line is
-    the q^d substitutions of the blocks.  k_colors only documents the
-    expected color count; the coloring callable is authoritative.
+    the q^d substitutions of the blocks.  The window's lines are read as
+    in hj_search, point_color (a callable over Vertices, such as
+    point_coloring returns) coloring the points.  k_colors only documents
+    the expected color count; the coloring is authoritative.
     """
     if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
         raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
-    status, hit, color, nodes, skipped = least_monochromatic(
-        _phj_lines(q, n, d), point_color, node_budget)
-    if hit is None:
+    status, nodes, skipped, gamma, line, color = _phj_window(q, n, d).search(
+        point_color, node_budget)
+    if gamma is None:
         return PhjReport(status, None, None, None, None, nodes, skipped)
-    gamma, base, line = hit
-    return PhjReport(status, base, gamma, color, tuple(line), nodes, skipped)
+    return PhjReport(status, PhjPoint._of(q, n, d, line[0]), gamma, color,
+                     tuple(PhjPoint._of(q, n, d, key) for key in line), nodes, skipped)
+
+
+@functools.lru_cache(maxsize=16)
+def _phj_window(q: int, n: int, d: int) -> _Window:
+    """The lines of phj_search and phj_threshold.  A point's factors are
+    each of its letters, as a rank, to its multiplicity, as in m_project."""
+    return _Window(functools.partial(_phj_lines, q, n, d), q**d,
+                   lambda key: sorted(collections.Counter(key).items()))
 
 
 def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
-    """Candidate grid lines as (gamma, base, line), in the one canonical
-    order that phj_search and phj_threshold both read."""
+    """Candidate grid lines as (gamma, point keys), in the canonical order;
+    a point's key is its letters, as phj_substitute sets them, and the
+    first point, all blocks at letter 1, is the base point."""
     alphabet = range(1, q + 1)
+    subs = list(itertools.product(alphabet, repeat=d))
     for gamma in gamma_order(n):
-        choices = [(1,) if set(gamma).issuperset(idx) else alphabet for _, idx in _cells(n, d)]
+        # the degree of each cell inside a gamma^j block, 0 for the others
+        block = [j if set(gamma).issuperset(idx) else 0 for j, idx in _cells(n, d)]
+        choices = [(1,) if j else alphabet for j in block]
         for letters in itertools.product(*choices):
-            base = PhjPoint._of(q, n, d, letters)
-            yield gamma, base, [phj_substitute(base, gamma, xs)
-                                for xs in itertools.product(alphabet, repeat=d)]
+            yield gamma, [
+                tuple(xs[j - 1] if j else a for j, a in zip(block, letters)) for xs in subs]
 
 
 def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
@@ -449,6 +555,6 @@ def phj_threshold(
     As hj_threshold, over the grid points (vertices, in grid_points order)
     and the lines phj_search scans (edges).
     """
-    windows = (_line_window(n, grid_points(q, n, d), _phj_lines(q, n, d))
+    windows = ((n, *_phj_window(q, n, d).hypergraph(p.letters for p in grid_points(q, n, d)))
                for n in range(1, max_n + 1))
     return forced_window(windows, r, cap)

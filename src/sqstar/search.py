@@ -7,11 +7,12 @@ the least witness in that order.  Candidates whose configurations leave
 the value window or the table are skipped and tallied, never treated as
 failures.
 
-least_monochromatic is the one candidate rule and forced_window the one
-forcing loop; the word and grid searches of hjlab use them too.
-find_witness applies the rule to blocks of candidates, whose values the
-families compute in semigroup._Saturating; verify_witness and
-admitted_configs evaluate one candidate at a time in semigroup._Exact.
+scan_blocks is the one candidate rule and forced_window the one forcing
+loop; the word and grid searches of hjlab use them too.  scan_blocks
+reads colored blocks of candidates: find_witness's values come from the
+families in semigroup._Saturating, the line searches' from projections
+of window vertices.  verify_witness and admitted_configs evaluate one
+candidate at a time in semigroup._Exact.
 """
 
 from __future__ import annotations
@@ -114,39 +115,41 @@ def _block_columns(ranges: list, start: int, rows: int) -> list:
     return cols[::-1]
 
 
-def least_monochromatic(
-    candidates: Iterable[tuple], color: Callable, node_budget: Optional[int] = None
-) -> tuple:
-    """Scan candidates, each a tuple ending in its points, for the first
-    monochromatic one: (status, candidate, color, nodes, skipped).
+def scan_blocks(block: Callable, node_budget: Optional[int] = None) -> tuple:
+    """The one candidate rule: (status, nodes, skipped, hit, color).
 
-    The first point that decides a candidate settles it: an uncolorable
-    point (color None, or OutOfRangeError while the points are produced)
-    skips it, a second color rejects it.  The status is "witness", else
-    "budget" once node_budget candidates were read, else "exhausted".
+    block(start, rows) colors candidates start..start+rows-1 of a canonical
+    order (fewer where it ends): one column per candidate, one line per
+    point, 0 for uncolorable.  Blocks take _BLOCK_ROWS rows in turn.  The
+    first point that decides a candidate settles it: uncolorable skips it,
+    a second color rejects it, and a candidate with neither is a witness,
+    which ends the scan (hit: its column in the last block).  The status
+    is "witness", else "budget" once node_budget candidates were read,
+    else "exhausted".
     """
-    if node_budget is not None:
-        if node_budget < 0:
-            raise ValueError("node_budget must be nonnegative")
-        candidates = itertools.islice(candidates, node_budget)
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must be nonnegative")
+    sizes = itertools.chain(_BLOCK_ROWS, itertools.repeat(_BLOCK_ROWS[-1]))
     nodes = skipped = 0
-    for cand in candidates:
-        nodes += 1
-        first = c = None
-        try:
-            for x in cand[-1]:
-                c = color(x)
-                if c is None or (first is not None and c != first):
-                    break
-                first = c
-        except OutOfRangeError:
-            c = None
-        if c is None:
-            skipped += 1
-        elif c == first:
-            return "witness", cand, c, nodes, skipped
+    while node_budget is None or nodes < node_budget:
+        rows = next(sizes) if node_budget is None else min(next(sizes), node_budget - nodes)
+        color = block(nodes, rows)
+        got = color.shape[1]
+        if not got:
+            break
+        bad = (color == 0) | (color != color[0])
+        first = bad.argmax(axis=0), np.arange(got)
+        mono = ~bad[first]
+        hit = int(mono.argmax())
+        read = hit + 1 if mono[hit] else got
+        nodes += read
+        skipped += int(np.count_nonzero(color[first][:read] == 0))
+        if mono[hit]:
+            return "witness", nodes, skipped, hit, int(color[0, hit])
+        if got < rows:
+            break
     status = "budget" if nodes == node_budget else "exhausted"
-    return status, None, None, nodes, skipped
+    return status, nodes, skipped, None, None
 
 
 def forced_window(windows: Iterable[tuple], r: int, cap: int) -> Optional[int]:
@@ -166,13 +169,11 @@ def find_witness(
     """Scan the canonical candidate order for a monochromatic configuration.
 
     Returns the least witness of that order; values at or above
-    value_bound are uncolorable.  Status and counts as least_monochromatic,
-    whose rule classifies the candidates a block at a time: the family's
-    _values runs once per block of _BLOCK_ROWS rows in the saturating
-    arithmetic (see patterns._Family), the block's values get their
-    colors in one lookup, and the least witness row ends the scan.  The
-    candidate generators come from valid positions, so they need none of
-    config_values' checks.
+    value_bound are uncolorable.  scan_blocks classifies the candidates:
+    the family's _values runs once per block in the saturating arithmetic
+    (see patterns._Family), and the block's values get their colors in
+    one lookup.  The candidate generators come from valid positions, so
+    they need none of config_values' checks.
     """
     if bounds.value_bound > coloring.bound:
         raise ValueError(
@@ -180,36 +181,27 @@ def find_witness(
         )
     t0 = time.perf_counter()
     ranges = _position_ranges(spec, bounds)
-    budget = math.prod(len(r) for r in ranges)
-    if bounds.node_budget is not None:
-        budget = min(budget, bounds.node_budget)
+    count = math.prod(len(r) for r in ranges)
     ar = _Saturating(table)
-    sizes = itertools.chain(_BLOCK_ROWS, itertools.repeat(_BLOCK_ROWS[-1]))
-    nodes = skipped = 0
-    witness = None
-    while nodes < budget and witness is None:
-        rows = min(next(sizes), budget - nodes)
-        cols = _block_columns(ranges, nodes, rows)
+    last = []
+
+    def block(start, rows):
+        rows = min(rows, count - start)
+        if not rows:  # the order ended with the last block
+            return np.zeros((0, 0), dtype=np.int32)
+        cols = _block_columns(ranges, start, rows)
         vals, ok = ar.lines(spec._values(generators_from_tuple(spec, cols), ar), rows)
         ok &= vals < bounds.value_bound
-        color = coloring.assignment[np.where(ok, vals, 0)]
-        # the first point that decides a row: uncolorable skips it, a
-        # second color rejects it, and a row with none is a witness
-        bad = ~ok | (color != color[0])
-        first = bad.argmax(axis=0), np.arange(rows)
-        skip = ~ok[first]
-        mono = ~bad[first]
-        hit = int(mono.argmax())
-        if mono[hit]:
-            rows = hit + 1  # the scan ends at the least witness
-            gens = generators_from_tuple(spec, tuple(int(c[hit]) for c in cols))
-            config = tuple(sorted(set(vals[:, hit].tolist())))
-            witness = Witness(spec, gens, config, int(color[0, hit]),
-                              coloring.provenance, table.limit)
-        nodes += rows
-        skipped += int(skip[:rows].sum())
-    status = ("witness" if witness else "budget" if nodes == bounds.node_budget
-              else "exhausted")
+        last[:] = cols, vals
+        return np.where(ok, coloring.assignment[np.where(ok, vals, 0)], 0)
+
+    status, nodes, skipped, hit, color = scan_blocks(block, bounds.node_budget)
+    witness = None
+    if hit is not None:
+        cols, vals = last
+        gens = generators_from_tuple(spec, tuple(int(c[hit]) for c in cols))
+        config = tuple(sorted(set(vals[:, hit].tolist())))
+        witness = Witness(spec, gens, config, color, coloring.provenance, table.limit)
     return SearchReport(status, witness, nodes, skipped, time.perf_counter() - t0)
 
 

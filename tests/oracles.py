@@ -4,8 +4,9 @@ Nothing here goes through the package's sieve, product, or search code,
 except `configs_within` (see there): membership is literal two-squares
 enumeration, folds multiply members of that enumeration pairwise and
 bisect for each rank, thresholds walk colorings as raw words, window
-configurations are rebuilt from a member list, and the line oracles
-re-enumerate line sets from first principles.
+configurations are rebuilt from a member list, the line oracles
+re-enumerate line sets from first principles, and the candidate rule is
+a plain loop over points.
 """
 
 import bisect
@@ -72,6 +73,36 @@ def fold_eval(factors, table) -> int:
 
 def fold_star(ranks, table) -> int:
     return fold_eval([(r, 1) for r in ranks], table)
+
+
+def least_monochromatic(candidates, color, node_budget=None):
+    """The scalar candidate rule: (status, candidate, color, nodes, skipped).
+
+    Candidates are tuples ending in their points, read one at a time and
+    one point at a time.  The first point that decides a candidate
+    settles it: a point colored None (uncolorable) skips the candidate, a
+    point of a second color rejects it, and a candidate with neither is a
+    witness, which ends the scan.  The status is "witness", else "budget"
+    once node_budget candidates were read, else "exhausted".
+    """
+    nodes = skipped = 0
+    for cand in candidates:
+        if nodes == node_budget:
+            break
+        nodes += 1
+        colors = set()
+        for point in cand[-1]:
+            c = color(point)
+            if c is None:
+                skipped += 1
+                break
+            colors.add(c)
+            if len(colors) > 1:
+                break
+        else:
+            return "witness", cand, colors.pop(), nodes, skipped
+    status = "budget" if nodes == node_budget else "exhausted"
+    return status, None, None, nodes, skipped
 
 
 def mono_configs_exist(word, configs) -> bool:

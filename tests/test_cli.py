@@ -415,3 +415,64 @@ def test_hj_structured_byte_identical(cache_path, capsys):
     _, _, raw1 = run_json(capsys, "--cache", cache_path, *args)
     _, _, raw2 = run_json(capsys, "--cache", cache_path, *args)
     assert raw1 == raw2
+
+
+_HJ = ("hj", "--q", "2", "--r", "2", "--n", "4", "--ap-k", "1")
+_PHJ = ("phj", "--q", "3", "--colors", "3", "--d", "1", "--n", "3")
+_PROV = "random:pcg64:seed={},r={},bound={}"
+
+# Structured documents of the line searches on the 1e5 cache, pinned:
+# every field (status, counts, alpha, gamma, family set, point, color,
+# line) must stay as it is.
+_PINNED_LINE_SEARCHES = [
+    (_HJ + ("--coloring", "random:seed=5,r=2"), 0, {
+        "alpha": [[3, 1]], "color": 2, "coloring": _PROV.format(5, 2, 100000),
+        "family-set": [2, 4], "gamma": [1],
+        "line": [[[1, 0], [2, 0], [3, 1]], [[1, 0], [3, 1], [4, 0]],
+                 [[1, 1], [2, 1], [3, 1]], [[1, 1], [3, 1], [4, 1]]],
+        "nodes": 6, "skipped": 0, "status": "witness"}),
+    (_HJ + ("--coloring", "random:seed=10,r=2"), 0, {
+        "alpha": [[3, 1]], "color": 1, "coloring": _PROV.format(10, 2, 100000),
+        "family-set": [1, 2], "gamma": [4],
+        "line": [[[1, 0], [3, 1], [4, 0]], [[2, 0], [3, 1], [4, 0]],
+                 [[1, 1], [3, 1], [4, 1]], [[2, 1], [3, 1], [4, 1]]],
+        "nodes": 33, "skipped": 0, "status": "witness"}),
+    (_HJ + ("--coloring", "random:seed=11,r=2"), 0, {
+        "alpha": [[4, 1]], "color": 2, "coloring": _PROV.format(11, 2, 100000),
+        "family-set": [1, 2], "gamma": [3],
+        "line": [[[1, 0], [3, 0], [4, 1]], [[2, 0], [3, 0], [4, 1]],
+                 [[1, 1], [3, 1], [4, 1]], [[2, 1], [3, 1], [4, 1]]],
+        "nodes": 22, "skipped": 0, "status": "witness"}),
+    (_HJ + ("--coloring", "random:seed=10,r=2", "--budget", "5"), 1, {
+        "alpha": None, "color": None, "coloring": _PROV.format(10, 2, 100000),
+        "family-set": None, "gamma": None, "line": None,
+        "nodes": 5, "skipped": 0, "status": "budget"}),
+    (_HJ + ("--coloring", "random:seed=10,r=2", "--bound", "6"), 1, {
+        "alpha": None, "color": None, "coloring": _PROV.format(10, 2, 6),
+        "family-set": None, "gamma": None, "line": None,
+        "nodes": 42, "skipped": 24, "status": "exhausted"}),
+    (_PHJ + ("--coloring", "random:seed=1,r=3"), 1, {
+        "color": None, "coloring": _PROV.format(1, 3, 100000), "gamma": None,
+        "nodes": 37, "point": None, "skipped": 0, "status": "exhausted"}),
+    (_PHJ + ("--coloring", "random:seed=4,r=3"), 0, {
+        "color": 3, "coloring": _PROV.format(4, 3, 100000), "gamma": [1, 2],
+        "nodes": 20, "point": {"components": [[1, 1, 2]], "d": 1, "n": 3, "q": 3},
+        "skipped": 0, "status": "witness"}),
+    (_PHJ + ("--coloring", "random:seed=10,r=3"), 0, {
+        "color": 3, "coloring": _PROV.format(10, 3, 100000), "gamma": [1, 2, 3],
+        "nodes": 34, "point": {"components": [[1, 1, 1]], "d": 1, "n": 3, "q": 3},
+        "skipped": 0, "status": "witness"}),
+    (_PHJ + ("--coloring", "random:seed=10,r=3", "--budget", "5"), 1, {
+        "color": None, "coloring": _PROV.format(10, 3, 100000), "gamma": None,
+        "nodes": 5, "point": None, "skipped": 0, "status": "budget"}),
+    (_PHJ + ("--coloring", "random:seed=10,r=3", "--bound", "6"), 1, {
+        "color": None, "coloring": _PROV.format(10, 3, 6), "gamma": None,
+        "nodes": 37, "point": None, "skipped": 13, "status": "exhausted"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, doc", _PINNED_LINE_SEARCHES)
+def test_line_search_output_pinned(cache_path, capsys, argv, code, doc):
+    got, _, raw = run_json(capsys, "--cache", cache_path, *argv)
+    assert got == code
+    assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"

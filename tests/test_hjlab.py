@@ -11,8 +11,10 @@ from sqstar import (
     EnumerationCapError,
     LocatedVariableWord,
     LocatedWord,
+    OutOfRangeError,
     PhjPoint,
     avoiding_word,
+    build_table,
     concat,
     constant_point,
     grid_points,
@@ -33,7 +35,16 @@ from sqstar import (
     word_coloring,
     words_over,
 )
-from sqstar.hjlab import _hj_lines, _phj_lines, gamma_order
+from sqstar.hjlab import _Window, _hj_lines, _hj_window, _phj_lines, _phj_window, gamma_order
+
+
+def _keyed(color_of):
+    """A structural coloring: color_of(key) for each vertex of a window,
+    None for uncolorable."""
+    return lambda vertices: [color_of(key) or 0 for key in vertices.vertices]
+
+
+_UNCOLORABLE = _keyed(lambda key: None)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +152,21 @@ def test_h_project_homomorphism(table_1m):
     assert checked >= 60
 
 
+def _vertex_colors(coloring, window, table):
+    """word_coloring's colors of every vertex of the whole window, by key."""
+    window.fill()
+    colors = word_coloring(coloring, table)(window.part(0, len(window.vertices)))
+    assert len(colors) == len(window.vertices)
+    return dict(zip(window.vertices, np.asarray(colors).tolist()))
+
+
 def test_word_coloring_skips(table_100k):
     c = periodic_coloring(2, [1, 2], 3)
-    wc = word_coloring(c, table_100k)
-    assert wc(located_word(2, {2: 1})) == c.color_of(2)
-    assert wc(located_word(2, {3: 1})) is None  # projects to 3, beyond bound
-    assert wc(located_word(64, {2: 60})) is None  # leaves the table
+    colors = _vertex_colors(c, _hj_window(2, 3, None), table_100k)
+    assert colors[located_word(2, {2: 1}).letters] == c.color_of(2)
+    assert colors[located_word(2, {3: 1}).letters] == 0  # projects to 3, beyond bound
+    colors = _vertex_colors(c, _hj_window(64, 2, None), table_100k)
+    assert colors[located_word(64, {2: 60}).letters] == 0  # leaves the table
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +207,7 @@ def test_hj_search_least_witness(table_100k):
 def test_hj_search_exhausted_below_threshold():
     cmap = oracles.hj_avoider_oracle(2, 2, 1)
     assert cmap is not None
-    rep = hj_search(2, lambda w: cmap[frozenset(w.letters)], 1)
+    rep = hj_search(2, _keyed(lambda key: cmap[frozenset(key)]), 1)
     assert rep.status == "exhausted"
     assert rep.nodes > 0
 
@@ -197,22 +217,22 @@ def test_hj_search_forced_at_threshold():
     words = oracles.all_words(2, 2)
     for _ in range(20):
         cmap = dict(zip(words, (int(v) for v in rng.integers(1, 3, len(words)))))
-        rep = hj_search(2, lambda w: cmap[frozenset(w.letters)], 2)
+        rep = hj_search(2, _keyed(lambda key: cmap[frozenset(key)]), 2)
         assert rep.found
         assert len({cmap[frozenset(w.letters)] for w in rep.line}) == 1
 
 
 def test_hj_search_budget():
-    rep = hj_search(2, lambda w: None, 1, node_budget=0)
+    rep = hj_search(2, _UNCOLORABLE, 1, node_budget=0)
     assert rep.status == "budget"
     assert rep.nodes == 0
     # a budget that reads every candidate of the window is still spent
-    rep = hj_search(2, lambda w: None, 1, node_budget=1)
+    rep = hj_search(2, _UNCOLORABLE, 1, node_budget=1)
     assert rep.status == "budget"
     assert rep.nodes == 1
     with pytest.raises(ValueError, match="node_budget"):
-        hj_search(2, lambda w: None, 1, node_budget=-1)
-    rep = hj_search(2, lambda w: None, 2, node_budget=5)
+        hj_search(2, _UNCOLORABLE, 1, node_budget=-1)
+    rep = hj_search(2, _UNCOLORABLE, 2, node_budget=5)
     assert rep.status == "budget"
     assert rep.nodes == 5
 
@@ -221,9 +241,9 @@ def test_hj_search_first_deciding_word_settles_a_line():
     # the one line over {1} colors its words 1, 2, None: the mismatch comes
     # before the uncolorable word, so the line is rejected, not skipped
     colors = {0: 1, 1: 2, 2: None}
-    rep = hj_search(3, lambda w: colors[w.letter_at(1)], 1)
+    rep = hj_search(3, _keyed(lambda key: colors[dict(key)[1]]), 1)
     assert (rep.status, rep.nodes, rep.skipped) == ("exhausted", 1, 0)
-    rep = hj_search(3, lambda w: colors[2 - w.letter_at(1)], 1)
+    rep = hj_search(3, _keyed(lambda key: colors[2 - dict(key)[1]]), 1)
     assert (rep.status, rep.nodes, rep.skipped) == ("exhausted", 1, 1)
 
 
@@ -239,11 +259,11 @@ def test_hj_search_ap_family(table_100k):
 
 def test_hj_search_validation():
     with pytest.raises(ValueError):
-        hj_search(0, lambda w: 1, 2)
+        hj_search(0, _UNCOLORABLE, 2)
     with pytest.raises(ValueError):
-        hj_search(2, lambda w: 1, 0)
+        hj_search(2, _UNCOLORABLE, 0)
     with pytest.raises(ValueError, match="ap_k"):  # checked before any line is read
-        hj_search(2, lambda w: 1, 3, ap_k=-1, node_budget=0)
+        hj_search(2, _UNCOLORABLE, 3, ap_k=-1, node_budget=0)
     with pytest.raises(ValueError, match="ap_k"):
         hj_threshold(2, 2, 3, ap_k=-1)
 
@@ -259,10 +279,11 @@ def test_hj_threshold_matches_oracle():
         hj_threshold(2, 0, 3)
 
 
-def _avoiding(vertices, lines, r):
-    """avoiding_word over the vertices a threshold indexes and its edges."""
-    index = {v: i for i, v in enumerate(vertices)}
-    return avoiding_word(len(vertices), [[index[v] for v in line] for *_, line in lines], r)
+def _avoiding(keys, lines, r):
+    """avoiding_word over the vertex keys a threshold indexes and the
+    lines of a line generator."""
+    index = {k: i for i, k in enumerate(keys)}
+    return avoiding_word(len(keys), [[index[k] for k in line] for _, line in lines], r)
 
 
 @pytest.mark.parametrize("q, r, max_n, answer", [(2, 2, 3, 2), (3, 2, 2, None)])
@@ -271,13 +292,13 @@ def test_hj_threshold_certificate(q, r, max_n, answer):
     line check; at the answer there is none."""
     assert hj_threshold(q, r, max_n) == answer
     n = max_n if answer is None else answer - 1
-    words = list(words_over(range(1, n + 1), q))
+    words = [w.letters for w in words_over(range(1, n + 1), q)]
     word = _avoiding(words, _hj_lines(q, n, None), r)
-    cmap = dict(zip((frozenset(w.letters) for w in words), word))
+    cmap = dict(zip(map(frozenset, words), word))
     assert set(cmap) == set(oracles.all_words(n, q))
     assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(n, q))
     if answer is not None:
-        words = list(words_over(range(1, answer + 1), q))
+        words = [w.letters for w in words_over(range(1, answer + 1), q)]
         assert _avoiding(words, _hj_lines(q, answer, None), r) is None
 
 
@@ -301,7 +322,7 @@ def test_point_validation():
     with pytest.raises(ValueError):  # letters must fit the int16 components
         PhjPoint(2**15, 1, 1, [[2**15]])
     with pytest.raises(ValueError):
-        phj_search(2**15, 2, 1, 1, lambda p: None, node_budget=0)
+        phj_search(2**15, 2, 1, 1, _UNCOLORABLE, node_budget=0)
     with pytest.raises(ValueError):
         next(grid_points(2**15, 1, 1))
     with pytest.raises(ValueError):
@@ -390,9 +411,12 @@ def test_m_project_decomposition(table_1m):
 
 def test_point_coloring_skips(table_100k):
     c = periodic_coloring(2, [1, 2], 3)
-    pc = point_coloring(c, table_100k)
-    assert pc(constant_point(2, 2, 1)) == c.color_of(1)
-    assert pc(PhjPoint(2, 2, 1, [[2, 2]])) is None  # projects to 3
+    window = _phj_window(2, 2, 1)
+    window.fill()
+    part = window.part(0, len(window.vertices))
+    colors = dict(zip(window.vertices, point_coloring(c, table_100k)(part)))
+    assert colors[constant_point(2, 2, 1).letters] == c.color_of(1)
+    assert colors[PhjPoint(2, 2, 1, [[2, 2]]).letters] == 0  # projects to 3
 
 
 def test_grid_points_match_oracle():
@@ -405,7 +429,8 @@ def test_grid_points_match_oracle():
 def test_phj_lines_match_oracle(q, n, d):
     """The lines the search and the threshold scan are exactly the oracle's
     substitution lines, each once."""
-    lines = [frozenset(_flat(p) for p in line) for *_, line in _phj_lines(q, n, d)]
+    lines = [frozenset(_flat(PhjPoint._of(q, n, d, key)) for key in line)
+             for _, line in _phj_lines(q, n, d)]
     expect = {frozenset(line) for line in oracles.grid_lines(q, n, d)}
     assert len(lines) == len(set(lines)) == len(expect)
     assert set(lines) == expect
@@ -431,10 +456,7 @@ def test_phj_search_exhausted_below_threshold():
     cmap = {points[0]: 1, points[1]: 2}
     assert not any(len({cmap[p] for p in line}) == 1 for line in lines)
 
-    def pc(point):
-        return cmap[_flat(point)]
-
-    rep = phj_search(2, 2, 1, 1, pc)
+    rep = phj_search(2, 2, 1, 1, _keyed(cmap.get))
     assert rep.status == "exhausted"
 
 
@@ -444,27 +466,24 @@ def test_phj_search_forced_at_threshold():
     for _ in range(10):
         cmap = dict(zip(points, (int(v) for v in rng.integers(1, 3, len(points)))))
 
-        def pc(point):
-            return cmap[_flat(point)]
-
-        rep = phj_search(2, 2, 1, 2, pc)
+        rep = phj_search(2, 2, 1, 2, _keyed(cmap.get))
         assert rep.found
-        assert len({pc(p) for p in rep.line}) == 1
+        assert len({cmap[_flat(p)] for p in rep.line}) == 1
 
 
 def test_phj_search_budget():
-    rep = phj_search(2, 2, 1, 2, lambda p: None, node_budget=3)
+    rep = phj_search(2, 2, 1, 2, _UNCOLORABLE, node_budget=3)
     assert rep.status == "budget"
     assert rep.nodes == 3
-    rep = phj_search(2, 2, 1, 1, lambda p: None, node_budget=1)
+    rep = phj_search(2, 2, 1, 1, _UNCOLORABLE, node_budget=1)
     assert rep.status == "budget"
     assert rep.nodes == 1
     with pytest.raises(ValueError, match="node_budget"):
-        phj_search(2, 2, 1, 1, lambda p: None, node_budget=-1)
+        phj_search(2, 2, 1, 1, _UNCOLORABLE, node_budget=-1)
 
 
 def test_phj_search_skips_uncolorable():
-    rep = phj_search(2, 2, 1, 1, lambda p: None)
+    rep = phj_search(2, 2, 1, 1, _UNCOLORABLE)
     assert rep.status == "exhausted"
     assert rep.skipped == rep.nodes > 0
 
@@ -480,8 +499,146 @@ def test_phj_threshold_matches_oracle():
 
 def test_phj_threshold_certificate():
     assert phj_threshold(2, 2, 1, 3) == 2
-    points = list(grid_points(2, 1, 1))
-    cmap = dict(zip(map(_flat, points), _avoiding(points, _phj_lines(2, 1, 1), 2)))
+    points = [p.letters for p in grid_points(2, 1, 1)]
+    cmap = dict(zip(points, _avoiding(points, _phj_lines(2, 1, 1), 2)))
     assert set(cmap) == set(oracles.grid_tuples(2, 1, 1))
     assert not any(len({cmap[p] for p in line}) == 1 for line in oracles.grid_lines(2, 1, 1))
-    assert _avoiding(list(grid_points(2, 2, 1)), _phj_lines(2, 2, 1), 2) is None
+    assert _avoiding([p.letters for p in grid_points(2, 2, 1)], _phj_lines(2, 2, 1), 2) is None
+
+
+# ---------------------------------------------------------------------------
+# the block searches against the scalar rule
+
+# (kind, q, n, ap_k or d) of the windows below; hj (2, 4) and (2, 5) hold
+# 175 and 781 lines, more than the first block's 128
+_WINDOWS = [("hj", 2, 2, None), ("hj", 2, 4, 1), ("hj", 3, 2, None),
+            ("phj", 2, 2, 1), ("phj", 3, 3, 1), ("phj", 2, 2, 2),
+            ("hj", 1, 2, None), ("hj", 1, 3, 1), ("phj", 1, 2, 1),
+            ("hj", 2, 4, None), ("hj", 2, 5, None)]
+
+
+def _point(kind, q, n, third, key):
+    return LocatedWord(q, key) if kind == "hj" else PhjPoint._of(q, n, third, key)
+
+
+def _scalar_color(coloring, table):
+    """Color a word or grid point through h_project or m_project and
+    Coloring.color_of; None past the table or the coloring's bound."""
+
+    def color(point):
+        project = h_project if isinstance(point, LocatedWord) else m_project
+        try:
+            v = project(point, table)
+        except OutOfRangeError:
+            return None
+        return coloring.color_of(v) if v < coloring.bound else None
+
+    return color
+
+
+@pytest.fixture(scope="module")
+def table_30():
+    return build_table(30)  # 16 ranks: many words and points leave it
+
+
+@pytest.mark.parametrize("kind, q, n, third", _WINDOWS + [("hj", 64, 2, None)])
+def test_window_vertex_colors_match_projections(kind, q, n, third, table_30, table_100k):
+    """word_coloring colors every vertex of a whole window as its scalar
+    projection does, uncolorable (0) past the table or the bound.  The
+    table of limit 2 holds ranks 0 and 1 only: a word with letter 0 at
+    position 2 is colorable, one with letter 1 there is not."""
+    window = (_hj_window if kind == "hj" else _phj_window)(q, n, third)
+    seen = set()
+    tables = ((build_table(2), 2), (table_30, 16), (table_100k, 2), (table_100k, 12))
+    for table, bound in tables:
+        c = random_coloring(q + n, 3, bound)
+        got = _vertex_colors(c, window, table)
+        want = _scalar_color(c, table)
+        for key, color in got.items():
+            assert color == (want(_point(kind, q, n, third, key)) or 0), key
+        seen.update(got.values())
+    # with q = 1 every vertex projects to the identity rank 1
+    assert (0 in seen and len(seen) > 1) if q > 1 else 0 not in seen
+
+
+@pytest.mark.parametrize("kind, q, n, third", _WINDOWS)
+def test_line_searches_match_the_scalar_rule(kind, q, n, third, table_30, table_100k):
+    """hj_search and phj_search agree with oracles.least_monochromatic over
+    the same lines, colored one point at a time through the projections:
+    status, nodes, skips, and the hit line's group, points and color, for
+    two seeded colorings of [0, 10) with r = 2 and 3 on two tables and one
+    that colors nothing, at budgets 0, 1, the line count and None.  The
+    hit's alpha or base point is checked against its line: each word is
+    alpha off the variable positions, each point a substitution of the
+    base."""
+    gen = _hj_lines if kind == "hj" else _phj_lines
+    count = sum(1 for _ in gen(q, n, third))
+    colorings = [random_coloring(100 * r + seed, r, 10) for r in (2, 3) for seed in (0, 1)]
+    for table, c, budget in itertools.product(
+            (table_30, table_100k), colorings + [random_coloring(0, 2, 1)], (0, 1, count, None)):
+        cands = ((group, [_point(kind, q, n, third, k) for k in keys])
+                 for group, keys in gen(q, n, third))
+        status, hit, color, nodes, skipped = oracles.least_monochromatic(
+            cands, _scalar_color(c, table), budget)
+        if kind == "hj":
+            rep = hj_search(q, word_coloring(c, table), n, ap_k=third, node_budget=budget)
+            got = hit and ((rep.gamma, rep.family_set), list(rep.line))
+        else:
+            rep = phj_search(q, c.r, third, n, point_coloring(c, table), node_budget=budget)
+            got = hit and (rep.gamma, list(rep.line))
+        assert (rep.status, rep.nodes, rep.skipped) == (status, nodes, skipped)
+        assert (got, rep.color) == (hit, color)
+        if hit and kind == "hj":
+            variable = set(rep.gamma) | set(rep.family_set or ())
+            assert rep.alpha.domain.isdisjoint(variable)
+            for w in rep.line:
+                assert set(rep.alpha.letters) == {a for a in w.letters if a[0] not in variable}
+        elif hit:
+            subs = itertools.product(range(1, q + 1), repeat=third)
+            assert [phj_substitute(rep.point, rep.gamma, xs) for xs in subs] == list(rep.line)
+
+
+def test_search_ending_early_fills_one_block(table_100k):
+    """A search that ends at its first line fills only its first block of
+    the window, not the window's 4^10 - 3^10 lines."""
+    _hj_window.cache_clear()
+    c = random_coloring(0, 2, 5000)
+    rep = hj_search(2, word_coloring(c, table_100k), 10, node_budget=2000)
+    assert (rep.status, rep.nodes) == ("witness", 1)
+    assert len(_hj_window(2, 10, None).edges) <= 128
+
+
+def test_threshold_edges_after_a_search():
+    """A window that a search filled in part, over two blocks, gives the
+    threshold the hypergraph of its whole line generator."""
+    keys = [w.letters for w in words_over(range(1, 5), 2)]
+    index = {k: i for i, k in enumerate(keys)}
+    want = (len(keys), [[index[k] for k in line] for _, line in _hj_lines(2, 4, None)])
+    _hj_window.cache_clear()
+    assert hj_search(2, _UNCOLORABLE, 4, node_budget=150).nodes == 150
+    assert len(_hj_window(2, 4, None).edges) == 150
+    assert _hj_window(2, 4, None).hypergraph(keys) == want
+    assert hj_threshold(2, 2, 4) == 2
+
+
+def test_interrupted_fill_empties_the_window():
+    """An exception inside a fill leaves an empty window, which fills
+    again from the first line."""
+    raised = []
+
+    def lines():
+        for i, line in enumerate(_hj_lines(2, 3, None)):
+            if i == 20 and not raised:
+                raised.append(i)
+                raise KeyboardInterrupt
+            yield line
+
+    window, fresh = (_Window(src, 2, list) for src in (lines, lambda: _hj_lines(2, 3, None)))
+    with pytest.raises(KeyboardInterrupt):
+        window.fill(30)
+    assert (len(window.edges), window.vertices) == (0, [])
+    window.fill()
+    fresh.fill()
+    assert window.vertices == fresh.vertices
+    assert np.array_equal(window.edges, fresh.edges)
+    assert window.search(_UNCOLORABLE, None)[:3] == ("exhausted", 37, 37)

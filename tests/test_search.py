@@ -76,14 +76,23 @@ def _reference_least(spec, bounds, coloring, table):
     return None
 
 
+def _exact_values(spec, gens, table):
+    """The candidate's exact value stream, None once it leaves the table."""
+    try:
+        yield from config_values(spec, gens, table)
+    except OutOfRangeError:
+        yield None
+
+
 def _exact_scan(spec, bounds, coloring, table):
-    """(status, nodes, skipped, generators) of search.least_monochromatic
+    """(status, nodes, skipped, generators) of oracles.least_monochromatic
     over each candidate's exact value stream, one candidate at a time."""
     vb = bounds.value_bound
-    candidates = ((tup, config_values(spec, generators_from_tuple(spec, tup), table))
+    candidates = ((tup, _exact_values(spec, generators_from_tuple(spec, tup), table))
                   for tup in candidate_tuples(spec, bounds))
-    status, hit, _, nodes, skipped = search.least_monochromatic(
-        candidates, lambda v: None if v >= vb else coloring.color_of(v), bounds.node_budget)
+    status, hit, _, nodes, skipped = oracles.least_monochromatic(
+        candidates, lambda v: None if v is None or v >= vb else coloring.color_of(v),
+        bounds.node_budget)
     return status, nodes, skipped, hit and generators_from_tuple(spec, hit[0])
 
 
@@ -124,6 +133,17 @@ def test_least_witness_matches_unpruned_rescan(spec, table_100k):
                 report = _assert_searches_alike(spec, b, coloring, table)
                 if b.node_budget == 0:
                     assert (report.status, report.nodes) == ("budget", 0)
+
+
+def test_order_ending_with_a_block():
+    """FpF(1) at generator_max 129 has 128 candidates, one whole first
+    block: the scan ends there, exhausted or at its budget."""
+    bounds = SearchBounds(generator_max=129, value_bound=2)
+    table, coloring = build_table(1000), random_coloring(1, 2, 10)
+    rep = find_witness(table, coloring, FpF(1), bounds)
+    assert (rep.status, rep.nodes, rep.skipped_out_of_range) == ("exhausted", 128, 128)
+    rep = find_witness(table, coloring, FpF(1), dataclasses.replace(bounds, node_budget=128))
+    assert (rep.status, rep.nodes) == ("budget", 128)
 
 
 def test_candidates_past_the_table_are_skipped():
