@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -268,8 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every in-process invocation; building it costs about 2 ms.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

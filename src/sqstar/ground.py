@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -34,7 +35,7 @@ DEFAULT_MAX_BYTES = 2**31
 MAX_LIMIT = 2**32
 
 _MAGIC = b"SGT1"
-_VERSION = 2
+_VERSION = 3
 # the ground-set id every cache carries; any other id is corrupt
 _GROUND_ID = b"sigma"
 
@@ -114,35 +115,44 @@ class GroundTable:
     Bit n of the little-endian uint64 bitset is set iff n is a member.
     The bitset has limit // 64 + 1 words, so the bound x = limit falls
     inside it and needs no special case; bits at or above the limit are
-    zero.  size is the bitset's popcount, taken here unless build_table
-    passes the one its budget check took.  Entry w of the rank directory
-    counts the members in the words before w, so counting members below x
-    is one directory read plus one masked popcount.  The directory is
-    reserved zeroed and filled like the buffer below, one cumsum per
-    extension.
+    zero.  size is the bitset's popcount, which the caller supplies:
+    build_table from its budget check, load_cache from the cache's
+    declared count.  Entry w of the rank directory counts the members in
+    the words before w, so counting members below x is one directory read
+    plus one masked popcount.  The directory is reserved zeroed and filled
+    as a prefix, one chunk of _CHUNK_WORDS words (2^16 values) and one
+    cumsum per extension, up to the chunk holding the largest bound asked
+    for.
+
+    A table loaded from a cache starts with an unread bitset: each chunk
+    is read from the file and checked against the cache's chunk table
+    (CRC and popcount) in the directory fill that first reaches it, so no
+    query reads a word outside the filled prefix.  A built table has every
+    word present from the start.
 
     Members (select, i.e. unrank) are read from one uint32 buffer that
     holds a slot per member but is filled only on demand: as a prefix, a
-    chunk of _CHUNK_WORDS words at a time, up to the chunk that holds the
-    largest rank asked for.  Pages of either never filled are never
-    touched, so queries near the bottom of the range cost little beyond
-    the bitset.  members(n) and elements are read-only views of it.
+    chunk at a time, up to the chunk that holds the largest rank asked
+    for.  Pages of either never filled are never touched, so queries near
+    the bottom of the range cost little beyond the chunks they reach.
+    members(n) and elements are read-only views of it.
     """
 
-    __slots__ = ("limit", "_words", "_prefix", "_known", "_cover", "_members", "_filled", "_ready")
+    __slots__ = ("limit", "_words", "_source", "_checked", "_prefix", "_known", "_cover",
+                 "_members", "_filled", "_ready")
 
-    def __init__(self, limit: int, words: np.ndarray, size: int | None = None):
+    def __init__(self, limit: int, words: np.ndarray, size: int, source: _CacheFile | None = None):
         self.limit = int(limit)
         words = np.ascontiguousarray(words, dtype="<u8")
         if words.size != (self.limit >> 6) + 1:
             raise ValueError(f"a table with limit {limit} needs {(self.limit >> 6) + 1} words")
         words.setflags(write=False)
         self._words = words
-        if size is None:
-            size = int(np.bitwise_count(words).sum())
+        self._source = source  # the cache file the unfilled words are read from, if any
+        self._checked = self.limit if source is None else 0  # _bit reads values below this directly
         self._prefix = np.zeros(words.size + 1, dtype=np.int64)
         self._known = 0  # directory entries 0.._known are filled
-        self._cover = min(64, self.limit + 1)  # count_below reads the filled part below this
+        self._cover = 0  # count_below reads the filled part below this
         self._members = np.empty(size, dtype=np.uint32)
         self._members.setflags(write=False)
         self._filled = 0  # words whose members are in the buffer
@@ -154,13 +164,25 @@ class GroundTable:
         return self._members.size
 
     def _fill(self, w: int) -> None:
-        """Fill the rank directory through the chunk of words holding word w."""
-        lo, prefix = self._known, self._prefix
-        end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, self._words.size)
-        prefix[lo + 1 : end + 1] = np.bitwise_count(self._words[lo:end])
+        """Fill the rank directory through the chunk of words holding word w.
+
+        A loaded table first reads those words from its cache, and checks
+        them before the filled entries count as known.
+        """
+        lo, prefix, words, source = self._known, self._prefix, self._words, self._source
+        end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, words.size)
+        if source is not None:
+            source.read(words, lo, end)
+        prefix[lo + 1 : end + 1] = np.bitwise_count(words[lo:end])
         np.cumsum(prefix[lo : end + 1], out=prefix[lo : end + 1])
+        if source is not None:
+            source.check(words, prefix, lo, end, self.limit)
+            self._checked = min(64 * end, self.limit)
+            if end == words.size:
+                source.close()
+                self._source = None
         self._known = end
-        self._cover = min(64 * end + 64, self.limit + 1)
+        self._cover = min(64 * end, self.limit + 1)
 
     def _select_through(self, n: int) -> None:
         """Fill the member buffer through the chunk holding rank n."""
@@ -212,8 +234,10 @@ class GroundTable:
         s = operator.index(s)
         if s < 0:
             raise ValueError("membership query requires a nonnegative integer")
-        if s >= self.limit:
-            raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
+        if s >= self._checked:
+            if s >= self.limit:
+                raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
+            self._fill(s >> 6)
         return (self._words.item(s >> 6) >> (s & 63)) & 1
 
     def rank(self, s: int) -> int:
@@ -295,41 +319,105 @@ def build_table(
     return GroundTable(limit, words, count)
 
 
-def save_cache(table: GroundTable, path: str) -> None:
-    """Write a table to a binary cache file (format version 2).
+def _chunk_table(words: np.ndarray) -> np.ndarray:
+    """Per chunk of words: its zlib.crc32 and its popcount, as u32 pairs."""
+    starts = range(0, words.size, _CHUNK_WORDS)
+    table = np.empty((len(starts), 2), dtype="<u4")
+    table[:, 0] = [zlib.crc32(words[lo : lo + _CHUNK_WORDS]) for lo in starts]
+    table[:, 1] = np.add.reduceat(np.bitwise_count(words), np.asarray(starts), dtype=np.int64)
+    return table
 
-    Layout: magic "SGT1", version byte 2, the length-prefixed ground-set
-    id "sigma", limit and member count as little-endian u64, the bitset as
-    limit // 64 + 1 little-endian u64 words, and a trailing little-endian
-    u32 zlib.crc32 over every preceding byte.
+
+def save_cache(table: GroundTable, path: str) -> None:
+    """Write a table to a binary cache file (format version 3).
+
+    Layout: magic "SGT1", version byte 3, the length-prefixed ground-set
+    id "sigma", limit and member count as little-endian u64; the chunk
+    table, one little-endian u32 zlib.crc32 and one u32 popcount per chunk
+    of _CHUNK_WORDS bitset words, followed by a u32 zlib.crc32 over the
+    header and the chunk table; then the bitset as limit // 64 + 1
+    little-endian u64 words.  A table loaded from a cache has each of its
+    chunks read and checked first, so a corrupt chunk raises
+    CorruptCacheError before anything is written.
     """
+    if table._source is not None:
+        table._fill(table._words.size - 1)
     head = (
         _MAGIC
         + struct.pack("<BB", _VERSION, len(_GROUND_ID))
         + _GROUND_ID
         + struct.pack("<QQ", table.limit, table.size)
     )
-    crc = zlib.crc32(table._words, zlib.crc32(head))
+    chunks = _chunk_table(table._words).tobytes()
     with open(path, "wb") as fh:
         fh.write(head)
+        fh.write(chunks)
+        fh.write(struct.pack("<I", zlib.crc32(chunks, zlib.crc32(head))))
         fh.write(table._words)
-        fh.write(struct.pack("<I", crc))
+
+
+class _CacheFile:
+    """The bitset of an open cache file, read and checked a chunk at a time."""
+
+    def __init__(self, fd: int, offset: int, chunks: np.ndarray):
+        self.fd = fd
+        self.offset = offset  # file position of word 0
+        self.chunks = chunks  # the chunk table: crc, popcount
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def read(self, words: np.ndarray, lo: int, end: int) -> None:
+        """Read words[lo:end] from the file, unchecked."""
+        words.setflags(write=True)
+        try:
+            got = os.preadv(self.fd, [words[lo:end]], self.offset + 8 * lo)
+        finally:
+            words.setflags(write=False)
+        if got != 8 * (end - lo):
+            raise CorruptCacheError("file shorter than its header declares")
+
+    def check(self, words: np.ndarray, prefix: np.ndarray, lo: int, end: int, limit: int) -> None:
+        """Check words[lo:end], whole chunks from lo, against the chunk table.
+
+        prefix holds the rank directory filled from them.  The last chunk
+        also has its last word checked: no bit at or above the limit, and
+        each bit below it agreeing with is_member, which catches a declared
+        limit raised inside that word.
+        """
+        first = lo // _CHUNK_WORDS
+        for c, at in enumerate(range(lo, end, _CHUNK_WORDS), first):
+            if zlib.crc32(words[at : at + _CHUNK_WORDS]) != self.chunks[c, 0]:
+                raise CorruptCacheError(f"checksum mismatch in chunk {c}")
+        sums = np.diff(prefix[np.r_[lo:end:_CHUNK_WORDS, end]])
+        bad = np.flatnonzero(sums != self.chunks[first : first + sums.size, 1])
+        if bad.size:
+            raise CorruptCacheError(f"popcount of chunk {first + bad[0]} does not match the chunk table")
+        if end == words.size:
+            last, base = words.item(-1), 64 * (end - 1)
+            if last >> (limit - base):
+                raise CorruptCacheError("member at or above declared limit")
+            for n in range(base, limit):
+                if (last >> (n - base)) & 1 != is_member(n):
+                    raise CorruptCacheError(f"bit {n} disagrees with membership")
 
 
 def load_cache(path: str) -> GroundTable:
-    """Load and validate a binary cache written by save_cache.
+    """Open and validate a binary cache written by save_cache.
 
-    Every structural property is checked: magic, version, declared
-    length versus file size, the CRC, no bit at or above the declared
-    limit, and the declared count against the bitset's popcount.  Any
-    failure, a ground-set id other than "sigma" included, raises
-    CorruptCacheError.  The table's popcount sum, taken at construction, is
-    the count checked against the declared one; the rank directory and the
-    members are filled only when queries reach them.
+    Checked here: magic, version, the ground-set id, the declared limit's
+    range, the file length, the chunk table's CRC, each chunk's popcount
+    against the values it covers below the limit, the declared count
+    against the sum of those popcounts, and no bit at or above the limit
+    in the last word.  The bitset itself is not read: the table reads each
+    chunk from the open file and checks its CRC and popcount (and, for the
+    last chunk, its last word against is_member) in the query that first
+    reaches it.  Any failure, at load or at a chunk's first use, raises
+    CorruptCacheError.  A cache of another format version is refused with
+    a message to rebuild it.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(6)
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, 6 + 255 + 16, 0)
         if len(head) < 6:
             raise CorruptCacheError("file too short for header")
         if head[:4] != _MAGIC:
@@ -339,9 +427,9 @@ def load_cache(path: str) -> GroundTable:
                 f"unsupported cache format version {head[4]} (this build reads "
                 f"version {_VERSION}); rebuild the cache with build-cache"
             )
-        head += fh.read(head[5] + 16)
         if len(head) < 6 + head[5] + 16:
             raise CorruptCacheError("truncated header")
+        head = head[: 6 + head[5] + 16]
         if head[6:-16] != _GROUND_ID:
             raise CorruptCacheError(
                 f"ground-set id {head[6:-16]!r} is not {_GROUND_ID!r}"
@@ -350,21 +438,27 @@ def load_cache(path: str) -> GroundTable:
         if not 2 <= limit <= MAX_LIMIT:
             raise CorruptCacheError(f"declared limit {limit} outside [2, {MAX_LIMIT}]")
         nwords = (limit >> 6) + 1
-        expected = len(head) + 8 * nwords + 4
+        nchunks = -(-nwords // _CHUNK_WORDS)
+        offset = len(head) + 8 * nchunks + 4
+        expected = offset + 8 * nwords
         if size != expected:
             raise CorruptCacheError(
                 f"file length {size} does not match declared limit (expected {expected})"
             )
-        words = np.empty(nwords, dtype="<u8")
-        got = fh.readinto(words)
-        tail = fh.read(4)
-    if got != 8 * nwords or len(tail) != 4:
-        raise CorruptCacheError("file shorter than its header declares")
-    if zlib.crc32(words, zlib.crc32(head)) != struct.unpack("<I", tail)[0]:
-        raise CorruptCacheError("checksum mismatch")
-    if int(words[-1]) >> (limit & 63):
-        raise CorruptCacheError("member at or above declared limit")
-    table = GroundTable(int(limit), words)
-    if table.size != count:
-        raise CorruptCacheError(f"declared count {count} does not match the bitset")
-    return table
+        raw = os.pread(fd, 8 * nchunks + 4, len(head))
+        last = os.pread(fd, 8, expected - 8)
+        if len(raw) != 8 * nchunks + 4 or len(last) != 8:
+            raise CorruptCacheError("file shorter than its header declares")
+        if zlib.crc32(raw[:-4], zlib.crc32(head)) != struct.unpack("<I", raw[-4:])[0]:
+            raise CorruptCacheError("chunk table checksum mismatch")
+        chunks = np.frombuffer(raw, dtype="<u4", count=2 * nchunks).reshape(nchunks, 2)
+        room = np.minimum(limit - 64 * _CHUNK_WORDS * np.arange(nchunks, dtype=np.int64),
+                          64 * _CHUNK_WORDS)
+        if (chunks[:, 1] > room).any():
+            raise CorruptCacheError("a chunk's popcount exceeds the values it covers")
+        if int(chunks[:, 1].sum(dtype=np.int64)) != count:
+            raise CorruptCacheError(f"declared count {count} does not match the chunk table")
+        if int.from_bytes(last, "little") >> (limit & 63):
+            raise CorruptCacheError("member at or above declared limit")
+        source = _CacheFile(os.dup(fd), offset, chunks)
+    return GroundTable(int(limit), np.empty(nwords, dtype="<u8"), int(count), source)

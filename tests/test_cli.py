@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from sqstar import (
     periodic_coloring,
     save_cache,
 )
+from sqstar import cli
 from sqstar.cli import main
 from sqstar.colorings import to_file as coloring_to_file
 
@@ -140,6 +142,18 @@ def test_v1_cache_asks_for_rebuild(tmp_path, capsys):
     assert "version 1" in err and "rebuild" in err
 
 
+def test_v2_cache_asks_for_rebuild(tmp_path, capsys):
+    # format version 2 stored the whole bitset under one trailing CRC
+    words = np.array([0b110111], dtype="<u8")  # members 0 1 2 4 5 below 6
+    body = (b"SGT1" + struct.pack("<BB", 2, 5) + b"sigma"
+            + struct.pack("<QQ", 6, 5) + words.tobytes())
+    old = tmp_path / "v2.sgt"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, _, err = run(capsys, "--cache", str(old), "op", "2", "5")
+    assert code == 4
+    assert "version 2" in err and "rebuild" in err
+
+
 def test_missing_cache_exit(tmp_path, capsys):
     code, _, err = run(capsys, "--cache", "/nonexistent/t.sgt", "op", "2", "5")
     assert code == 2
@@ -158,6 +172,43 @@ def test_usage_errors(capsys, cache_path):
                      "--phi", phi, "--colors", "2", "--max-bound", "20"]) == 2
     assert main(["--cache", cache_path, "hj", "--q", "2", "--r", "2", "--n", "2",
                  "--ap-k", "-1"]) == 2
+
+
+def test_one_parser_answers_like_a_fresh_one(cache_path, tmp_path, monkeypatch, capsys):
+    # main reuses one parser; each call's exit code, stdout and stderr must
+    # match those of a parser built for that call alone, whatever ran before
+    wpath = str(tmp_path / "w.json")
+    calls = [
+        [], ["nope"], ["--help"], ["search", "--help"], ["--format", "yaml", "member", "2"],
+        ["member", "13"], ["--format", "structured", "member", "x"],
+        ["--cache", cache_path, "--format", "structured", "search", "--family", "brauer",
+         "--k", "2", "--coloring", "random:seed=3,r=2", "--bound", "4000", "--gen-max", "30",
+         "--out", wpath],
+        ["--cache", cache_path, "--format", "structured", "search", "--family", "brauer",
+         "--k", "2", "--coloring", "random:seed=3,r=2", "--bound", "4000", "--budget", "0"],
+        ["--cache", cache_path, "--format", "structured", "verify", "--witness", wpath],
+        ["--cache", cache_path, "verify", "--witness", cache_path],
+        ["--cache", cache_path, "pattern", "--family", "brauer", "--gen", "2", "2"],
+        ["--cache", cache_path, "--format", "structured", "hj", "--q", "2", "--r", "2",
+         "--n", "3", "--budget", "5"],
+        ["--cache", cache_path, "hj", "--q", "2", "--r", "2", "--n", "3"],
+        ["--cache", cache_path, "fp", "2", "5", "9"], ["--cache", cache_path, "fp"],
+        ["--format", "structured", "--cache", cache_path, "element", "99999999"],
+    ]
+
+    def outputs(order):
+        got = []
+        for argv in order:
+            code = main(list(argv))
+            cap = capsys.readouterr()
+            got.append((argv, code, cap.out, cap.err))
+        return got
+
+    reused = outputs(calls) + outputs(calls[::-1])
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outputs(calls)
+    assert reused == fresh + fresh[::-1]
+    assert {code for _, code, _, _ in fresh} == {0, 1, 2, 3, 4}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
+
+import oracles
 
 pytest.importorskip("hypothesis")
 
@@ -88,16 +91,19 @@ def test_document_parsers_raise_only_their_errors(data):
         pass
 
 
-# header bytes of a cache: magic, version, id length, "sigma", limit, count
+# bytes of a 1000-limit cache: the header (magic, version, id length,
+# "sigma", limit, count), its one-chunk table (crc32, popcount) and the
+# seal over both
 _CACHE_HEAD = 27
+_CACHE_SEALED = _CACHE_HEAD + 8
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_load_cache_raises_only_corrupt_cache_error(data, tmp_path_factory):
-    """A truncated, flipped, rewritten (raw or CRC-resealed) or extended
-    cache raises CorruptCacheError, or loads a table whose size is its
-    bitset's popcount and the count its header declares."""
+    """A truncated, flipped, rewritten (raw or resealed) or extended cache
+    raises CorruptCacheError, at load or while read whole, or reads as the
+    table of the limit its header declares, with the declared count."""
     path = tmp_path_factory.getbasetemp() / "fuzz.sgt"
     save_cache(build_table(1000), str(path))
     raw = bytearray(path.read_bytes())
@@ -109,15 +115,19 @@ def test_load_cache_raises_only_corrupt_cache_error(data, tmp_path_factory):
     elif kind == "append":
         raw += data.draw(st.binary(min_size=1, max_size=16))
     else:
-        edits = st.tuples(st.integers(0, _CACHE_HEAD - 1), st.integers(0, 255))
+        edits = st.tuples(st.integers(0, _CACHE_SEALED - 1), st.integers(0, 255))
         for i, b in data.draw(st.lists(edits, min_size=1, max_size=4)):
             raw[i] = b
         if kind == "reseal":
-            raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+            struct.pack_into("<I", raw, _CACHE_SEALED, zlib.crc32(raw[:_CACHE_SEALED]))
     path.write_bytes(bytes(raw))
     try:
         table = load_cache(str(path))
+        # chunks are checked when first read, so read them all
+        total = table.count_below(table.limit)
+        members = table.elements
     except CorruptCacheError:
         return
-    assert table.size == sum(int(w).bit_count() for w in table._words)
+    assert table.size == total == members.size == sum(int(w).bit_count() for w in table._words)
     assert struct.unpack_from("<QQ", raw, _CACHE_HEAD - 16) == (table.limit, table.size)
+    assert members.tolist() == np.flatnonzero(oracles.two_squares_flags(table.limit)).tolist()

@@ -328,39 +328,72 @@ def test_cache_bad_magic(tmp_path, table_100k):
         load_cache(path)
 
 
+def _offsets(data):
+    """End of a v3 cache's header, and start of its bitset."""
+    head = 6 + data[5] + 16
+    nwords = (struct.unpack_from("<Q", data, head - 16)[0] >> 6) + 1
+    return head, head + 8 * -(-nwords // 1024) + 4
+
+
+def _flip(path, word, bit):
+    """Flip one bit of a cache's bitset, leaving its chunk table as it is."""
+    data = bytearray(Path(path).read_bytes())
+    data[_offsets(data)[1] + 8 * word + bit // 8] ^= 1 << (bit % 8)
+    Path(path).write_bytes(bytes(data))
+
+
+def _reseal(path, edit, edit_chunks=None):
+    """Apply edit(header, words) to a cache file, rebuild its chunk table
+    (crc32 and popcount per 1024 words) from the edited words, apply
+    edit_chunks(chunks) to that table, and seal it again."""
+    data = bytearray(Path(path).read_bytes())
+    head_len, start = _offsets(data)
+    head = data[:head_len]
+    words = np.frombuffer(bytes(data[start:]), dtype="<u8").copy()
+    edit(head, words)
+    chunks = np.array([[zlib.crc32(words[i : i + 1024].tobytes()),
+                        sum(int(w).bit_count() for w in words[i : i + 1024])]
+                       for i in range(0, words.size, 1024)], dtype="<u4")
+    if edit_chunks:
+        edit_chunks(chunks)
+    sealed = bytes(head) + chunks.tobytes()
+    Path(path).write_bytes(sealed + struct.pack("<I", zlib.crc32(sealed)) + words.tobytes())
+
+
 def test_cache_checksum_flip(tmp_path, table_100k):
+    # a flipped chunk-table byte fails the table's own CRC at load; a
+    # flipped bitset byte fails its chunk's CRC in the first query
+    # reading that chunk
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
     data = bytearray(Path(path).read_bytes())
-    data[40] ^= 0xFF  # somewhere inside the element payload
-    Path(path).write_bytes(bytes(data))
-    with pytest.raises(CorruptCacheError):
-        load_cache(path)
-
-
-def _reseal(path, edit):
-    """Apply edit(header, words) to a cache file and rewrite its CRC."""
-    data = bytearray(Path(path).read_bytes())
-    head_len = 6 + data[5] + 16
-    head = data[:head_len]
-    words = np.frombuffer(bytes(data[head_len:-4]), dtype="<u8").copy()
-    edit(head, words)
-    body = bytes(head) + words.tobytes()
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    head, start = _offsets(data)
+    for at, when in ((head + 3, "load"), (start + 40, "query")):
+        flipped = bytearray(data)
+        flipped[at] ^= 0xFF
+        Path(path).write_bytes(bytes(flipped))
+        with pytest.raises(CorruptCacheError, match="checksum"):
+            load_cache(path).count_below(100)
+        if when == "query":
+            load_cache(path)
+        assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_cache_swapped_bits(tmp_path, table_100k):
     # a set and a clear bit trade places: same popcount, still in range,
-    # so only the CRC can tell
+    # so only chunk 0's CRC can tell, when a query first reads it
     path = str(tmp_path / "t.sgt")
     save_cache(table_100k, path)
     data = bytearray(Path(path).read_bytes())
-    first = 6 + data[5] + 16  # byte holding bits 0..7: members 0 1 2 4 5
+    first = _offsets(data)[1]  # byte holding bits 0..7: members 0 1 2 4 5
     assert data[first] & 0b1100 == 0b0100
     data[first] ^= 0b1100
     Path(path).write_bytes(bytes(data))
-    with pytest.raises(CorruptCacheError, match="checksum"):
-        load_cache(path)
+    table = load_cache(path)
+    for _ in range(2):  # a failed check leaves the chunk unread
+        with pytest.raises(CorruptCacheError, match="checksum"):
+            table.contains(3)
+    assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_cache_bit_at_or_above_limit(tmp_path, table_100k):
@@ -375,6 +408,7 @@ def test_cache_bit_at_or_above_limit(tmp_path, table_100k):
     _reseal(path, edit)
     with pytest.raises(CorruptCacheError, match="limit"):
         load_cache(path)
+    assert main(["--cache", path, "op", "2", "5"]) == 4
 
 
 def test_cache_count_disagrees(tmp_path, table_100k):
@@ -385,11 +419,130 @@ def test_cache_count_disagrees(tmp_path, table_100k):
     with pytest.raises(CorruptCacheError, match="count"):
         load_cache(path)
     assert main(["--cache", path, "op", "2", "5"]) == 4
+    # chunk popcounts that sum to the declared count but misplace one
+    # member load, and fail in the first query reading either chunk
+    save_cache(table_100k, path)
+
+    def shift(chunks):
+        chunks[0, 1] -= 1
+        chunks[1, 1] += 1
+
+    _reseal(path, lambda head, words: None, shift)
+    with pytest.raises(CorruptCacheError, match="popcount of chunk 0"):
+        load_cache(path).element(0)
+    assert main(["--cache", path, "op", "2", "5"]) == 4
+    # a popcount above the values its chunk covers is refused at load
+    _reseal(path, lambda head, words: None, lambda chunks: chunks.__setitem__((0, 1), 2**16 + 1))
+    with pytest.raises(CorruptCacheError, match="exceeds"):
+        load_cache(path)
+
+
+def test_cache_flip_past_the_first_chunk(tmp_path, table_1m):
+    # word 3 * 1024 + 5 lies in chunk 3; chunk 0 answers, and every query
+    # kind that first reaches chunk 3 raises, as does each later one
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    _flip(path, 3 * 1024 + 5, 17)
+    x = 64 * (3 * 1024 + 5)
+    r = table_1m.count_below(x)
+    queries = [
+        lambda t: t.count_below(x),
+        lambda t: t.contains(x + 1),
+        lambda t: t.rank(int(table_1m.element(r))),
+        lambda t: t.element(r),
+        lambda t: t.members(r + 1),
+        lambda t: t.count_below_many([10, x]),
+    ]
+    for query in queries:
+        t = load_cache(path)
+        assert t.count_below(1000) == table_1m.count_below(1000)
+        assert t.contains(5) and not t.contains(3)
+        assert t.element(10) == table_1m.element(10)
+        assert t.count_below_many([10, 2**16 - 1]).tolist() == table_1m.count_below_many(
+            [10, 2**16 - 1]).tolist()
+        for _ in range(2):
+            with pytest.raises(CorruptCacheError, match="chunk 3"):
+                query(t)
+        assert t._known in (1024, 3 * 1024)  # chunk 3 never counts as filled
+    assert main(["--cache", path, "element", "10"]) == 0
+    assert main(["--cache", path, "element", str(r)]) == 4
+    assert main(["--cache", path, "rank", str(int(table_1m.element(r)))]) == 4
+
+
+@pytest.mark.parametrize("chunk", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 62, 63])
+def test_count_below_at_the_filled_edge_reads_no_unfilled_word(tmp_path, table_1m, chunk, k):
+    # chunk's first word is corrupt; with the chunks before it filled, a
+    # bound inside that word must fill (and so check) the chunk first
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    _flip(path, 1024 * chunk, 63 - k)
+    x = 2**16 * chunk + k
+    for query in (lambda t: t.count_below(x), lambda t: t.count_below_many([x])):
+        t = load_cache(path)
+        if chunk:
+            assert t.count_below(x - k - 1) == table_1m.count_below(x - k - 1)
+            assert t._known == 1024
+        with pytest.raises(CorruptCacheError, match=f"chunk {chunk}"):
+            query(t)
+
+
+def test_cache_truncated_after_load(tmp_path, table_1m):
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    size = os.path.getsize(path)
+    for cut in (size // 2, 100, 0):
+        save_cache(table_1m, path)
+        t = load_cache(path)
+        os.truncate(path, cut)
+        with pytest.raises(CorruptCacheError, match="shorter"):
+            t.count_below(t.limit)
+    # a table that has read every chunk no longer needs its file
+    save_cache(table_1m, path)
+    t = load_cache(path)
+    closed = t._source.close
+    assert t.size == table_1m.size and t.count_below(t.limit) == t.size
+    assert not closed.alive
+    os.truncate(path, 0)
+    assert np.array_equal(t.elements, table_1m.elements)
+
+
+@pytest.mark.parametrize("limit, raised", [(1000, 1023), (100_000, 100_031)])
+def test_cache_limit_raised_inside_the_last_word(tmp_path, limit, raised):
+    # the same word count and a valid seal: the last word's bits from the
+    # old limit up are clear although 1000 and 100,000 are members, so
+    # the first query reading the last chunk raises
+    path = str(tmp_path / "t.sgt")
+    save_cache(build_table(limit), path)
+    _reseal(path, lambda head, words: struct.pack_into("<Q", head, len(head) - 16, raised))
+    assert is_member(limit)
+    t = load_cache(path)
+    assert t.limit == raised
+    if limit > 2**16:
+        assert t.count_below(1000) == build_table(limit).count_below(1000)
+    with pytest.raises(CorruptCacheError, match=f"bit {limit} disagrees"):
+        t.contains(raised - 1)
+    assert main(["--cache", path, "op", "2", "5"]) == (0 if limit > 2**16 else 4)
+    assert main(["--cache", path, "rank", str(raised - 2)]) == 4
+
+
+def test_save_of_a_loaded_table_checks_every_chunk(tmp_path, table_1m):
+    path, out = str(tmp_path / "t.sgt"), tmp_path / "u.sgt"
+    save_cache(table_1m, path)
+    save_cache(load_cache(path), str(out))  # nothing filled before the save
+    assert out.read_bytes() == Path(path).read_bytes()
+    out.unlink()
+    _flip(path, 15 * 1024 + 7, 0)  # last chunk
+    t = load_cache(path)
+    assert t.element(10) == table_1m.element(10)
+    with pytest.raises(CorruptCacheError, match="chunk 15"):
+        save_cache(t, str(out))
+    assert not out.exists()
 
 
 def test_cache_predicate_mismatch(tmp_path, table_100k):
     # a cache for any ground set other than sigma is corrupt, even with a
-    # valid CRC
+    # valid seal
     path = str(tmp_path / "e.sgt")
     save_cache(table_100k, path)
 
@@ -410,7 +563,7 @@ def test_cache_short_file(tmp_path):
     # good magic and version, but the file ends inside the id, limit and
     # count fields
     for cut in (7, 11, 20, 26):
-        Path(path).write_bytes((b"SGT1\x02\x05sigma" + bytes(16))[:cut])
+        Path(path).write_bytes((b"SGT1\x03\x05sigma" + bytes(16))[:cut])
         with pytest.raises(CorruptCacheError, match="truncated header"):
             load_cache(path)
 
