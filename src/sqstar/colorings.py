@@ -45,6 +45,11 @@ class Coloring:
             raise OutOfDomainError(f"rank {n} outside coloring domain [0, {self.bound})")
         return int(self.assignment[n])
 
+    def colors_of(self, values: np.ndarray, ok=True) -> np.ndarray:
+        """The colors of an array of ranks, 0 where ok fails or past the bound."""
+        ok = ok & (values < self.bound)
+        return np.where(ok, self.assignment[np.where(ok, values, 0)], 0)
+
     def __repr__(self):
         return f"Coloring(r={self.r}, bound={self.bound}, {self.provenance!r})"
 

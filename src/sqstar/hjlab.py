@@ -14,11 +14,10 @@ every letter (as a rank index) with its multiplicity.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,42 +110,45 @@ def h_project(w: LocatedWord, table: GroundTable) -> int:
     return eval_monomial(w.letters, table)
 
 
-def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
-    """The coloring hj_search and phj_search read: color(vertices) gives
-    each of a window's Vertices the color of its projection (h for a word,
-    m for a grid point), or 0 where the projection leaves the table or
-    the coloring domain.  The vertices are ranked in one _Saturating
-    product of their factors, padded with (0, 0), afresh on every call."""
+def _colors(coloring: Coloring, table: GroundTable, rows: int, factors) -> np.ndarray:
+    """coloring's color of each of rows products of s_x ** e over the
+    (x, e) columns of factors, ranked in one _Saturating product; 0 where
+    the product leaves the table or the coloring domain."""
+    ar = _Saturating(table)
+    p = np.ones(rows, dtype=np.uint64)
+    for x, e in factors:
+        p = ar.mul(p, ar.pow(ar.member(x), e))
+    return coloring.colors_of(ar.rank(p), ar.ok)
 
-    def color(vertices: Vertices) -> np.ndarray:
-        rows = len(vertices.factors)
-        cols = max(map(len, vertices.factors), default=0)
-        pairs = [f + [(0, 0)] * (cols - len(f)) for f in vertices.factors]
-        ar = _Saturating(table)
-        p = np.ones(rows, dtype=np.uint64)
-        for x, e in np.array(pairs, dtype=np.int64).reshape(rows, cols, 2).transpose(1, 2, 0):
-            p = ar.mul(p, ar.pow(ar.member(x), e))
-        v = ar.rank(p)
-        ok = ar.ok & (v < coloring.bound)
-        return np.where(ok, coloring.assignment[np.where(ok, v, 0)], 0)
+
+def word_coloring(coloring: Coloring, table: GroundTable) -> Callable:
+    """The coloring hj_search reads: color(keys) gives each word key (its
+    position-sorted (position, letter) pairs) the color of its h
+    projection, or 0 where that leaves the table or the coloring domain.
+    The factors are the key's pairs with a nonzero letter, the ones whose
+    members h_project looks up, padded with (0, 0)."""
+
+    def color(keys: list) -> np.ndarray:
+        factors = [[pair for pair in key if pair[1]] for key in keys]
+        cols = max(map(len, factors), default=0)
+        pairs = [f + [(0, 0)] * (cols - len(f)) for f in factors]
+        pairs = np.array(pairs, dtype=np.int64).reshape(len(keys), cols, 2)
+        return _colors(coloring, table, len(keys), pairs.transpose(1, 2, 0))
 
     return color
 
 
-point_coloring = word_coloring
+def point_coloring(coloring: Coloring, table: GroundTable) -> Callable:
+    """The coloring phj_search reads: color(keys) gives each grid point
+    key (its letters) the color of its m projection, each cell's letter
+    one factor as in m_project, or 0 where that leaves the table or the
+    coloring domain."""
 
+    def color(keys: list) -> np.ndarray:
+        cells = np.array(keys, dtype=np.int64).T
+        return _colors(coloring, table, len(keys), ((x, 1) for x in cells))
 
-class Vertices(NamedTuple):
-    """A run of a window's vertices, as a coloring reads them.
-
-    vertices holds their letter keys: a word's position-sorted (position,
-    letter) pairs, a grid point's letters.  factors holds their
-    projections: vertex i projects to the rank of the product of s_x ** e
-    over the (x, e) pairs of the list factors[i].
-    """
-
-    vertices: list
-    factors: list
+    return color
 
 
 class _Window:
@@ -156,43 +158,38 @@ class _Window:
     (group, point keys); a group is the report data that a run of lines
     shares and their points do not show (gamma, and the family set), one
     object for the run.  Line i's group is groups[i] and its points are
-    edges[i], indices into vertices, the point keys in order of first
-    appearance; monomial(key) gives a vertex's factors.
+    edges[i], indices into keys, the point keys in order of first
+    appearance.
     """
 
-    def __init__(self, lines: Callable, width: int, monomial: Callable):
-        self._lines, self._width, self._monomial = lines, width, monomial
+    def __init__(self, lines: Callable, width: int):
+        self._lines, self._width = lines, width
         self._clear()
 
     def _clear(self) -> None:
         self._source, self._index = self._lines(), {}
-        self.vertices, self._factors, self.groups = [], [], []
+        self.keys, self.groups = [], []
         self.edges = np.zeros((0, self._width), dtype=np.int32)
 
-    def fill(self, count: Optional[int] = None) -> None:
-        """Fill the first count lines, or every line for None.  A fill cut
-        short by an exception empties the window."""
+    def fill(self, count: Optional[int] = None) -> np.ndarray:
+        """Fill the first count lines, or every line for None, and return
+        the edges.  A fill cut short by an exception empties the window."""
         start = len(self.edges)
         if count is not None and count <= start:
-            return
+            return self.edges
         try:
             index, rows = self._index, []
             more = None if count is None else count - start
             for group, keys in itertools.islice(self._source, more):
                 self.groups.append(group)
                 rows.append([index.setdefault(k, len(index)) for k in keys])
-            new = list(index)[len(self.vertices):]
-            self._factors += map(self._monomial, new)
-            self.vertices += new
+            self.keys += list(index)[len(self.keys):]
             self.edges = np.concatenate(
                 [self.edges, np.array(rows, dtype=np.int32).reshape(-1, self._width)])
         except BaseException:
             self._clear()
             raise
-
-    def part(self, lo: int, hi: int) -> Vertices:
-        """Vertices lo..hi-1 of the filled lines."""
-        return Vertices(self.vertices[lo:hi], self._factors[lo:hi])
+        return self.edges
 
     def search(self, color: Callable, node_budget: Optional[int]) -> tuple:
         """search.scan_blocks over the lines, color coloring each vertex
@@ -206,22 +203,14 @@ class _Window:
             edges = self.edges[start:start + rows].T
             lo, hi = colors.size, int(edges.max(initial=-1)) + 1
             if hi > lo:
-                colors = np.concatenate([colors, color(self.part(lo, hi))])
+                colors = np.concatenate([colors, color(self.keys[lo:hi])])
             return colors[edges]
 
         status, nodes, skipped, hit, c = scan_blocks(block, node_budget)
         if hit is None:
             return status, nodes, skipped, None, None, None
-        line = [self.vertices[v] for v in self.edges[nodes - 1]]
+        line = [self.keys[v] for v in self.edges[nodes - 1]]
         return status, nodes, skipped, self.groups[nodes - 1], line, c
-
-    def hypergraph(self, keys: Iterator) -> tuple:
-        """(size, edges) for forced_window: the vertex count of keys, and
-        every line's points as indices into the order of keys."""
-        index = {k: i for i, k in enumerate(keys)}
-        self.fill()
-        order = np.array([index[k] for k in self.vertices], dtype=np.int64)
-        return len(index), order[self.edges].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +255,12 @@ def _alpha_order(avail: tuple, q: int) -> Iterator[tuple]:
 
 
 def _ap_sets(window: tuple, terms: int) -> Iterator[tuple]:
-    """Arithmetic progressions with `terms` entries inside a position set."""
+    """Arithmetic progressions with `terms` entries inside a position set,
+    each once: a one-term progression takes only the step 1."""
     allowed = set(window)
     top = max(window) if window else 0
     for a in sorted(allowed):
-        for d in range(1, top + 1):
+        for d in range(1, top + 1 if terms > 1 else 2):
             f = tuple(a + i * d for i in range(terms))
             if f[-1] > top:
                 break
@@ -292,12 +282,10 @@ def hj_search(
     additional (ap_k+1)-term progression F disjoint from both, and the
     line {alpha + (gamma u {t}) x {s} : s in alphabet, t in F}.  The
     window's lines are read in blocks by search.scan_blocks (status,
-    nodes, skips).  word_color, a callable over the window's Vertices
-    such as word_coloring returns, colors each word once, with the first
-    block that reads it.  Only the hit line's words are built.
+    nodes, skips).  word_color, a callable over a list of word keys such
+    as word_coloring returns, colors each word once, with the first block
+    that reads it.  Only the hit line's words are built.
     """
-    if q < 1 or n < 1 or (ap_k is not None and ap_k < 0):
-        raise ValueError("need q >= 1, n >= 1 and ap_k >= 0")
     status, nodes, skipped, group, line, color = _hj_window(q, n, ap_k).search(
         word_color, node_budget)
     if group is None:
@@ -311,11 +299,10 @@ def hj_search(
 
 @functools.lru_cache(maxsize=16)
 def _hj_window(q: int, n: int, ap_k: Optional[int]) -> _Window:
-    """The lines of hj_search and hj_threshold.  A word's factors are its
-    (position, letter) pairs with a nonzero letter, the ones whose members
-    h_project looks up."""
-    return _Window(functools.partial(_hj_lines, q, n, ap_k), q * (1 if ap_k is None else ap_k + 1),
-                   lambda key: [pair for pair in key if pair[1]])
+    """The lines of hj_search and hj_threshold."""
+    if q < 1 or n < 1 or (ap_k is not None and ap_k < 0):
+        raise ValueError("need q >= 1, n >= 1 and ap_k >= 0")
+    return _Window(functools.partial(_hj_lines, q, n, ap_k), q * (1 if ap_k is None else ap_k + 1))
 
 
 def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
@@ -352,15 +339,12 @@ def hj_threshold(
 ) -> Optional[int]:
     """Least window size forcing a monochromatic line for every coloring.
 
-    n is forced when colorings.avoiding_word finds no r-coloring of the
-    words over {1..n} (in words_over order) leaving every line hj_search
-    scans non-monochromatic; cap bounds its nodes per window.
+    n is forced when search.forced_window finds no r-coloring of the words
+    over {1..n} leaving every line hj_search scans non-monochromatic; the
+    window's edge matrix, words numbered by first appearance in its lines,
+    is the hypergraph, and cap bounds the nodes per window.
     """
-    if ap_k is not None and ap_k < 0:
-        raise ValueError("ap_k must be >= 0")
-    windows = ((n, *_hj_window(q, n, ap_k).hypergraph(
-                    w.letters for w in words_over(range(1, n + 1), q)))
-               for n in range(1, max_n + 1))
+    windows = ((n, _hj_window(q, n, ap_k).fill()) for n in range(1, max_n + 1))
     return forced_window(windows, r, cap)
 
 
@@ -368,6 +352,11 @@ def hj_threshold(
 # the polynomial grid
 
 _MAX_Q = 2**15 - 1  # letters must fit the int16 components
+
+
+def _check_grid(q: int, n: int, d: int) -> None:
+    if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
+        raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
 
 
 @functools.lru_cache
@@ -389,8 +378,7 @@ class PhjPoint:
     __slots__ = ("q", "n", "d", "letters")
 
     def __init__(self, q: int, n: int, d: int, components):
-        if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
-            raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
+        _check_grid(q, n, d)
         if len(components) != d:
             raise ValueError(f"need {d} components, got {len(components)}")
         letters = tuple(int(v) for j, comp in enumerate(components, start=1)
@@ -498,12 +486,10 @@ def phj_search(
     on every gamma^j block (substitution overwrites those blocks, so
     nothing is lost) and range over all letters elsewhere.  The line is
     the q^d substitutions of the blocks.  The window's lines are read as
-    in hj_search, point_color (a callable over Vertices, such as
-    point_coloring returns) coloring the points.  k_colors only documents
-    the expected color count; the coloring is authoritative.
+    in hj_search, point_color (a callable over a list of point keys, such
+    as point_coloring returns) coloring the points.  k_colors only
+    documents the expected color count; the coloring is authoritative.
     """
-    if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
-        raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
     status, nodes, skipped, gamma, line, color = _phj_window(q, n, d).search(
         point_color, node_budget)
     if gamma is None:
@@ -514,10 +500,9 @@ def phj_search(
 
 @functools.lru_cache(maxsize=16)
 def _phj_window(q: int, n: int, d: int) -> _Window:
-    """The lines of phj_search and phj_threshold.  A point's factors are
-    each of its letters, as a rank, to its multiplicity, as in m_project."""
-    return _Window(functools.partial(_phj_lines, q, n, d), q**d,
-                   lambda key: sorted(collections.Counter(key).items()))
+    """The lines of phj_search and phj_threshold."""
+    _check_grid(q, n, d)
+    return _Window(functools.partial(_phj_lines, q, n, d), q**d)
 
 
 def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
@@ -537,8 +522,7 @@ def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
 
 def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
     """Every grid point, as itertools.product over the cells in _cells order."""
-    if not 1 <= q <= _MAX_Q or n < 1 or d < 1:
-        raise ValueError(f"need 1 <= q <= {_MAX_Q} and n, d >= 1")
+    _check_grid(q, n, d)
     for letters in itertools.product(range(1, q + 1), repeat=len(_cells(n, d))):
         yield PhjPoint._of(q, n, d, letters)
 
@@ -552,9 +536,8 @@ def phj_threshold(
 ) -> Optional[int]:
     """Least window size forcing a monochromatic grid line for every coloring.
 
-    As hj_threshold, over the grid points (vertices, in grid_points order)
-    and the lines phj_search scans (edges).
+    As hj_threshold, over the grid points (vertices) and the lines
+    phj_search scans (edges).
     """
-    windows = ((n, *_phj_window(q, n, d).hypergraph(p.letters for p in grid_points(q, n, d)))
-               for n in range(1, max_n + 1))
+    windows = ((n, _phj_window(q, n, d).fill()) for n in range(1, max_n + 1))
     return forced_window(windows, r, cap)

@@ -12,7 +12,8 @@ loop; the word and grid searches of hjlab use them too.  scan_blocks
 reads colored blocks of candidates: find_witness's values come from the
 families in semigroup._Saturating, the line searches' from projections
 of window vertices.  verify_witness and admitted_configs evaluate one
-candidate at a time in semigroup._Exact.
+candidate at a time in semigroup._Exact.  forced_window reads a window
+as edges over any vertices and numbers them by first appearance.
 """
 
 from __future__ import annotations
@@ -153,12 +154,20 @@ def scan_blocks(block: Callable, node_budget: Optional[int] = None) -> tuple:
 
 
 def forced_window(windows: Iterable[tuple], r: int, cap: int) -> Optional[int]:
-    """The first n of the (n, size, edges) windows at which colorings.avoiding_word
-    finds no r-coloring of vertices 0..size-1 leaving every edge non-monochromatic."""
+    """The first n of the (n, edges) windows with no r-coloring leaving
+    every edge, an iterable of hashable vertices, non-monochromatic.
+
+    Each window numbers its vertices by first appearance in its edges, so
+    vertices on no edge, which never decide colorability, are left out;
+    colorings.avoiding_word searches that numbering in at most cap nodes.
+    A window without edges is not forced; an empty edge is a ValueError.
+    """
     if r < 1:
         raise ValueError("need at least one color")
-    for n, size, edges in windows:
-        if avoiding_word(size, edges, r, cap) is None:
+    for n, edges in windows:
+        index = {}
+        edges = [[index.setdefault(v, len(index)) for v in edge] for edge in edges]
+        if avoiding_word(len(index), edges, r, cap) is None:
             return n
     return None
 
@@ -191,9 +200,8 @@ def find_witness(
             return np.zeros((0, 0), dtype=np.int32)
         cols = _block_columns(ranges, start, rows)
         vals, ok = ar.lines(spec._values(generators_from_tuple(spec, cols), ar), rows)
-        ok &= vals < bounds.value_bound
         last[:] = cols, vals
-        return np.where(ok, coloring.assignment[np.where(ok, vals, 0)], 0)
+        return coloring.colors_of(vals, ok & (vals < bounds.value_bound))
 
     status, nodes, skipped, hit, color = scan_blocks(block, bounds.node_budget)
     witness = None
@@ -293,12 +301,12 @@ def threshold(
 ) -> Optional[int]:
     """Least N in [start_bound, max_bound] forcing a witness in {1..N}.
 
-    N is forced when colorings.avoiding_word (at most cap nodes a window)
-    finds no r-coloring of {1..N} leaving every configuration
-    admitted_configs gives the window non-monochromatic; its avoiding word
-    for N-1 certifies N-1.  The walk bound doubles from 16 up to
-    max_bound, so the walks cost about one walk at the answer, and each
-    walk evaluates only the candidates its pruning leaves.
+    N is forced when forced_window (at most cap nodes a window) finds no
+    r-coloring of the values in {1..N} leaving every configuration
+    admitted_configs gives the window non-monochromatic; the values are
+    the vertices, and each configuration an edge.  The walk bound doubles
+    from 16 up to max_bound, so the walks cost about one walk at the
+    answer, and each walk evaluates only the candidates its pruning leaves.
     """
 
     def windows():
@@ -307,8 +315,8 @@ def threshold(
         n, walk = start_bound, min(max_bound, max(start_bound, 16))
         while n <= max_bound:
             least = admitted_configs(spec, walk, table)
-            for n in range(n, walk + 1):  # vertex v-1 stands for the value v
-                yield n, n, [[v - 1 for v in cfg] for cfg, m in least.items() if m <= n]
+            for n in range(n, walk + 1):
+                yield n, [cfg for cfg, m in least.items() if m <= n]
             n, walk = walk + 1, min(max_bound, 2 * walk)
 
     return forced_window(windows(), r, cap)

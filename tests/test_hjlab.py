@@ -39,9 +39,9 @@ from sqstar.hjlab import _Window, _hj_lines, _hj_window, _phj_lines, _phj_window
 
 
 def _keyed(color_of):
-    """A structural coloring: color_of(key) for each vertex of a window,
-    None for uncolorable."""
-    return lambda vertices: [color_of(key) or 0 for key in vertices.vertices]
+    """A structural coloring: color_of(key) for each of a list of vertex
+    keys, None for uncolorable."""
+    return lambda keys: [color_of(key) or 0 for key in keys]
 
 
 _UNCOLORABLE = _keyed(lambda key: None)
@@ -152,12 +152,14 @@ def test_h_project_homomorphism(table_1m):
     assert checked >= 60
 
 
-def _vertex_colors(coloring, window, table):
-    """word_coloring's colors of every vertex of the whole window, by key."""
+def _vertex_colors(coloring, window, table, kind="hj"):
+    """The colors of every vertex of the whole window, by key: through
+    word_coloring for an hj window, point_coloring for a phj window."""
     window.fill()
-    colors = word_coloring(coloring, table)(window.part(0, len(window.vertices)))
-    assert len(colors) == len(window.vertices)
-    return dict(zip(window.vertices, np.asarray(colors).tolist()))
+    make = word_coloring if kind == "hj" else point_coloring
+    colors = make(coloring, table)(window.keys)
+    assert len(colors) == len(window.keys)
+    return dict(zip(window.keys, np.asarray(colors).tolist()))
 
 
 def test_word_coloring_skips(table_100k):
@@ -274,7 +276,7 @@ def test_hj_threshold_matches_oracle():
     assert hj_threshold(1, 2, 2) == 1
     assert hj_threshold(2, 10**11, 2) is None  # no per-color allocation
     with pytest.raises(EnumerationCapError):
-        hj_threshold(2, 2, 3, cap=50)
+        hj_threshold(2, 2, 3, cap=16)
     with pytest.raises(ValueError):
         hj_threshold(2, 0, 3)
 
@@ -284,6 +286,30 @@ def _avoiding(keys, lines, r):
     lines of a line generator."""
     index = {k: i for i, k in enumerate(keys)}
     return avoiding_word(len(keys), [[index[k] for k in line] for _, line in lines], r)
+
+
+def test_hj_lines_list_each_family_once():
+    """A one-term family {t} is listed once per t: 148 lines over {1..4}
+    (67 distinct word lists), and two-term families keep their 42."""
+    lines = list(_hj_lines(2, 4, 0))
+    assert len(lines) == len({(group, tuple(words)) for group, words in lines}) == 148
+    assert len({tuple(words) for _, words in lines}) == 67
+    assert sum(1 for _ in _hj_lines(2, 4, 1)) == 42
+
+
+def test_hj_threshold_three_colors():
+    """hj(2, 3) is forced at 3: an avoiding word for n = 2 passes the
+    oracle's line check, and in words_over order, a vertex order the
+    package does not use, window 3 has no avoiding word.  The cap of 10**5
+    nodes a window holds the search to the first-appearance numbering."""
+    assert hj_threshold(2, 3, 4) == 3
+    assert hj_threshold(2, 3, 4, cap=10**5) == 3
+    words = [w.letters for w in words_over(range(1, 3), 2)]
+    cmap = dict(zip(map(frozenset, words), _avoiding(words, _hj_lines(2, 2, None), 3)))
+    assert set(cmap) == set(oracles.all_words(2, 2))
+    assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(2, 2))
+    words = [w.letters for w in words_over(range(1, 4), 2)]
+    assert _avoiding(words, _hj_lines(2, 3, None), 3) is None
 
 
 @pytest.mark.parametrize("q, r, max_n, answer", [(2, 2, 3, 2), (3, 2, 2, None)])
@@ -411,10 +437,7 @@ def test_m_project_decomposition(table_1m):
 
 def test_point_coloring_skips(table_100k):
     c = periodic_coloring(2, [1, 2], 3)
-    window = _phj_window(2, 2, 1)
-    window.fill()
-    part = window.part(0, len(window.vertices))
-    colors = dict(zip(window.vertices, point_coloring(c, table_100k)(part)))
+    colors = _vertex_colors(c, _phj_window(2, 2, 1), table_100k, "phj")
     assert colors[constant_point(2, 2, 1).letters] == c.color_of(1)
     assert colors[PhjPoint(2, 2, 1, [[2, 2]]).letters] == 0  # projects to 3
 
@@ -543,7 +566,8 @@ def table_30():
 
 @pytest.mark.parametrize("kind, q, n, third", _WINDOWS + [("hj", 64, 2, None)])
 def test_window_vertex_colors_match_projections(kind, q, n, third, table_30, table_100k):
-    """word_coloring colors every vertex of a whole window as its scalar
+    """word_coloring and point_coloring color every vertex of a whole
+    window as its scalar
     projection does, uncolorable (0) past the table or the bound.  The
     table of limit 2 holds ranks 0 and 1 only: a word with letter 0 at
     position 2 is colorable, one with letter 1 there is not."""
@@ -552,7 +576,7 @@ def test_window_vertex_colors_match_projections(kind, q, n, third, table_30, tab
     tables = ((build_table(2), 2), (table_30, 16), (table_100k, 2), (table_100k, 12))
     for table, bound in tables:
         c = random_coloring(q + n, 3, bound)
-        got = _vertex_colors(c, window, table)
+        got = _vertex_colors(c, window, table, kind)
         want = _scalar_color(c, table)
         for key, color in got.items():
             assert color == (want(_point(kind, q, n, third, key)) or 0), key
@@ -610,14 +634,15 @@ def test_search_ending_early_fills_one_block(table_100k):
 
 def test_threshold_edges_after_a_search():
     """A window that a search filled in part, over two blocks, gives the
-    threshold the hypergraph of its whole line generator."""
-    keys = [w.letters for w in words_over(range(1, 5), 2)]
-    index = {k: i for i, k in enumerate(keys)}
-    want = (len(keys), [[index[k] for k in line] for _, line in _hj_lines(2, 4, None)])
+    threshold the edges of its whole line generator: mapped back to keys,
+    they are its lines, in order."""
     _hj_window.cache_clear()
     assert hj_search(2, _UNCOLORABLE, 4, node_budget=150).nodes == 150
-    assert len(_hj_window(2, 4, None).edges) == 150
-    assert _hj_window(2, 4, None).hypergraph(keys) == want
+    window = _hj_window(2, 4, None)
+    assert len(window.edges) == 150
+    edges = window.fill()
+    assert [[window.keys[v] for v in edge] for edge in edges.tolist()] == [
+        line for _, line in _hj_lines(2, 4, None)]
     assert hj_threshold(2, 2, 4) == 2
 
 
@@ -633,12 +658,12 @@ def test_interrupted_fill_empties_the_window():
                 raise KeyboardInterrupt
             yield line
 
-    window, fresh = (_Window(src, 2, list) for src in (lines, lambda: _hj_lines(2, 3, None)))
+    window, fresh = (_Window(src, 2) for src in (lines, lambda: _hj_lines(2, 3, None)))
     with pytest.raises(KeyboardInterrupt):
         window.fill(30)
-    assert (len(window.edges), window.vertices) == (0, [])
+    assert (len(window.edges), window.keys, window.groups) == (0, [], [])
     window.fill()
     fresh.fill()
-    assert window.vertices == fresh.vertices
+    assert window.keys == fresh.keys
     assert np.array_equal(window.edges, fresh.edges)
     assert window.search(_UNCOLORABLE, None)[:3] == ("exhausted", 37, 37)

@@ -38,7 +38,7 @@ from sqstar import (
 )
 from sqstar import search
 from sqstar.patterns import config_values
-from sqstar.search import admitted_configs, candidate_tuples, generators_from_tuple
+from sqstar.search import admitted_configs, candidate_tuples, forced_window, generators_from_tuple
 from sqstar.semigroup import _VALUE_CAP, _Saturating
 
 FAMILIES = [
@@ -635,7 +635,40 @@ def test_threshold_not_reached(table_100k):
 
 def test_threshold_cap(table_100k):
     with pytest.raises(EnumerationCapError):
-        threshold(Brauer(1), 2, 16, 16, table_100k, cap=2**10)
+        threshold(Brauer(1), 2, 16, 16, table_100k, cap=2**7)
+
+
+def test_threshold_geo_three_colors(table_100k):
+    """GeoArithmetic(1) at r=3 is forced at 54; an avoiding word for 53
+    passes the oracle's check over the window's 222 configurations."""
+    assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k) == 54
+    least = admitted_configs(GeoArithmetic(1), 53, table_100k)
+    configs = [cfg for cfg, m in least.items() if m <= 53]
+    word = avoiding_word(53, _window(least, 53), 3)
+    assert len(configs) == 222 and len(word) == 53
+    assert not oracles.mono_configs_exist(word, configs)
+    assert oracles.mono_configs_exist((1,) * 53, configs)  # the check can fail
+
+
+def test_forced_window_numbers_any_vertices():
+    """forced_window numbers each window's vertices itself: tuple and
+    string labels work, a vertex on no edge is left out, a window without
+    edges is not forced, and an empty edge is refused."""
+    triangle = [[("a", 1), ("b", 2)], [("b", 2), "c"], ["c", ("a", 1)]]
+    assert forced_window([(1, triangle)], 2, 10) == 1
+    assert forced_window([(1, triangle[:2]), (2, triangle)], 2, 10) == 2
+    assert forced_window([(1, triangle)], 3, 10) is None
+    # one edge of two vertices takes three nodes; numbered by value, the
+    # 10**6 - 1 integers between its labels would take a node each
+    assert forced_window([(1, [["x", "y"]])], 2, 3) is None
+    assert forced_window([(1, [[0, 10**6]]), (2, [[0, 10**6], [5]])], 2, 3) == 2
+    with pytest.raises(EnumerationCapError):
+        forced_window([(1, [[0, 10**6]])], 2, 2)
+    assert forced_window([(1, []), (2, [])], 1, 0) is None
+    with pytest.raises(ValueError):
+        forced_window([(1, [["x"], []])], 2, 10)
+    with pytest.raises(ValueError):
+        forced_window([(1, triangle)], 0, 10)
 
 
 def test_threshold_walk_drops_only_out_of_range_candidates(table_100k):
