@@ -119,7 +119,7 @@ class GroundTable:
     build_table from its budget check, load_cache from the cache's
     declared count.  Entry w of the rank directory counts the members in
     the words before w, so counting members below x is one directory read
-    plus one masked popcount.  The directory is reserved zeroed and filled
+    plus one masked popcount.  The directory is reserved unset and filled
     as a prefix, one chunk of _CHUNK_WORDS words (2^16 values) and one
     cumsum per extension, up to the chunk holding the largest bound asked
     for.
@@ -150,8 +150,9 @@ class GroundTable:
         self._words = words
         self._source = source  # the cache file the unfilled words are read from, if any
         self._checked = self.limit if source is None else 0  # _bit reads values below this directly
-        self._prefix = np.zeros(words.size + 1, dtype=np.int64)
-        self._known = 0  # directory entries 0.._known are filled
+        self._prefix = np.empty(words.size + 1, dtype=np.int64)
+        self._prefix[0] = 0
+        self._known = 0  # directory entries 0.._known are filled; none past them is read
         self._cover = 0  # count_below reads the filled part below this
         self._members = np.empty(size, dtype=np.uint32)
         self._members.setflags(write=False)

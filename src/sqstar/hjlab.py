@@ -340,12 +340,11 @@ def hj_threshold(
     """Least window size forcing a monochromatic line for every coloring.
 
     n is forced when search.forced_window finds no r-coloring of the words
-    over {1..n} leaving every line hj_search scans non-monochromatic; the
-    window's edge matrix, words numbered by first appearance in its lines,
-    is the hypergraph, and cap bounds the nodes per window.
+    over {1..n} leaving every line hj_search scans non-monochromatic; each
+    window is one stage (n, n), all lines tagged n; cap bounds a probe.
     """
-    windows = ((n, _hj_window(q, n, ap_k).fill()) for n in range(1, max_n + 1))
-    return forced_window(windows, r, cap)
+    stages = ((n, n, [(e, n) for e in _hj_window(q, n, ap_k).fill()]) for n in range(1, max_n + 1))
+    return forced_window(stages, r, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -539,5 +538,5 @@ def phj_threshold(
     As hj_threshold, over the grid points (vertices) and the lines
     phj_search scans (edges).
     """
-    windows = ((n, _phj_window(q, n, d).fill()) for n in range(1, max_n + 1))
-    return forced_window(windows, r, cap)
+    stages = ((n, n, [(e, n) for e in _phj_window(q, n, d).fill()]) for n in range(1, max_n + 1))
+    return forced_window(stages, r, cap)

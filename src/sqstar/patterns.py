@@ -136,8 +136,6 @@ def phi_from_str(text: str):
 # tuple positions, and read from a --gen token
 
 def _want_int(generators: dict, key: str, n=None) -> int:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
     v = generators[key]
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValueError(f"generator {key!r} must be an integer >= 1, got {v!r}")
@@ -145,8 +143,6 @@ def _want_int(generators: dict, key: str, n=None) -> int:
 
 
 def _want_indices(generators: dict, key: str, expect: Optional[int]) -> list:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
     xs = generators[key]
     if not isinstance(xs, (list, tuple)) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in xs
@@ -163,8 +159,6 @@ def _want_indices(generators: dict, key: str, expect: Optional[int]) -> list:
 
 
 def _want_monomial(generators: dict, key: str, n=None) -> list:
-    if key not in generators:
-        raise ValueError(f"generators missing {key!r}")
     mono = generators[key]
     if not isinstance(mono, (list, tuple)):
         raise ValueError(f"generator {key!r} must be a list of (rank, exponent) pairs")
@@ -198,7 +192,7 @@ def _parse_monomial(token: str) -> list:
 class Kind(NamedTuple):
     """One kind of generator value in a family's layout.
 
-    check(generators, key, n) returns the checked value or raises
+    check(generators, key, n) returns generators[key], checked, or raises
     ValueError; take(tup, i, n) builds the value from candidate-tuple
     positions i..i+n-1; parse reads it from one --gen token.  Positions
     run over generator indices, or over 1..generator_max when aux is set
@@ -277,6 +271,9 @@ class _Family:
     layout: tuple
 
     def _checked(self, generators: dict) -> dict:
+        missing = [key for key, _, _ in self.layout if key not in generators]
+        if missing:
+            raise ValueError(f"generators missing {missing[0]!r}")
         return {key: kind.check(generators, key, n) for key, kind, n in self.layout}
 
     def _values(self, g: dict, ar) -> Iterator[int]:

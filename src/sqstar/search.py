@@ -7,17 +7,17 @@ the least witness in that order.  Candidates whose configurations leave
 the value window or the table are skipped and tallied, never treated as
 failures.
 
-scan_blocks is the one candidate rule and forced_window the one forcing
-loop; the word and grid searches of hjlab use them too.  scan_blocks
-reads colored blocks of candidates: find_witness's values come from the
-families in semigroup._Saturating, the line searches' from projections
-of window vertices.  verify_witness and admitted_configs evaluate one
-candidate at a time in semigroup._Exact.  forced_window reads a window
-as edges over any vertices and numbers them by first appearance.
+scan_blocks is the one candidate rule and forced_window (a gallop, then
+bisection) the one forcing loop; hjlab's word and grid searches use them
+too.  scan_blocks reads colored blocks of candidates: find_witness's
+values come from the families in semigroup._Saturating, the line
+searches' from projections of window vertices.  verify_witness and
+admitted_configs evaluate one candidate at a time in semigroup._Exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -153,22 +153,28 @@ def scan_blocks(block: Callable, node_budget: Optional[int] = None) -> tuple:
     return status, nodes, skipped, None, None
 
 
-def forced_window(windows: Iterable[tuple], r: int, cap: int) -> Optional[int]:
-    """The first n of the (n, edges) windows with no r-coloring leaving
-    every edge, an iterable of hashable vertices, non-monochromatic.
+def forced_window(stages: Iterable[tuple], r: int, cap: int) -> Optional[int]:
+    """The least window n with no r-coloring leaving every edge (of
+    hashable vertices) non-monochromatic.
 
-    Each window numbers its vertices by first appearance in its edges, so
-    vertices on no edge, which never decide colorability, are left out;
-    colorings.avoiding_word searches that numbering in at most cap nodes.
-    A window without edges is not forced; an empty edge is a ValueError.
+    A stage (first, last, tagged) tags window last's edges with their least
+    window.  Probing n runs colorings.avoiding_word (cap nodes) on those
+    tagged n or less, in order, vertices numbered by first appearance; an
+    edgeless window is unforced, an empty edge a ValueError.  If last is
+    forced, a gallop (first, first+1, first+3, ...) and bisection find n.
     """
     if r < 1:
         raise ValueError("need at least one color")
-    for n, edges in windows:
-        index = {}
-        edges = [[index.setdefault(v, len(index)) for v in edge] for edge in edges]
-        if avoiding_word(len(index), edges, r, cap) is None:
-            return n
+    for first, last, tagged in stages:
+        def forced(n):
+            index = {}
+            edges = [[index.setdefault(v, len(index)) for v in e] for e, m in tagged if m <= n]
+            return avoiding_word(len(index), edges, r, cap) is None
+        if forced(last):
+            lo = hi = first  # the windows below lo are not forced
+            while hi < last and not forced(hi):
+                lo, hi = hi + 1, min(last, 2 * hi - first + 1)
+            return lo + bisect.bisect_left(range(lo, hi), True, key=forced)
     return None
 
 
@@ -301,22 +307,19 @@ def threshold(
 ) -> Optional[int]:
     """Least N in [start_bound, max_bound] forcing a witness in {1..N}.
 
-    N is forced when forced_window (at most cap nodes a window) finds no
-    r-coloring of the values in {1..N} leaving every configuration
-    admitted_configs gives the window non-monochromatic; the values are
-    the vertices, and each configuration an edge.  The walk bound doubles
-    from 16 up to max_bound, so the walks cost about one walk at the
-    answer, and each walk evaluates only the candidates its pruning leaves.
+    N is forced when forced_window (cap nodes a probe) finds no r-coloring
+    of the values in {1..N} leaving every configuration admitted_configs
+    gives the window non-monochromatic, each an edge tagged with its least
+    window.  The walk bound doubles from 16 up to max_bound, one stage a
+    walk, so the pruned walks cost about one walk at the answer.
     """
 
-    def windows():
+    def stages():
         if start_bound < 1:
             raise ValueError("start_bound must be positive")
         n, walk = start_bound, min(max_bound, max(start_bound, 16))
         while n <= max_bound:
-            least = admitted_configs(spec, walk, table)
-            for n in range(n, walk + 1):
-                yield n, [cfg for cfg, m in least.items() if m <= n]
+            yield n, walk, admitted_configs(spec, walk, table).items()
             n, walk = walk + 1, min(max_bound, 2 * walk)
 
-    return forced_window(windows(), r, cap)
+    return forced_window(stages(), r, cap)

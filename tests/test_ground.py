@@ -229,13 +229,21 @@ def test_load_then_element_selects_one_chunk(tmp_path, table_1m):
     assert 0 < loaded._ready <= loaded.count_below(2**16)
 
 
-def test_load_then_count_fills_one_directory_chunk(tmp_path, table_1m):
+def test_load_then_count_fills_one_directory_chunk(tmp_path, table_1m, monkeypatch):
     path = str(tmp_path / "t.sgt")
     save_cache(table_1m, path)
+    reads = []
+    real = sqstar.ground._CacheFile.read
+
+    def read(self, words, lo, end):
+        reads.append((lo, end))
+        return real(self, words, lo, end)
+
+    monkeypatch.setattr(sqstar.ground._CacheFile, "read", read)
     loaded = load_cache(path)
     assert loaded.count_below(1000) == table_1m.count_below(1000)
     assert 0 < loaded._known <= 1024  # one chunk of 2^10 words
-    assert not loaded._prefix[loaded._known + 1 :].any()
+    assert reads == [(0, 1024)]
 
 
 def test_count_below_many_refuses_non_integers():

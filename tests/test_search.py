@@ -650,25 +650,75 @@ def test_threshold_geo_three_colors(table_100k):
     assert oracles.mono_configs_exist((1,) * 53, configs)  # the check can fail
 
 
+def _stage(first, last, *edges):
+    """A stage whose edges are all tagged last."""
+    return first, last, [(e, last) for e in edges]
+
+
 def test_forced_window_numbers_any_vertices():
-    """forced_window numbers each window's vertices itself: tuple and
+    """forced_window numbers each probe's vertices itself: tuple and
     string labels work, a vertex on no edge is left out, a window without
     edges is not forced, and an empty edge is refused."""
     triangle = [[("a", 1), ("b", 2)], [("b", 2), "c"], ["c", ("a", 1)]]
-    assert forced_window([(1, triangle)], 2, 10) == 1
-    assert forced_window([(1, triangle[:2]), (2, triangle)], 2, 10) == 2
-    assert forced_window([(1, triangle)], 3, 10) is None
+    assert forced_window([_stage(1, 1, *triangle)], 2, 10) == 1
+    assert forced_window([(1, 2, [(triangle[0], 1), (triangle[1], 1), (triangle[2], 2)])],
+                         2, 10) == 2
+    assert forced_window([_stage(1, 1, *triangle)], 3, 10) is None
     # one edge of two vertices takes three nodes; numbered by value, the
     # 10**6 - 1 integers between its labels would take a node each
-    assert forced_window([(1, [["x", "y"]])], 2, 3) is None
-    assert forced_window([(1, [[0, 10**6]]), (2, [[0, 10**6], [5]])], 2, 3) == 2
+    assert forced_window([_stage(1, 1, ["x", "y"])], 2, 3) is None
+    assert forced_window([(1, 2, [([0, 10**6], 1), ([5], 2)])], 2, 3) == 2
     with pytest.raises(EnumerationCapError):
-        forced_window([(1, [[0, 10**6]])], 2, 2)
-    assert forced_window([(1, []), (2, [])], 1, 0) is None
+        forced_window([_stage(1, 1, [0, 10**6])], 2, 2)
+    assert forced_window([_stage(1, 1), _stage(2, 5)], 1, 0) is None
     with pytest.raises(ValueError):
-        forced_window([(1, [["x"], []])], 2, 10)
+        forced_window([_stage(1, 1, ["x"], [])], 2, 10)
     with pytest.raises(ValueError):
-        forced_window([(1, triangle)], 0, 10)
+        forced_window([_stage(1, 1, *triangle)], 0, 10)
+
+
+def test_forced_window_finds_the_answer_inside_a_stage():
+    """A probe keeps the edges tagged n or less wherever they stand in the
+    stage: the triangle closes at 3 inside stage (1, 8), an unforced stage
+    hands over to the next, and edges tagged below first make first the
+    answer."""
+    triangle = [[1, 2], [2, 3], [3, 1]]
+    tagged = [(triangle[2], 3), ([4, 5], 4), (triangle[0], 1), ([5, 6], 5), (triangle[1], 2)]
+    assert forced_window([(1, 8, tagged)], 2, 100) == 3
+    early = [(e, m) for e, m in tagged if m <= 2]
+    assert forced_window([(1, 2, early), (3, 8, tagged)], 2, 100) == 3
+    assert forced_window([(4, 8, tagged)], 2, 100) == 4
+    assert forced_window([(1, 8, tagged)], 3, 100) is None
+
+
+def test_threshold_probes_by_gallop_and_bisection(table_100k, monkeypatch):
+    """A stage whose last window is not forced costs one search, and a
+    forced one a gallop from its first window and a bisection of the last
+    gap, not a search per window."""
+    probes = []
+
+    def probe(*args):
+        word = avoiding_word(*args)
+        probes.append(word is None)
+        return word
+
+    monkeypatch.setattr(search, "avoiding_word", probe)
+    assert threshold(Brauer(1), 2, 1, 16, table_100k) == 16
+    assert len(probes) <= 8
+    probes.clear()
+    assert threshold(Brauer(1), 10**6, 1, 1000, table_100k) is None
+    assert len(probes) <= 7
+    probes.clear()
+    assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k) == 54
+    assert sum(probes) <= 2
+
+
+def test_threshold_numbers_each_probe_in_walk_order(table_100k):
+    """Each probe numbers its window's vertices as the walk meets them:
+    11,027 nodes settle geo r=3, and a cap one lower is passed."""
+    assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=11_027) == 54
+    with pytest.raises(EnumerationCapError):
+        threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=11_026)
 
 
 def test_threshold_walk_drops_only_out_of_range_candidates(table_100k):
