@@ -109,12 +109,6 @@ def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
     return ground.build_table(limit)
 
 
-def _parse_sets(token: str):
-    return tuple(
-        tuple(int(a) for a in group.split(",")) for group in token.split(";") if group
-    )
-
-
 def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
     """Build a coloring from a descriptor.
 
@@ -135,10 +129,6 @@ def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
         raise _CliError(str(exc)) from exc
 
 
-# command-line text for the spec parameters that are not plain integers
-_PARAM_PARSERS = {"phi": pat.phi_from_str, "sets": _parse_sets}
-
-
 def _build_spec(args, gen_tokens=None):
     """PatternSpec from family flags; gen_tokens only sizes fpf/deuber."""
     cls = pat.FAMILIES[args.family]
@@ -150,10 +140,7 @@ def _build_spec(args, gen_tokens=None):
     missing = [f"--{name}" for name, v in params.items() if v is None]
     if missing:
         raise _CliError(f"{args.family} needs {' and '.join(missing)}")
-    for name, parse in _PARAM_PARSERS.items():
-        if name in params:
-            params[name] = parse(params[name])
-    return cls(**params)
+    return cls(**{name: pat.PARAMS[name][1](v) for name, v in params.items()})
 
 
 def _build_generators(spec, tokens):
@@ -176,12 +163,8 @@ def _build_generators(spec, tokens):
 
 def _add_family_flags(sp):
     sp.add_argument("--family", required=True, choices=list(pat.FAMILIES))
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--phi", type=str, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--sets", type=str, default=None)
+    for name, (_, parse) in pat.PARAMS.items():
+        sp.add_argument(f"--{name}", type=int if parse is int else str, default=None)
 
 
 def _word_pairs(word):
@@ -366,11 +349,7 @@ def _dispatch(args) -> int:
     if cmd == "search":
         spec = _build_spec(args)
         coloring = _parse_coloring(args.coloring, args.bound)
-        if coloring.bound < args.bound:
-            raise _CliError(
-                f"coloring bound {coloring.bound} below requested bound {args.bound}"
-            )
-        table = _get_table(args, min_limit=None)
+        table = _get_table(args)
         bounds = srch.SearchBounds(
             generator_max=args.gen_max,
             value_bound=args.bound,

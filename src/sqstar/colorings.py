@@ -56,8 +56,8 @@ class Coloring:
 
 def random_coloring(seed: int, r: int, bound: int) -> Coloring:
     """Uniform iid coloring from a PCG64 stream; fully determined by seed."""
-    if r < 1:
-        raise ValueError("need at least one color")
+    if not 1 <= r <= MAX_COLORS:
+        raise ValueError(f"need 1..{MAX_COLORS} colors, got {r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     assignment = rng.integers(1, r + 1, size=bound, dtype=np.int32)
     prov = f"random:pcg64:seed={seed},r={r},bound={bound}"

@@ -138,7 +138,7 @@ class GroundTable:
     members(n) and elements are read-only views of it.
     """
 
-    __slots__ = ("limit", "_words", "_source", "_checked", "_prefix", "_known", "_cover",
+    __slots__ = ("limit", "_words", "_source", "_prefix", "_known", "_cover",
                  "_members", "_filled", "_ready")
 
     def __init__(self, limit: int, words: np.ndarray, size: int, source: _CacheFile | None = None):
@@ -149,11 +149,10 @@ class GroundTable:
         words.setflags(write=False)
         self._words = words
         self._source = source  # the cache file the unfilled words are read from, if any
-        self._checked = self.limit if source is None else 0  # _bit reads values below this directly
         self._prefix = np.empty(words.size + 1, dtype=np.int64)
         self._prefix[0] = 0
         self._known = 0  # directory entries 0.._known are filled; none past them is read
-        self._cover = 0  # count_below reads the filled part below this
+        self._cover = 0  # count_below and _bit read the filled part below this
         self._members = np.empty(size, dtype=np.uint32)
         self._members.setflags(write=False)
         self._filled = 0  # words whose members are in the buffer
@@ -178,7 +177,6 @@ class GroundTable:
         np.cumsum(prefix[lo : end + 1], out=prefix[lo : end + 1])
         if source is not None:
             source.check(words, prefix, lo, end, self.limit)
-            self._checked = min(64 * end, self.limit)
             if end == words.size:
                 source.close()
                 self._source = None
@@ -235,9 +233,9 @@ class GroundTable:
         s = operator.index(s)
         if s < 0:
             raise ValueError("membership query requires a nonnegative integer")
-        if s >= self._checked:
-            if s >= self.limit:
-                raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
+        if s >= self.limit:
+            raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
+        if s >= self._cover:
             self._fill(s >> 6)
         return (self._words.item(s >> 6) >> (s & 63)) & 1
 

@@ -24,7 +24,7 @@ import numpy as np
 from .colorings import DEFAULT_ENUMERATION_CAP, Coloring
 from .errors import DomainOverlapError
 from .ground import GroundTable
-from .search import forced_window, scan_blocks
+from .search import _Report, forced_window, scan_blocks
 from .semigroup import _Saturating, eval_monomial
 
 
@@ -217,8 +217,7 @@ class _Window:
 # combinatorial-line search over a finite window
 
 @dataclass
-class HjReport:
-    status: str  # "witness" | "exhausted" | "budget"
+class HjReport(_Report):
     alpha: Optional[LocatedWord]
     gamma: Optional[tuple]
     family_set: Optional[tuple]
@@ -226,10 +225,6 @@ class HjReport:
     line: Optional[tuple]
     nodes: int
     skipped: int
-
-    @property
-    def found(self) -> bool:
-        return self.status == "witness"
 
 
 def _subsets_lex(items: Sequence[int]) -> Iterator[tuple]:
@@ -457,18 +452,13 @@ def m_project(point: PhjPoint, table: GroundTable) -> int:
 
 
 @dataclass
-class PhjReport:
-    status: str
+class PhjReport(_Report):
     point: Optional[PhjPoint]
     gamma: Optional[tuple]
     color: Optional[int]
     line: Optional[tuple]
     nodes: int
     skipped: int
-
-    @property
-    def found(self) -> bool:
-        return self.status == "witness"
 
 
 def phj_search(

@@ -13,7 +13,8 @@ Families:
 
 Each family is declared once, as its spec class (see `_Family`); the
 configuration stream, the witness documents, the search's candidate
-order and the command line all read that declaration.
+order and the command line all read that declaration, and its parameters
+through PARAMS.
 
 Generator indices are everywhere >= 1: rank 0 is absorbing and would
 collapse any configuration to {0}.
@@ -187,6 +188,12 @@ def _parse_monomial(token: str) -> list:
         t, sep, e = item.partition(":")
         out.append((int(t), int(e) if sep else 1))
     return out
+
+
+def _parse_sets(token: str) -> tuple:
+    return tuple(
+        tuple(int(a) for a in group.split(",")) for group in token.split(";") if group
+    )
 
 
 class Kind(NamedTuple):
@@ -530,9 +537,10 @@ def _doc_sets(v) -> tuple:
     return tuple(tuple(_doc_int(a) for a in f) for f in v)
 
 
-# every parameter name means the same in each family that has it
-_PARAM_CODECS = {"k": _doc_int, "m": _doc_int, "p": _doc_int, "d": _doc_int,
-                 "phi": _doc_phi, "sets": _doc_sets}
+# each spec parameter, the same in every family that has it: (its witness
+# document codec, its command-line parser); the CLI offers them in this order
+PARAMS = {"k": (_doc_int, int), "m": (_doc_int, int), "p": (_doc_int, int),
+          "phi": (_doc_phi, phi_from_str), "d": (_doc_int, int), "sets": (_doc_sets, _parse_sets)}
 
 
 def _plain(v):
@@ -555,7 +563,7 @@ def spec_from_doc(doc: dict):
         if name not in FAMILIES:
             raise MalformedWitnessError(f"unknown family {name!r}")
         cls = FAMILIES[name]
-        return cls(**{f.name: _PARAM_CODECS[f.name](params[f.name])
+        return cls(**{f.name: PARAMS[f.name][0](params[f.name])
                       for f in dataclasses.fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedWitnessError(f"bad pattern spec document: {exc}") from exc

@@ -63,16 +63,22 @@ class SearchBounds:
 
 
 @dataclass
-class SearchReport:
+class _Report:
+    """A search's outcome; the reports add what each search found."""
+
     status: str  # "witness" | "exhausted" | "budget"
-    witness: Optional[Witness]
-    nodes: int
-    skipped_out_of_range: int
-    elapsed: float
 
     @property
     def found(self) -> bool:
         return self.status == "witness"
+
+
+@dataclass
+class SearchReport(_Report):
+    witness: Optional[Witness]
+    nodes: int
+    skipped_out_of_range: int
+    elapsed: float
 
 
 def _position_ranges(spec, bounds: SearchBounds) -> list:
@@ -192,7 +198,7 @@ def find_witness(
     """
     if bounds.value_bound > coloring.bound:
         raise ValueError(
-            f"value_bound {bounds.value_bound} exceeds coloring bound {coloring.bound}"
+            f"coloring bound {coloring.bound} below requested bound {bounds.value_bound}"
         )
     t0 = time.perf_counter()
     ranges = _position_ranges(spec, bounds)

@@ -17,6 +17,7 @@ from sqstar import (
     save_cache,
 )
 from sqstar import cli
+from sqstar import patterns as pat
 from sqstar.cli import main
 from sqstar.colorings import to_file as coloring_to_file
 
@@ -527,3 +528,84 @@ def test_line_search_output_pinned(cache_path, capsys, argv, code, doc):
     got, _, raw = run_json(capsys, "--cache", cache_path, *argv)
     assert got == code
     assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the parameter table, and rules only the fuzz tests reached before
+
+_MT = ("--m", "2", "--gen", "2", "3", "5")
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (("--family", "fpf", "--k", "2", "--gen", "2", "3"), pat.FpF(2)),
+    (("--family", "brauer", "--k", "2", "--gen", "2", "3"), pat.Brauer(2)),
+    (("--family", "deuber", "--m", "1", "--p", "2", "--gen", "2", "3"), pat.Deuber(1, 2)),
+    (("--family", "mt", "--phi", "proj:2", *_MT), pat.MillikenTaylor(2, pat.PhiProjection(2))),
+    (("--family", "mt", "--phi", "sum", *_MT), pat.MillikenTaylor(2, pat.PhiSum())),
+    (("--family", "mt", "--phi", "product", *_MT), pat.MillikenTaylor(2, pat.PhiProduct())),
+    (("--family", "mt", "--phi", "linear:1;2:3", *_MT),
+     pat.MillikenTaylor(2, pat.PhiLinear((1, 2), 3))),
+    (("--family", "mt", "--phi", "starfold", *_MT), pat.MillikenTaylor(2, pat.PhiStarFold())),
+    (("--family", "geo", "--k", "1", "--gen", "2:1", "2", "1", "1"), pat.GeoArithmetic(1)),
+    (("--family", "pvw", "--d", "2", "--sets", "2,3;4,5", "--gen", "2:1", "1"),
+     pat.PolyVdW(2, ((2, 3), (4, 5)))),
+])
+def test_pattern_flags_build_the_in_process_spec(cache_path, capsys, flags, spec):
+    code, doc, _ = run_json(capsys, "--cache", cache_path, "pattern", *flags)
+    assert code == 0
+    assert doc["spec"] == pat.spec_to_doc(spec)
+
+
+_WITNESS_BASES = {
+    "brauer": (pat.Brauer(1), {"x": 2, "z": 3}),
+    "fpf": (pat.FpF(2), {"xs": [2, 3]}),
+    "geo": (pat.GeoArithmetic(1), {"b": [(2, 1)], "gamma": [2], "a": 1, "d": 1}),
+}
+
+
+@pytest.mark.parametrize("base, path, value", [
+    ("brauer", ("configuration",), "x"),
+    ("brauer", ("configuration",), [True]),
+    ("brauer", ("configuration",), [-1]),
+    ("brauer", ("coloring-provenance",), 5),
+    ("brauer", ("generators",), [2, 3]),
+    ("fpf", ("generators", "xs"), [2, "3"]),
+    ("geo", ("generators", "b"), 5),
+    ("geo", ("generators", "b"), [[2]]),
+])
+def test_malformed_witness_field_is_corrupt_input(cache_path, tmp_path, capsys,
+                                                  base, path, value):
+    spec, gens = _WITNESS_BASES[base]
+    table = load_cache(cache_path)
+    config = generate_configuration(spec, gens, table)
+    doc = pat.witness_to_doc(
+        pat.Witness(spec, gens, config, 1, "periodic:q=1,map=1,bound=400", table.limit))
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(doc))
+    assert run(capsys, "--cache", cache_path, "verify", "--witness", str(wpath))[0] == 0
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    wpath.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "--cache", cache_path, "verify", "--witness", str(wpath))
+    assert code == 4
+    assert "error (corrupt-input)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--family", "brauer", "--k", "1", "--coloring", "file:", "--bound", "2"),
+    ("pattern", "--family", "fpf", "--gen", "2,x"),
+])
+def test_empty_coloring_path_and_bad_gen_are_usage_errors(cache_path, capsys, argv):
+    code, _, err = run(capsys, "--cache", cache_path, *argv)
+    assert code == 2
+    assert "error (usage)" in err
+
+
+def test_random_coloring_past_int32_is_usage_error(cache_path, capsys):
+    code, _, err = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                       "--k", "1", "--coloring", "random:seed=1,r=2147483648",
+                       "--bound", "400")
+    assert code == 2
+    assert "need 1..2147483647 colors, got 2147483648" in err

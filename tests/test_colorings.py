@@ -21,6 +21,12 @@ from sqstar import (
 from sqstar.colorings import Coloring, coloring_from_doc
 
 
+def test_random_coloring_refuses_colors_past_int32():
+    # checked before the draw, which would otherwise fail inside numpy
+    with pytest.raises(ValueError, match=r"need 1\.\.2147483647 colors, got 2147483648"):
+        random_coloring(1, 2**31, 10)
+
+
 def test_random_deterministic():
     a = random_coloring(42, 3, 1000)
     b = random_coloring(42, 3, 1000)

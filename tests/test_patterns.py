@@ -1,5 +1,6 @@
 """Pattern families: worked values, validation, witnesses, documents."""
 
+import dataclasses
 import inspect
 import itertools
 import pickle
@@ -31,7 +32,9 @@ from sqstar import (
 )
 from sqstar import patterns
 from sqstar.patterns import (
+    FAMILIES,
     FAMILY_NAMES,
+    PARAMS,
     block_tuples,
     config_values,
     phi_from_str,
@@ -478,3 +481,9 @@ def test_all_witness_generator_layouts_roundtrip(table_1m):
         assert pickle.loads(pickle.dumps(w)) == w
         regen = generate_configuration(back.spec, back.generators, table_1m)
         assert regen == config
+
+
+def test_params_table_names_every_spec_field():
+    # the witness documents and the command line read each parameter from PARAMS
+    fields = {f.name for cls in FAMILIES.values() for f in dataclasses.fields(cls)}
+    assert set(PARAMS) == fields
