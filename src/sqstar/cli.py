@@ -349,13 +349,14 @@ def _dispatch(args) -> int:
     if cmd == "search":
         spec = _build_spec(args)
         coloring = _parse_coloring(args.coloring, args.bound)
-        table = _get_table(args)
         bounds = srch.SearchBounds(
             generator_max=args.gen_max,
             value_bound=args.bound,
             node_budget=args.budget,
             include_identity=args.include_identity,
         )
+        bounds.check_coloring(coloring)  # before a table is built for nothing
+        table = _get_table(args)
         report = srch.find_witness(table, coloring, spec, bounds)
         doc = {
             "status": report.status,

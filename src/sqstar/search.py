@@ -61,6 +61,12 @@ class SearchBounds:
         if self.node_budget is not None and self.node_budget < 0:
             raise ValueError("node_budget must be nonnegative")
 
+    def check_coloring(self, coloring: Coloring) -> None:
+        """ValueError unless the coloring's domain covers value_bound."""
+        if self.value_bound > coloring.bound:
+            raise ValueError(f"coloring bound {coloring.bound} below requested bound "
+                             f"{self.value_bound}")
+
 
 @dataclass
 class _Report:
@@ -196,10 +202,7 @@ def find_witness(
     one lookup.  The candidate generators come from valid positions, so
     they need none of config_values' checks.
     """
-    if bounds.value_bound > coloring.bound:
-        raise ValueError(
-            f"coloring bound {coloring.bound} below requested bound {bounds.value_bound}"
-        )
+    bounds.check_coloring(coloring)
     t0 = time.perf_counter()
     ranges = _position_ranges(spec, bounds)
     count = math.prod(len(r) for r in ranges)

@@ -25,7 +25,9 @@ from .ground import MAX_LIMIT, GroundTable, _index_array
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
 
-# values of m per block of verify_laws' associativity check
+# pairs per chunk of star_many, and entries per chunk of verify_laws' tables
+_STAR_STEP = 1 << 14
+# values of m per block of verify_laws' associativity check and its right side
 _LAW_ROWS = 8
 
 
@@ -67,6 +69,8 @@ def star_many(ms, ns, table: GroundTable):
     the limit, which is at most 2**32, so their products are exact in
     uint64.  A negative rank raises ValueError, a rank past the table
     OutOfRangeError and a non-integer rank TypeError, as in star.
+    Pairs go _STAR_STEP at a time, so no temporary is longer; an invalid
+    product is ranked as 0, so the directory fills only as far as it must.
     """
     ms, ns = _index_array(ms), _index_array(ns)
     top = 0
@@ -80,14 +84,17 @@ def star_many(ms, ns, table: GroundTable):
                     f"rank {hi} exceeds table size {table.size} (limit {table.limit})"
                 )
             top = max(top, hi + 1)
-    ms, ns = ms.astype(np.int64, copy=False), ns.astype(np.int64, copy=False)
     s = table.members(top)
-    prod = s[ms].astype(np.uint64) * s[ns]
-    valid = prod < table.limit
-    ranks = np.zeros(prod.shape, dtype=np.int64)
-    if valid.any():
-        ranks[valid] = table.count_below_many(prod[valid])
-    return ranks, valid
+    pairs = np.nditer([ms, ns, None, None], ["external_loop", "buffered", "zerosize_ok"],
+                      [["readonly"]] * 2 + [["writeonly", "allocate"]] * 2,
+                      [np.intp, np.intp, np.int64, np.bool_], casting="same_kind",
+                      buffersize=_STAR_STEP)
+    with pairs:
+        for m, n, ranks, valid in pairs:
+            prod = s[m].astype(np.uint64) * s[n]
+            np.less(prod, table.limit, out=valid)
+            ranks[...] = table.count_below_many(np.where(valid, prod, 0))
+        return pairs.operands[2], pairs.operands[3]
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +285,10 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     """Exhaustively check semigroup laws on ranks 0..range_max.
 
     Laws: commutativity, identity (rank 1), absorption (rank 0),
-    multiplicativity of the underlying element map, and associativity
-    over all triples whose intermediate products stay below the limit.
-    Each law is checked by one rule: the entries where it is defined are
-    counted as checked and the rest as skipped (out of range), and the
+    multiplicativity of the element map, and associativity over all
+    triples whose products stay below the limit, each side evaluated once
+    per distinct inner product.  Each law has one rule: the entries where
+    it is defined are checked, the rest skipped (out of range), and the
     first checked entry in C order where it fails is the counterexample.
     """
     if range_max < 0:
@@ -317,10 +324,24 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     # The screen keeps the triples with s_m * s_k * s_j below the limit.
     # Members are below 2**32, so where prod < limit the screen prod * v
     # stays below 2**64 and is exact in uint64; other entries are masked
-    # out anyway.  Blocks of _LAW_ROWS values of m bound the scratch and
-    # keep C order, so the first counterexample is the same.
-    bad = None
-    checked3 = 0
+    # out anyway.  Each side is looked up by the distinct products u: left
+    # = star(u, j) once, right = star(m, u) per block of _LAW_ROWS values of
+    # m, as int32 ranks (all below 2**31) with -1 where the product leaves
+    # the table.  The blocks keep C order, so the first counterexample is
+    # the one a single pass over all triples would meet.
+    u, at = np.unique(np.where(in_range, ranks, 0), return_inverse=True)
+    at = at.reshape(n, n)
+
+    def star_grid(ms, ns):  # star(ms[a], ns[b]), _STAR_STEP entries at a time
+        out = np.empty((ms.size, ns.size), dtype=np.int32)
+        step = max(1, _STAR_STEP // ns.size)
+        for lo in range(0, ms.size, step):
+            r, ok = star_many(ms[lo : lo + step, None], ns[None, :], table)
+            out[lo : lo + step] = np.where(ok, r, -1)
+        return out
+
+    left = star_grid(u, idx)
+    bad, checked3 = None, 0
     for lo in range(0, n, _LAW_ROWS):
         rows = slice(lo, lo + _LAW_ROWS)
         t_ok = in_range[rows, :, None] & in_range[None, :, :]
@@ -329,14 +350,9 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         checked3 += block
         if bad is not None or not block:
             continue
-        m, k, j = np.nonzero(t_ok)
-        m += lo
-        lhs, lhs_ok = star_many(ranks[m, k], j, table)
-        rhs, rhs_ok = star_many(m, ranks[k, j], table)
-        mism = np.flatnonzero((lhs != rhs) | (lhs_ok != rhs_ok))
-        if mism.size:
-            i = mism[0]
-            bad = (int(m[i]), int(k[i]), int(j[i]))
+        hits = np.argwhere(t_ok & (left[at[rows]] != star_grid(idx[rows], u)[:, at]))
+        if hits.size:
+            bad = tuple((hits[0] + (lo, 0, 0)).tolist())
     checks.append(LawCheck("associativity", checked3, n**3 - checked3, bad))
 
     return LawReport(range_max, checks)

@@ -75,6 +75,53 @@ def fold_star(ranks, table) -> int:
     return fold_eval([(r, 1) for r in ranks], table)
 
 
+def faulty_star(limit: int, rank_shift=None, pair_fault=None):
+    """The product of ranks over the brute-force members below limit, as a
+    memoized mul(m, k) that gives a rank, or None where s_m * s_k reaches
+    the limit.  Two kinds of seeded fault can be modelled: rank_shift
+    maps a product value to an offset added to its rank (a wrong bulk
+    rank), and pair_fault maps an ordered pair (m, k) to the answer it
+    gets instead (a wrong product of one pair)."""
+    s, rank_shift, pair_fault = _member_list(limit), rank_shift or {}, pair_fault or {}
+
+    @functools.cache
+    def mul(m: int, k: int):
+        if (m, k) in pair_fault:
+            return pair_fault[m, k]
+        p = s[m] * s[k]
+        return None if p >= limit else _rank(s, p, limit) + rank_shift.get(p, 0)
+
+    return mul
+
+
+def associativity_oracle(n: int, mul, limit: int):
+    """(checked, skipped, first counterexample) of associativity on ranks
+    0..n, one triple (m, k, j) at a time in C order.
+
+    A triple is checked where mul(m, k) and mul(k, j) are both defined and
+    s_m * s_k * s_j is below the limit; it fails where mul(mul(m, k), j)
+    and mul(m, mul(k, j)) differ, a product leaving the table (None) on
+    one side only included.
+    """
+    s = _member_list(limit)
+    checked, first = 0, None
+    for m in range(n + 1):
+        for k in range(n + 1):
+            mk = mul(m, k)
+            if mk is None:
+                continue
+            for j in range(n + 1):
+                if s[m] * s[k] * s[j] >= limit:
+                    break  # members increase with j: every later triple is screened out too
+                kj = mul(k, j)
+                if kj is None:
+                    continue
+                checked += 1
+                if first is None and mul(mk, j) != mul(m, kj):
+                    first = (m, k, j)
+    return checked, (n + 1) ** 3 - checked, first
+
+
 def least_monochromatic(candidates, color, node_budget=None):
     """The scalar candidate rule: (status, candidate, color, nodes, skipped).
 

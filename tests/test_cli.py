@@ -294,6 +294,19 @@ def test_search_accepts_a_witness_provenance(cache_path, capsys):
     assert "coloring bound 400 below requested bound 401" in err
 
 
+def test_search_refuses_a_bound_mismatch_before_building_a_table(monkeypatch, capsys):
+    # no cache is configured, so a table would be built in memory: the
+    # mismatch is refused first, with no build and no build warning
+    built = []
+    monkeypatch.setattr(cli.ground, "build_table", lambda *a, **k: built.append(a))
+    code, _, err = run(capsys, "search", "--family", "brauer", "--k", "1",
+                       "--bound", "401",
+                       "--coloring", "random:pcg64:seed=5,r=2,bound=400")
+    assert code == 2
+    assert "coloring bound 400 below requested bound 401" in err
+    assert "warning" not in err and not built
+
+
 def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     wpath = str(tmp_path / "w.json")
     code, _, _ = run(capsys, "--cache", cache_path, *SEARCH_ARGS, "--out", wpath)

@@ -1,6 +1,8 @@
 """Induced product: worked values, law checks, monomial evaluation."""
 
+import functools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from sqstar import (
     build_table,
     eval_monomial,
     generate_configuration,
+    load_cache,
     power,
+    save_cache,
     star,
     star_many,
     verify_laws,
@@ -299,3 +303,192 @@ def test_star_many_refuses_non_integer_ranks():
     # bools are ranks, as operator.index(True) == 1
     ranks, valid = star_many([True, False], [3, 3], t)
     assert valid.all() and ranks.tolist() == [star(1, 3, t), star(0, 3, t)]
+
+
+# ---------------------------------------------------------------------------
+# the blocked star_many: chunk edges, broadcasting, dtypes, lazy fill
+
+STEP = semigroup._STAR_STEP
+
+
+def _scalar_star(t):
+    @functools.cache
+    def mul(m, n):
+        try:
+            return star(m, n, t)
+        except OutOfRangeError:
+            return None
+
+    return mul
+
+
+def _assert_matches_star(ms, ns, ranks, valid, t):
+    mul = _scalar_star(t)
+    ms, ns = np.broadcast_arrays(ms, ns)
+    assert ranks.shape == valid.shape == ms.shape
+    assert ranks.dtype == np.int64 and valid.dtype == bool
+    for m, n, r, v in zip(ms.ravel().tolist(), ns.ravel().tolist(),
+                          ranks.ravel().tolist(), valid.ravel().tolist()):
+        want = mul(int(m), int(n))
+        assert (v, r) == (want is not None, 0 if want is None else want), (m, n)
+
+
+@pytest.mark.parametrize("size", [0, 1, STEP - 1, STEP, STEP + 1, 3 * STEP + 7])
+def test_star_many_chunks_match_star(size, table_100k):
+    t = table_100k
+    rng = np.random.Generator(np.random.PCG64(size))
+    ms = rng.integers(0, 300, size)
+    ns = rng.integers(0, 300, size)
+    # out-of-limit pairs on both sides of every chunk edge
+    for edge in range(STEP, size, STEP):
+        ms[edge - 1 : edge + 1] = ns[edge - 1 : edge + 1] = t.size - 1
+    ranks, valid = star_many(ms, ns, t)
+    _assert_matches_star(ms, ns, ranks, valid, t)
+    if size > STEP:
+        assert not valid[STEP - 1] and not valid[STEP] and valid.any()
+
+
+def test_star_many_broadcasts_across_chunks(table_100k):
+    t = table_100k
+    col, row = np.arange(130)[:, None], np.arange(0, 280, 2)[None, :]
+    assert col.size * row.size > STEP
+    _assert_matches_star(col, row, *star_many(col, row, t), t)
+    _assert_matches_star(row.T, col.T, *star_many(row.T, col.T, t), t)
+    # 0-d against 1-d, and 0-d against 0-d
+    ns = np.arange(STEP + 3) % 500
+    _assert_matches_star(np.array(7), ns, *star_many(np.array(7), ns, t), t)
+    ranks, valid = star_many(np.array(5), np.array(2), t)
+    assert ranks.shape == valid.shape == () and (int(ranks), bool(valid)) == (9, True)
+
+
+def test_star_many_uint64_and_bool_ranks(table_100k):
+    t = table_100k
+    rng = np.random.Generator(np.random.PCG64(11))
+    ms = rng.integers(0, 400, STEP + 5).astype(np.uint64)
+    ns = rng.integers(0, 400, STEP + 5).astype(np.uint64)
+    _assert_matches_star(ms, ns, *star_many(ms, ns, t), t)
+    flags = rng.integers(0, 2, STEP + 5).astype(bool)
+    _assert_matches_star(flags.astype(np.int64), ns,
+                         *star_many(flags, ns, t), t)
+
+
+def test_star_many_fills_only_through_its_largest_valid_product(tmp_path):
+    # every member in the first chunk (values below 2^16) of a 2^17 table:
+    # pairs of large ones leave the table, pairs of small ones stay in the
+    # first chunk, and only that chunk is read from the cache
+    path = str(tmp_path / "t.sgt")
+    save_cache(build_table(2**17), path)
+    t = load_cache(path)
+    big = t.count_below(65_000)
+    ms = np.array([2, big, 7, big - 1, 30])
+    ns = np.array([5, big, 9, big, 40])
+    ranks, valid = star_many(ms, ns, t)
+    assert valid.tolist() == [True, False, True, False, True]
+    assert t._known == 1024 < t._words.size
+    _assert_matches_star(ms, ns, ranks, valid, t)
+
+
+def test_star_many_scratch_is_one_chunk(table_1m):
+    """500k pairs: the answers (4.5 MB) plus chunk scratch.  Traced peak
+    5.4 MB (numpy 2.4); the unblocked version read 11.1 MB."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    ms = rng.integers(0, 2000, 500_000)
+    ns = rng.integers(0, 2000, 500_000)
+    star_many(ms, ns, table_1m)  # selects the members and fills the directory
+    tracemalloc.start()
+    try:
+        star_many(ms, ns, table_1m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+
+
+# ---------------------------------------------------------------------------
+# verify_laws' associativity check against a triple-by-triple oracle
+
+
+def test_verify_laws_scratch_on_1m(table_1m):
+    """verify_laws(100): traced peak 3.3 MB (numpy 2.4); 8.7 MB when both
+    sides were evaluated per triple."""
+    verify_laws(100, table_1m)
+    tracemalloc.start()
+    try:
+        verify_laws(100, table_1m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000
+
+
+def _rank_faults(rng, t, n):
+    """One or two valid nonzero products of ranks 0..n, each with its rank
+    moved by one."""
+    s = t.members(n + 1).astype(np.int64)
+    prods = np.unique(s[:, None] * s[None, :])
+    prods = prods[(prods > 0) & (prods < t.limit)]
+    picked = rng.choice(prods, size=min(int(rng.integers(1, 3)), prods.size), replace=False)
+    return {p: -1 if t.count_below(p) + 1 >= t.size else 1 for p in picked.tolist()}
+
+
+def _pair_fault(rng, t, n, out_of_range, m=None):
+    """An ordered pair m != k of ranks 0..n (m given, or drawn too) with its
+    product in the table, answered with the next rank, or as out of range."""
+    while True:
+        k = int(rng.integers(0, n + 1))
+        m0 = int(rng.integers(0, n + 1)) if m is None else m
+        want = _scalar_star(t)(m0, k)
+        if m0 != k and want is not None and want + 1 < t.size:
+            return m0, k, None if out_of_range else want + 1
+
+
+def _check_against_oracle(t, n, mul):
+    assoc = verify_laws(n, t).checks[-1]
+    assert assoc.name == "associativity"
+    got = (assoc.checked, assoc.skipped, assoc.counterexample)
+    assert got == oracles.associativity_oracle(n, mul, t.limit)
+    return assoc.counterexample
+
+
+@pytest.mark.parametrize("limit", [1_000, 10_000, 100_000])
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_verify_laws_associativity_matches_oracle(monkeypatch, limit, n):
+    t = build_table(limit)
+    rng = np.random.Generator(np.random.PCG64([limit, n]))
+    # the honest product is associative
+    assert _check_against_oracle(t, n, oracles.faulty_star(limit)) is None
+    found = 0
+
+    honest_rank = GroundTable.count_below_many
+    for _ in range(3):
+        shift = _rank_faults(rng, t, n)
+
+        def corrupt(self, xs, shift=shift):
+            out = honest_rank(self, xs)
+            xs = np.asarray(xs)
+            for p, d in shift.items():
+                out[xs == p] += d
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(GroundTable, "count_below_many", corrupt)
+            mul = oracles.faulty_star(limit, rank_shift=shift)
+            found += _check_against_oracle(t, n, mul) is not None
+
+    honest_star = semigroup.star_many
+    # the last fault reports a product of the absorbing rank 0 as out of
+    # range, which must not read as the rank 0 it would have
+    for out_of_range, m in ((False, None), (True, None), (False, None), (True, 0)):
+        m0, k0, answer = _pair_fault(rng, t, n, out_of_range, m)
+
+        def faulty(ms, ns, table, m0=m0, k0=k0, answer=answer):
+            ranks, valid = honest_star(ms, ns, table)
+            at = (np.asarray(ms) == m0) & (np.asarray(ns) == k0)
+            ranks[at], valid[at] = (0, False) if answer is None else (answer, True)
+            return ranks, valid
+
+        with monkeypatch.context() as mp:
+            mp.setattr(semigroup, "star_many", faulty)
+            mul = oracles.faulty_star(limit, pair_fault={(m0, k0): answer})
+            found += _check_against_oracle(t, n, mul) is not None
+    assert found  # some seeded fault shows as a counterexample
