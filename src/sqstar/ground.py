@@ -44,8 +44,13 @@ _GROUND_ID = b"sigma"
 # member found) stays under a megabyte.
 _CHUNK_WORDS = 2**10
 
-# Values sieved at a time by build_table, one bool byte each.
-_SEGMENT = 2**22
+# Values sieved at a time by build_table, one bool byte each; a multiple of
+# 64, so a segment and the half its evens are copied from start on a byte.
+_SEGMENT = 2**20
+
+# Pairs (u, v) the sieve expands at a time: its int64 temporaries (64 KiB)
+# stay under glibc's 128 KiB mmap threshold, so no batch faults in pages.
+_PAIRS = 2**13
 
 
 def is_member(n: int) -> bool:
@@ -76,27 +81,58 @@ def is_member(n: int) -> bool:
     return not (m > 1 and m % 4 == 3)
 
 
+def _pronic_floor(x: np.ndarray) -> np.ndarray:
+    """Elementwise the largest v >= -1 with v(v+1) <= x: 2v+1 <= isqrt(4x+1)."""
+    # the float root floors exactly: it is correctly rounded and 4x+1 < 2**52
+    return (np.sqrt(np.maximum(4 * x + 1, 0)).astype(np.int64) - 1) // 2
+
+
 def _sieve(limit: int) -> np.ndarray:
     """Bitset words of [0, limit) with bit n set iff n = a^2 + b^2.
 
-    Marks a^2 + b^2 for every a <= b into one bool segment of _SEGMENT
-    values at a time, then packs the segment straight into the words.
+    Sieves one bool segment of _SEGMENT values at a time by residue class
+    (after Atkin and Bernstein, Math. Comp. 2004), then packs it straight
+    into the words.  No member is 3 (mod 4), and an odd one is
+    4u^2 + (2v+1)^2, so it is marked at m = (n-1)/4 = u^2 + v(v+1) in odd,
+    the view of the segment's values 1 (mod 4): each u gives a row of v,
+    and the rows are expanded at most _PAIRS pairs at a time (a longer row
+    alone).  An even n is a member iff n/2 is, as 2(x^2 + y^2) =
+    (x+y)^2 + (x-y)^2, so evens are copied from the words already packed
+    (n/2 < lo, as no segment is longer than its start); segment 0 doubles
+    its own prefix instead.
     """
     words = np.zeros((limit >> 6) + 1, dtype="<u8")
     data = words.view(np.uint8)
-    squares = np.arange(math.isqrt(limit - 1) + 1, dtype=np.int64) ** 2
     seg = np.empty(min(_SEGMENT, limit), dtype=bool)
     for lo in range(0, limit, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit)
-        seg[:] = False
-        # a <= b and a^2 + b^2 < hi give 2 a^2 < hi
-        for a in range(math.isqrt((hi - 1) // 2) + 1):
-            a2 = a * a
-            b0 = max(a, math.isqrt(lo - a2 - 1) + 1) if lo > a2 else a
-            b1 = math.isqrt(hi - 1 - a2)
-            if b0 <= b1:
-                seg[squares[b0 : b1 + 1] + (a2 - lo)] = True
-        packed = np.packbits(seg[: hi - lo], bitorder="little")
+        n = min(_SEGMENT, limit - lo)
+        first, last = lo // 4, (lo + n - 2) // 4
+        s = seg[:n]
+        s[:] = False
+        odd = s[1::4]
+        u2 = np.arange(math.isqrt(last) + 1, dtype=np.int64) ** 2
+        v0 = _pronic_floor(first - 1 - u2) + 1
+        count = _pronic_floor(last - u2) + 1 - v0
+        starts = np.concatenate(([0], np.cumsum(count)))  # pairs before row u
+        shift, base = v0 - starts[:-1], u2 - first  # v = pair + shift, m - first = v(v+1) + base
+        i = 0
+        while i < count.size:
+            j = max(int(np.searchsorted(starts, starts[i] + _PAIRS, "right")) - 1, i + 1)
+            v = np.arange(starts[i], starts[j])
+            v += np.repeat(shift[i:j], count[i:j])
+            idx = v + 1
+            idx *= v
+            idx += np.repeat(base[i:j], count[i:j])
+            odd[idx] = True
+            i = j
+        if lo:
+            s[0::2] = np.unpackbits(data[lo >> 4 :], count=(n + 1) // 2, bitorder="little").view(bool)
+        else:
+            s[0], k = True, 1
+            while 2 * k < n:
+                s[2 * k : 4 * k : 2] = s[k : min(2 * k, (n + 1) // 2)]
+                k *= 2
+        packed = np.packbits(s, bitorder="little")
         data[lo >> 3 : (lo >> 3) + packed.size] = packed
     return words
 
@@ -295,18 +331,21 @@ def build_table(
 
     The build has two peaks, and each is checked against max_bytes before
     its allocation.  The segmented sieve holds the bitset (limit/8 bytes),
-    one bool segment of at most _SEGMENT values with its packed copy, and
-    the squares.  The table then holds the bitset, the rank directory
-    (8 bytes per 64 candidates, plus a byte per word while it is filled),
-    the member buffer (4 bytes per member) and the chunked select scratch;
-    the directory and buffer are reserved after the check, sized from the
-    build's one popcount, and filled only as queries reach them.
+    one bool segment of at most _SEGMENT values and the unpacked half its
+    evens are copied from (its packed copy comes after that is freed),
+    three int64 temporaries of _PAIRS pairs, and ten int64 arrays of one
+    entry per u (rows and _pronic_floor temporaries).  The table then
+    holds the bitset, the rank directory (8 bytes per 64 candidates, plus
+    a byte per word while it is filled), the member buffer (4 bytes per
+    member) and the chunked select scratch; the directory and buffer are
+    reserved after the check, sized from the build's one popcount, and
+    filled only as queries reach them.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
     nwords = (limit >> 6) + 1
     seg = min(_SEGMENT, limit)
-    sieve = 8 * nwords + seg + seg // 8 + 1 + 16 * (math.isqrt(limit) + 1)
+    sieve = 8 * nwords + seg + seg // 2 + 24 * min(_PAIRS, seg) + 80 * (math.isqrt(limit // 4) + 1)
     _check_budget(sieve, max_bytes, limit, "sieve")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} above {MAX_LIMIT}: uint32 members would overflow")

@@ -128,7 +128,7 @@ def test_budget_estimate_tracks_measured_peak():
 def test_build_peak_rss_is_bounded():
     # the segmented sieve holds the bitset and one bool segment, not a
     # bool per candidate, and the rank directory is filled only on demand:
-    # a 1e8 build grows a fresh process's peak by about 17 MB over its
+    # a 1e8 build grows a fresh process's peak by about 14 MB over its
     # imports, where a whole-range sieve grew it by about 108 MB.  The child reads its VmHWM in KiB,
     # because Linux carries ru_maxrss across exec from the forking process.
     code = (
@@ -196,6 +196,74 @@ def test_members_on_demand_match_oracle(limit):
     assert cold.element(want.size - 1) == want[-1]
     assert np.array_equal(cold.elements, want)
     assert cold.members(0).size == 0
+
+
+def sieve_bits(limit):
+    """The sieve's bits below limit, after checking that none above it is set."""
+    bits = np.unpackbits(sqstar.ground._sieve(limit).view(np.uint8), bitorder="little")
+    assert not bits[limit:].any(), limit
+    return bits[:limit]
+
+
+def test_sieve_matches_oracle_at_every_small_limit():
+    # word edges, a limit inside segment 0's doubling and every residue mod 4
+    for limit in range(2, 301):
+        assert np.array_equal(sieve_bits(limit), oracles.two_squares_flags(limit)), limit
+
+
+def test_sieve_matches_oracle_at_segment_edges():
+    seg = sqstar.ground._SEGMENT
+    for limit in (seg - 1, seg, seg + 1, 2 * seg + 65):
+        assert np.array_equal(sieve_bits(limit), oracles.two_squares_flags(limit)), limit
+
+
+@pytest.mark.parametrize("segment", [64, 4096])
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_sieve_matches_oracle_across_segments_and_batches(monkeypatch, segment, pairs):
+    # many segments copy their evens from earlier words, and rows of pairs
+    # are cut into batches at every length, a batch of one long row included
+    monkeypatch.setattr(sqstar.ground, "_SEGMENT", segment)
+    monkeypatch.setattr(sqstar.ground, "_PAIRS", pairs)
+    want = oracles.two_squares_flags(200_000)
+    for limit in (segment - 1, segment + 1, 3 * segment + 70, 200_000):
+        assert np.array_equal(sieve_bits(limit), want[:limit]), limit
+
+
+def test_pronic_floor_is_exact():
+    # largest v >= -1 with v(v+1) <= x, at and around every pronic number
+    # up to the largest the sieve asks about (limit 2**32 gives x < 2**30)
+    k = np.arange(2**15 + 2, dtype=np.int64)
+    for d in (-1, 0, 1):
+        x = k * (k + 1) + d
+        want = k - (d < 0)
+        assert np.array_equal(sqstar.ground._pronic_floor(x), want), d
+    assert np.array_equal(sqstar.ground._pronic_floor(np.array([-5, -1])), [-1, -1])
+
+
+def test_sieve_at_1e8_is_pinned(table_100m_timed):
+    # member count and bitset checksum of the 1e8 table, as the a <= b
+    # pair-marking sieve that the residue-class sieve replaced gave them
+    table, _ = table_100m_timed
+    assert table.size == 18_457_847
+    assert zlib.crc32(table._words) == 0x5F5EBF76
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**6, 10**7])
+def test_sieve_budget_covers_its_traced_peak(limit):
+    tracemalloc.start()
+    try:
+        sqstar.ground._sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ResourceBudgetError, match="the sieve"):
+        build_table(limit, max_bytes=peak - 1)
+    # not far above the peak: half as much again passes the sieve stage,
+    # though the table stage may still refuse it
+    try:
+        build_table(limit, max_bytes=int(1.5 * peak))
+    except ResourceBudgetError as err:
+        assert "the table" in str(err), str(err)
 
 
 def test_members_view_is_read_only(table_100k):
