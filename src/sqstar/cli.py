@@ -42,23 +42,19 @@ DEFAULT_BUILD_LIMIT = 10**7
 DEFAULT_CACHE_NAME = "sigma-default.sgt"
 ENV_CACHE_DIR = "SQSTAR_CACHE_DIR"
 
-_USAGE_ERRORS = (
-    ValueError,
-    NotMemberError,
-    EnumerationCapError,
-    ResourceBudgetError,
-    OutOfDomainError,
-)
-_RANGE_ERRORS = (OutOfRangeError,)
-_CORRUPT_ERRORS = (
-    CorruptCacheError,
-    SchemaViolationError,
-    MalformedWitnessError,
-)
-
 
 class _CliError(Exception):
     """Usage-level problem detected after argparse."""
+
+
+# the error kind and exit code of each exception a command may raise
+# (OSError: a missing, unreadable or directory path); others propagate
+_EXITS = (
+    ((OutOfRangeError,), "out-of-range", 3),
+    ((CorruptCacheError, SchemaViolationError, MalformedWitnessError), "corrupt-input", 4),
+    ((_CliError, ValueError, NotMemberError, EnumerationCapError, ResourceBudgetError,
+      OutOfDomainError, OSError), "usage", 2),
+)
 
 
 def _emit(args, doc: dict, human_lines) -> None:
@@ -77,13 +73,6 @@ def _emit_error(args, kind: str, message: str) -> None:
         sys.stderr.write(f"error ({kind}): {message}\n")
 
 
-def _default_cache_path():
-    d = os.environ.get(ENV_CACHE_DIR)
-    if d:
-        return os.path.join(d, DEFAULT_CACHE_NAME)
-    return None
-
-
 def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
     """Resolve the ground table: explicit cache, default cache, or build.
 
@@ -91,7 +80,8 @@ def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
     caller asked for values it cannot cover); with no cache at all an
     in-memory table is built at the default limit, enlarged if needed.
     """
-    path = args.cache or _default_cache_path()
+    env = os.environ.get(ENV_CACHE_DIR)
+    path = args.cache or (env and os.path.join(env, DEFAULT_CACHE_NAME))
     if path and os.path.exists(path):
         table = ground.load_cache(path)
         if min_limit is not None and table.limit < min_limit:
@@ -265,21 +255,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _dispatch(args)
-    except _CliError as exc:
-        _emit_error(args, "usage", str(exc))
-        return 2
-    except _RANGE_ERRORS as exc:
-        _emit_error(args, "out-of-range", str(exc))
-        return 3
-    except _CORRUPT_ERRORS as exc:
-        _emit_error(args, "corrupt-input", str(exc))
-        return 4
-    except _USAGE_ERRORS as exc:
-        _emit_error(args, "usage", str(exc))
-        return 2
-    except OSError as exc:  # a missing, unreadable or directory path
-        _emit_error(args, "usage", str(exc))
-        return 2
+    except tuple(t for types, _, _ in _EXITS for t in types) as exc:
+        kind, code = next((kind, code) for types, kind, code in _EXITS if isinstance(exc, types))
+        _emit_error(args, kind, str(exc))
+        return code
 
 
 def _dispatch(args) -> int:

@@ -144,24 +144,33 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
     onto avoiding words.  Each color tried on a vertex is a node, and
     EnumerationCapError is raised once more than cap nodes were visited.
     """
+    return _avoid(size, edges, r, cap)[0]
+
+
+def _avoid(size: int, edges, r: int, cap: int):
+    """avoiding_word's search: (word, None), or (None, k) with k the largest
+    index of an edge charged with a block.  A block is charged to the
+    lowest-indexed edge it would make monochromatic, so the charged edges
+    alone reject every node the search rejected, and admit no word."""
     if r < 1:
         raise ValueError("need at least one color")
-    # watch[v]: for each edge whose largest vertex is v, the bitmask of its
-    # other vertices; the edge is monochromatic once they all share v's color
+    # watch[v]: (mask, index) of each edge whose largest vertex is v, mask the
+    # bitmask of its other vertices; it is monochromatic once they share v's color
     watch = [[] for _ in range(size)]
-    for edge in edges:
+    for i, edge in enumerate(edges):
         vs = set(edge)
         if not vs or min(vs) < 0 or max(vs) >= size:
             raise ValueError(f"edge {tuple(edge)} is not a nonempty set of 0..{size - 1}")
         top = max(vs)
-        watch[top].append(sum(1 << u for u in vs if u != top))
-    if any(0 in masks for masks in watch):
-        return None  # a single vertex (mask 0) is monochromatic under every word
+        watch[top].append((sum(1 << u for u in vs if u != top), i))
+    units = [i for masks in watch for e, i in masks if not e]
+    if units:  # a single vertex (mask 0) is monochromatic under every word
+        return None, min(units)
     r = min(r, size)  # vertex v uses at most color v + 1
     word = [0] * size
     masks = [0] * (r + 1)  # masks[c]: vertices colored c (masks[0] is unused)
     top_color = [0] * (size + 1)  # top_color[v]: largest color on 0..v-1
-    nodes = v = 0
+    nodes, v, k = 0, 0, -1
     while 0 <= v < size:
         c = word[v]
         masks[c] &= ~(1 << v)
@@ -171,7 +180,11 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
             nodes += 1
             if nodes > cap:
                 raise EnumerationCapError(f"coloring search passed the cap of {cap} nodes")
-            if all(e & masks[c] != e for e in watch[v]):
+            for e, i in watch[v]:
+                if e & masks[c] == e:
+                    k = max(k, i)
+                    break
+            else:
                 break
         else:  # no color left for v: back up to the previous vertex
             word[v] = 0
@@ -181,7 +194,7 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
         masks[c] |= 1 << v
         top_color[v + 1] = max(top_color[v], c)
         v += 1
-    return tuple(word) if v == size else None
+    return (tuple(word), None) if v == size else (None, k)
 
 
 def from_provenance(prov: str, bound: int | None = None) -> Coloring:

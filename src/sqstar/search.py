@@ -7,9 +7,9 @@ the least witness in that order.  Candidates whose configurations leave
 the value window or the table are skipped and tallied, never treated as
 failures.
 
-scan_blocks is the one candidate rule and forced_window (a gallop, then
-bisection) the one forcing loop; hjlab's word and grid searches use them
-too.  scan_blocks reads colored blocks of candidates: find_witness's
+scan_blocks is the one candidate rule and forced_window the one forcing
+loop (a refutation, then bisection below its core); hjlab's searches use
+them too.  scan_blocks reads colored blocks of candidates: find_witness's
 values come from the families in semigroup._Saturating, the line
 searches' from projections of window vertices.  verify_witness and
 admitted_configs evaluate one candidate at a time in semigroup._Exact.
@@ -17,7 +17,6 @@ admitted_configs evaluate one candidate at a time in semigroup._Exact.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
+from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, _avoid
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
 from .patterns import Witness, generate_configuration
@@ -170,23 +169,32 @@ def forced_window(stages: Iterable[tuple], r: int, cap: int) -> Optional[int]:
     hashable vertices) non-monochromatic.
 
     A stage (first, last, tagged) tags window last's edges with their least
-    window.  Probing n runs colorings.avoiding_word (cap nodes) on those
-    tagged n or less, in order, vertices numbered by first appearance; an
-    edgeless window is unforced, an empty edge a ValueError.  If last is
-    forced, a gallop (first, first+1, first+3, ...) and bisection find n.
+    window.  Probing n runs colorings._avoid (cap nodes) on those tagged n
+    or less, vertices numbered by first appearance, edges stably sorted by
+    tag; an edgeless window is unforced, an empty edge a ValueError.  The
+    edges a refutation charged alone refute its core, the least window
+    (from first) holding them.  A stage refutes last, probes below its
+    core and, if that is forced, bisects, each refutation lowering the
+    bound to its core.
     """
     if r < 1:
         raise ValueError("need at least one color")
     for first, last, tagged in stages:
-        def forced(n):
+        def core(n):  # None if window n is not forced
             index = {}
-            edges = [[index.setdefault(v, len(index)) for v in e] for e, m in tagged if m <= n]
-            return avoiding_word(len(index), edges, r, cap) is None
-        if forced(last):
-            lo = hi = first  # the windows below lo are not forced
-            while hi < last and not forced(hi):
-                lo, hi = hi + 1, min(last, 2 * hi - first + 1)
-            return lo + bisect.bisect_left(range(lo, hi), True, key=forced)
+            edges = [([index.setdefault(v, len(index)) for v in e], m) for e, m in tagged if m <= n]
+            edges.sort(key=lambda edge: edge[1])
+            word, k = _avoid(len(index), [e for e, _ in edges], r, cap)
+            return None if word is not None else max(first, edges[k][1])
+        hi = core(last)
+        if hi is None:
+            continue
+        lo, mid = first, hi - 1  # the windows below lo are not forced
+        while lo < hi:
+            forced = core(mid)
+            lo, hi = (mid + 1, hi) if forced is None else (lo, forced)
+            mid = (lo + hi) // 2
+        return hi
     return None
 
 

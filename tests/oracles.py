@@ -274,6 +274,20 @@ def avoider_coloring(configs, r: int, n: int):
     return None
 
 
+def forced_window_oracle(stages, r: int):
+    """Least window n of the stages (first, last, tagged) whose edges tagged
+    n or less admit no avoiding coloring, or None: one avoider_coloring
+    run per window, over the window's vertices."""
+    for first, last, tagged in stages:
+        for n in range(first, last + 1):
+            edges = [e for e, m in tagged if m <= n]
+            verts = {v: i + 1 for i, v in enumerate(sorted({v for e in edges for v in e}))}
+            configs = [tuple(sorted({verts[v] for v in e})) for e in edges]
+            if avoider_coloring(configs, r, len(verts)) is None:
+                return n
+    return None
+
+
 # ---------------------------------------------------------------------------
 # located-word line oracle (independent of the hjlab module internals)
 

@@ -18,7 +18,7 @@ from sqstar import (
     random_coloring,
     to_file,
 )
-from sqstar.colorings import Coloring, coloring_from_doc
+from sqstar.colorings import Coloring, _avoid, coloring_from_doc
 
 
 def test_random_coloring_refuses_colors_past_int32():
@@ -169,6 +169,38 @@ def test_avoiding_word_is_the_least_avoider():
         configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
         assert avoiding_word(size, edges, r) == oracles.avoider_coloring(configs, r, size)
         assert avoiding_word(size, edges, 10**11) == avoiding_word(size, edges, size)
+
+
+def test_avoid_names_the_last_edge_its_refutation_charged():
+    # the triangle is charged (vertex 2 meets edges 2 and 1), the edge
+    # (0, 1, 2) after it never blocks; a single vertex refutes at once
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert _avoid(3, triangle + [(0, 1, 2)], 2, 10) == (None, 2)
+    assert _avoid(3, [(0, 1, 2)] + triangle, 2, 10) == (None, 3)
+    assert _avoid(4, [(0, 3), (2,), (1,), (0, 1)], 2, 10) == (None, 1)
+    assert _avoid(3, triangle, 3, 10) == ((1, 2, 3), None)
+    rng = np.random.Generator(np.random.PCG64(47))
+    refuted = []
+    for _ in range(300):
+        size = int(rng.integers(2, 9))
+        r = int(rng.integers(2, 4))
+        edges = [
+            tuple(int(v) for v in rng.choice(size, int(rng.integers(2, min(size, 3) + 1)),
+                                             replace=False))
+            for _ in range(int(rng.integers(0, 5 * size)))
+        ]
+        if rng.random() < 0.1:
+            edges.insert(int(rng.integers(0, len(edges) + 1)), (int(rng.integers(0, size)),))
+        word, k = _avoid(size, edges, r, 10**6)
+        assert word == avoiding_word(size, edges, r)
+        if word is None:  # the edges up to k refute alone; k is an edge
+            configs = [tuple(sorted(v + 1 for v in e)) for e in edges[:k + 1]]
+            assert 0 <= k < len(edges)
+            assert oracles.avoider_coloring(configs, r, size) is None
+            refuted.append(len(edges[k]))
+        else:
+            assert k is None
+    assert 50 <= refuted.count(2) + refuted.count(3) <= 200 and 1 in refuted
 
 
 def test_from_provenance_random():

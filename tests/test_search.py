@@ -691,26 +691,67 @@ def test_forced_window_finds_the_answer_inside_a_stage():
     assert forced_window([(1, 8, tagged)], 3, 100) is None
 
 
-def test_threshold_probes_by_gallop_and_bisection(table_100k, monkeypatch):
-    """A stage whose last window is not forced costs one search, and a
-    forced one a gallop from its first window and a bisection of the last
-    gap, not a search per window."""
+def test_threshold_refutes_once_per_forced_stage(table_100k, monkeypatch):
+    """A stage whose last window is not forced costs one search.  A forced
+    one refutes last, and the refutation's core, the least window holding
+    every edge it charged, is the answer when the window below it is not
+    forced: one refutation and one more search, not a search per window."""
     probes = []
+    real = search._avoid
 
     def probe(*args):
-        word = avoiding_word(*args)
-        probes.append(word is None)
-        return word
+        got = real(*args)
+        probes.append(got[0] is None)
+        return got
 
-    monkeypatch.setattr(search, "avoiding_word", probe)
+    monkeypatch.setattr(search, "_avoid", probe)
     assert threshold(Brauer(1), 2, 1, 16, table_100k) == 16
-    assert len(probes) <= 8
+    assert probes == [True, False]
     probes.clear()
     assert threshold(Brauer(1), 10**6, 1, 1000, table_100k) is None
-    assert len(probes) <= 7
+    assert 0 < len(probes) <= 7 and not any(probes)
     probes.clear()
     assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k) == 54
-    assert sum(probes) <= 2
+    assert sum(probes) == 1
+
+
+def _random_stages(rng):
+    """r in 2..3 and 1-3 consecutive stages over up to 12 vertices (10 at
+    r = 3, whose forced windows the oracle walks 3**size words for): edges
+    of 1-3 vertices, walked in a shuffled order, tagged at or above their
+    largest vertex, and each stage holding every edge tagged up to its
+    last."""
+    r = int(rng.integers(2, 4))
+    size = int(rng.integers(2, 13 if r == 2 else 11))
+    tagged = []
+    for _ in range(int(rng.integers(0, 5 * size + 1))):
+        width = 1 if rng.random() < 0.02 else int(rng.integers(2, min(size, 3) + 1))
+        edge = [int(v) + 1 for v in rng.choice(size, width, replace=False)]
+        tagged.append((edge, max(edge) + int(rng.choice(4, p=[0.7, 0.1, 0.1, 0.1]))))
+    bounds = np.sort(rng.choice(np.arange(1, size + 4), int(rng.integers(1, 4)), replace=False))
+    first = int(rng.integers(1, 5))
+    stages = []
+    for last in bounds.tolist():
+        if last >= first:
+            walk = [tagged[i] for i in rng.permutation(len(tagged)) if tagged[i][1] <= last]
+            stages.append((first, last, walk))
+            first = last + 1
+    return stages, r
+
+
+def test_forced_window_matches_a_window_by_window_search():
+    """forced_window against one brute-force search per window, over seeded
+    random stages: edges tagged above their largest vertex or below first,
+    single-vertex edges, and several stages per input."""
+    rng = np.random.Generator(np.random.PCG64(2503))
+    stages_run = forced = 0
+    for _ in range(400):
+        stages, r = _random_stages(rng)
+        want = oracles.forced_window_oracle(stages, r)
+        assert forced_window(stages, r, 10**6) == want, (stages, r)
+        stages_run += len(stages)
+        forced += want is not None
+    assert stages_run >= 500 and 100 <= forced <= 300
 
 
 def test_threshold_numbers_each_probe_in_walk_order(table_100k):
