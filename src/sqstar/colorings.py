@@ -138,11 +138,11 @@ def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """The least coloring word of vertices 0..size-1, colors 1..r, with no
     monochromatic edge (an iterable of vertices), or None if there is none.
 
-    Depth-first backtracking colors the vertices in order and checks each
-    edge when its largest vertex is colored.  A vertex may use at most one
-    color more than any earlier vertex: renaming colors maps avoiding words
-    onto avoiding words.  Each color tried on a vertex is a node, and
-    EnumerationCapError is raised once more than cap nodes were visited.
+    Depth-first search colors the vertices in order, checks each edge when
+    its largest vertex is colored and backjumps (see _avoid).  A vertex may
+    use at most one color more than any earlier vertex: renaming colors
+    maps avoiding words onto avoiding words.  Each color tried on a vertex
+    is a node, and EnumerationCapError is raised past cap nodes.
     """
     return _avoid(size, edges, r, cap)[0]
 
@@ -151,7 +151,12 @@ def _avoid(size: int, edges, r: int, cap: int):
     """avoiding_word's search: (word, None), or (None, k) with k the largest
     index of an edge charged with a block.  A block is charged to the
     lowest-indexed edge it would make monochromatic, so the charged edges
-    alone reject every node the search rejected, and admit no word."""
+    alone reject every node the search rejected, and admit no word.  The
+    search backjumps (Prosser 1993): a vertex with no color left jumps to
+    the latest other vertex u of its charged edges and hands u the rest.
+    A fresh color meets no block, so a vertex runs out only once all r
+    colors appear before it, and the colors the symmetry rule skips at u
+    rename to the fresh one u tried."""
     if r < 1:
         raise ValueError("need at least one color")
     # watch[v]: (mask, index) of each edge whose largest vertex is v, mask the
@@ -168,6 +173,7 @@ def _avoid(size: int, edges, r: int, cap: int):
         return None, min(units)
     r = min(r, size)  # vertex v uses at most color v + 1
     word = [0] * size
+    conflict = [0] * size
     masks = [0] * (r + 1)  # masks[c]: vertices colored c (masks[0] is unused)
     top_color = [0] * (size + 1)  # top_color[v]: largest color on 0..v-1
     nodes, v, k = 0, 0, -1
@@ -183,12 +189,19 @@ def _avoid(size: int, edges, r: int, cap: int):
             for e, i in watch[v]:
                 if e & masks[c] == e:
                     k = max(k, i)
+                    conflict[v] |= e
                     break
             else:
                 break
-        else:  # no color left for v: back up to the previous vertex
-            word[v] = 0
-            v -= 1
+        else:  # no color left for v: jump to u, uncoloring u+1..v
+            u = conflict[v].bit_length() - 1
+            if u < 0:  # no earlier vertex is to blame: no word avoids
+                break
+            conflict[u] |= conflict[v] ^ (1 << u)
+            for w in range(u + 1, v + 1):
+                masks[word[w]] &= ~(1 << w)
+                word[w] = conflict[w] = 0
+            v = u
             continue
         word[v] = c
         masks[c] |= 1 << v

@@ -168,7 +168,7 @@ class _Window:
 
     def _clear(self) -> None:
         self._source, self._index = self._lines(), {}
-        self.keys, self.groups = [], []
+        self.keys, self.groups, self._stage = [], [], None
         self.edges = np.zeros((0, self._width), dtype=np.int32)
 
     def fill(self, count: Optional[int] = None) -> np.ndarray:
@@ -190,6 +190,15 @@ class _Window:
             self._clear()
             raise
         return self.edges
+
+    def stage(self, n: int) -> tuple:
+        """search.forced_window's stage of every line as window n, each line
+        tagged n, the vertices led by descending degree; built once."""
+        if self._stage is None:
+            degree = np.bincount(self.fill().ravel(), minlength=len(self.keys)).tolist()
+            lead = sorted(range(len(degree)), key=lambda v: -degree[v])  # ties in key order
+            self._stage = n, n, [(e, n) for e in self.edges.tolist()], lead
+        return self._stage
 
     def search(self, color: Callable, node_budget: Optional[int]) -> tuple:
         """search.scan_blocks over the lines, color coloring each vertex
@@ -336,9 +345,10 @@ def hj_threshold(
 
     n is forced when search.forced_window finds no r-coloring of the words
     over {1..n} leaving every line hj_search scans non-monochromatic; each
-    window is one stage (n, n), all lines tagged n; cap bounds a probe.
+    window is one stage (n, n), all lines tagged n, led by the words in
+    descending degree; cap bounds a probe.
     """
-    stages = ((n, n, [(e, n) for e in _hj_window(q, n, ap_k).fill()]) for n in range(1, max_n + 1))
+    stages = (_hj_window(q, n, ap_k).stage(n) for n in range(1, max_n + 1))
     return forced_window(stages, r, cap)
 
 
@@ -528,5 +538,5 @@ def phj_threshold(
     As hj_threshold, over the grid points (vertices) and the lines
     phj_search scans (edges).
     """
-    stages = ((n, n, [(e, n) for e in _phj_window(q, n, d).fill()]) for n in range(1, max_n + 1))
+    stages = (_phj_window(q, n, d).stage(n) for n in range(1, max_n + 1))
     return forced_window(stages, r, cap)

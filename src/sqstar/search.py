@@ -168,21 +168,25 @@ def forced_window(stages: Iterable[tuple], r: int, cap: int) -> Optional[int]:
     """The least window n with no r-coloring leaving every edge (of
     hashable vertices) non-monochromatic.
 
-    A stage (first, last, tagged) tags window last's edges with their least
-    window.  Probing n runs colorings._avoid (cap nodes) on those tagged n
-    or less, vertices numbered by first appearance, edges stably sorted by
-    tag; an edgeless window is unforced, an empty edge a ValueError.  The
-    edges a refutation charged alone refute its core, the least window
+    A stage (first, last, tagged, lead) tags window last's edges with their
+    least window.  Probing n runs colorings._avoid (cap nodes) on those
+    tagged n or less, edges stably sorted by tag, vertices numbered in
+    lead's order where they appear, then the rest by first appearance in
+    tagged; an edgeless window is unforced, an empty edge a ValueError.
+    The edges a refutation charged alone refute its core, the least window
     (from first) holding them.  A stage refutes last, probes below its
     core and, if that is forced, bisects, each refutation lowering the
     bound to its core.
     """
     if r < 1:
         raise ValueError("need at least one color")
-    for first, last, tagged in stages:
+    for first, last, tagged, lead in stages:
         def core(n):  # None if window n is not forced
-            index = {}
-            edges = [([index.setdefault(v, len(index)) for v in e], m) for e, m in tagged if m <= n]
+            kept = [(e, m) for e, m in tagged if m <= n]
+            seen = dict.fromkeys(v for e, _ in kept for v in e)
+            order = dict.fromkeys([v for v in lead if v in seen] + list(seen))
+            index = dict(zip(order, itertools.count()))
+            edges = [([index[v] for v in e], m) for e, m in kept]
             edges.sort(key=lambda edge: edge[1])
             word, k = _avoid(len(index), [e for e, _ in edges], r, cap)
             return None if word is not None else max(first, edges[k][1])
@@ -328,7 +332,8 @@ def threshold(
     of the values in {1..N} leaving every configuration admitted_configs
     gives the window non-monochromatic, each an edge tagged with its least
     window.  The walk bound doubles from 16 up to max_bound, one stage a
-    walk, so the pruned walks cost about one walk at the answer.
+    walk, so the pruned walks cost about one walk at the answer.  Probes
+    color first the ranks of 2**a, the image of (N, +) under a -> 2**a.
     """
 
     def stages():
@@ -336,7 +341,9 @@ def threshold(
             raise ValueError("start_bound must be positive")
         n, walk = start_bound, min(max_bound, max(start_bound, 16))
         while n <= max_bound:
-            yield n, walk, admitted_configs(spec, walk, table).items()
+            twos = (table.count_below(1 << a) for a in range(1, (table.limit - 1).bit_length()))
+            lead = list(itertools.takewhile(lambda x: x <= walk, twos))  # ranks of 2**a
+            yield n, walk, admitted_configs(spec, walk, table).items(), lead
             n, walk = walk + 1, min(max_bound, 2 * walk)
 
     return forced_window(stages(), r, cap)

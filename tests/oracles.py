@@ -274,11 +274,38 @@ def avoider_coloring(configs, r: int, n: int):
     return None
 
 
+def chronological_word(size: int, edges, r: int):
+    """(least avoiding word or None, nodes) by plain chronological
+    backtracking: vertices 0..size-1 in order, each trying colors 1 up to
+    one more than the largest before it (at most r), an edge checked when
+    its largest vertex is colored, one node per color tried, and a vertex
+    with no color left backing up to the vertex before it."""
+    closing = [[] for _ in range(size)]  # closing[v]: edges whose largest vertex is v
+    for edge in edges:
+        vs = set(edge)
+        closing[max(vs)].append(vs - {max(vs)})
+    word, nodes, v = [0] * size, 0, 0
+    while 0 <= v < size:
+        allowed = min(r, max(word[:v], default=0) + 1)
+        while word[v] < allowed:
+            word[v] += 1
+            nodes += 1
+            if not any(all(word[u] == word[v] for u in rest) for rest in closing[v]):
+                break
+        else:
+            word[v] = 0
+            v -= 1
+            continue
+        v += 1
+    return (tuple(word) if v == size else None), nodes
+
+
 def forced_window_oracle(stages, r: int):
-    """Least window n of the stages (first, last, tagged) whose edges tagged
-    n or less admit no avoiding coloring, or None: one avoider_coloring
-    run per window, over the window's vertices."""
-    for first, last, tagged in stages:
+    """Least window n of the stages (first, last, tagged, lead) whose edges
+    tagged n or less admit no avoiding coloring, or None: one
+    avoider_coloring run per window, over the window's vertices; the
+    vertex order lead names cannot change the answer."""
+    for first, last, tagged, _ in stages:
         for n in range(first, last + 1):
             edges = [e for e, m in tagged if m <= n]
             verts = {v: i + 1 for i, v in enumerate(sorted({v for e in edges for v in e}))}

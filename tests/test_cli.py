@@ -106,6 +106,23 @@ def test_default_cache_dir(tmp_path, monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("rank", "9"),
+    ("threshold", "--family", "geo", "--k", "1", "--colors", "2", "--max-bound", "20"),
+], ids=["rank", "threshold"])
+def test_no_cache_builds_the_default_table_and_warns(cache_path, capsys, argv):
+    """With no --cache and no SQSTAR_CACHE_DIR a command builds the
+    in-memory table at the default limit and warns on stderr; its
+    structured stdout is byte-identical to a run with a cache."""
+    code, out, err = run(capsys, "--format", "structured", *argv)
+    assert code == 0
+    assert err == (f"warning: no cache configured, building an in-memory table "
+                   f"(limit {cli.DEFAULT_BUILD_LIMIT}); use build-cache and --cache to "
+                   f"avoid this\n")
+    cached = run(capsys, "--cache", cache_path, "--format", "structured", *argv)
+    assert cached == (0, out, "")
+
+
 def test_rank_of_nonmember_is_usage_error(cache_path, capsys):
     code, out, err = run(capsys, "--cache", cache_path, "rank", "3")
     assert code == 2

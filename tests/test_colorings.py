@@ -203,6 +203,41 @@ def test_avoid_names_the_last_edge_its_refutation_charged():
     assert 50 <= refuted.count(2) + refuted.count(3) <= 200 and 1 in refuted
 
 
+def test_backjumping_keeps_the_chronological_word_in_fewer_nodes():
+    """_avoid against plain chronological backtracking, which shares no
+    package code, over seeded hypergraphs of 2-3 vertex edges on up to 9
+    vertices: the same word, a refutation exactly when no word of all
+    r**size avoids, whose edges up to k refute alone, never more nodes,
+    and fewer in some cases (with no single-vertex edge, only a jump
+    saves nodes)."""
+    rng = np.random.Generator(np.random.PCG64(2601))
+    refuted = fewer = 0
+    for _ in range(3000):
+        size = int(rng.integers(2, 10))
+        r = int(rng.integers(2, 4))
+        edges = [
+            tuple(int(v) for v in rng.choice(size, int(rng.integers(2, min(size, 3) + 1)),
+                                             replace=False))
+            for _ in range(int(rng.integers(0, 3 * size)))
+        ]
+        want, nodes = oracles.chronological_word(size, edges, r)
+        word, k = _avoid(size, edges, r, nodes)  # at most the reference's nodes
+        assert word == want, (size, edges, r)
+        if word is None:  # edges[:k + 1] refute, so all the edges do
+            configs = [tuple(sorted(v + 1 for v in e)) for e in edges[:k + 1]]
+            assert oracles.avoider_coloring(configs, r, size) is None
+            refuted += 1
+        else:
+            configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
+            assert word == oracles.avoider_coloring(configs, r, size)
+        try:
+            _avoid(size, edges, r, nodes - 1)
+            fewer += 1
+        except EnumerationCapError:
+            pass
+    assert 200 <= refuted <= 1000 and fewer >= 100, (refuted, fewer)
+
+
 def test_from_provenance_random():
     a = random_coloring(9, 2, 77)
     b = from_provenance(a.provenance)

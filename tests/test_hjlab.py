@@ -36,6 +36,7 @@ from sqstar import (
     words_over,
 )
 from sqstar.hjlab import _Window, _hj_lines, _hj_window, _phj_lines, _phj_window, gamma_order
+from sqstar.search import forced_window
 
 
 def _keyed(color_of):
@@ -275,8 +276,9 @@ def test_hj_threshold_matches_oracle():
     assert hj_threshold(2, 3, 2) == oracles.hj_threshold_oracle(2, 3, 2)
     assert hj_threshold(1, 2, 2) == 1
     assert hj_threshold(2, 10**11, 2) is None  # no per-color allocation
+    assert hj_threshold(2, 2, 3, cap=5) == 2  # 5 nodes a window, led by degree
     with pytest.raises(EnumerationCapError):
-        hj_threshold(2, 2, 3, cap=16)
+        hj_threshold(2, 2, 3, cap=4)
     with pytest.raises(ValueError):
         hj_threshold(2, 0, 3)
 
@@ -297,19 +299,49 @@ def test_hj_lines_list_each_family_once():
     assert sum(1 for _ in _hj_lines(2, 4, 1)) == 42
 
 
+def _stage_word(window, n, r):
+    """avoiding_word over a window's threshold stage, vertices numbered in
+    the stage's lead order: {point key: color}, or None."""
+    _, _, tagged, lead = window.stage(n)
+    at = {v: i for i, v in enumerate(lead)}
+    word = avoiding_word(len(lead), [[at[v] for v in e] for e, _ in tagged], r)
+    return word and {window.keys[v]: word[at[v]] for v in lead}
+
+
 def test_hj_threshold_three_colors():
     """hj(2, 3) is forced at 3: an avoiding word for n = 2 passes the
     oracle's line check, and in words_over order, a vertex order the
-    package does not use, window 3 has no avoiding word.  The cap of 10**5
-    nodes a window holds the search to the first-appearance numbering."""
+    package does not use, window 3 has no avoiding word.  Led by degree a
+    window takes at most 15 nodes; by first appearance window 3 takes 148."""
     assert hj_threshold(2, 3, 4) == 3
-    assert hj_threshold(2, 3, 4, cap=10**5) == 3
+    assert hj_threshold(2, 3, 4, cap=15) == 3
+    with pytest.raises(EnumerationCapError):
+        hj_threshold(2, 3, 4, cap=14)
+    stages = [_hj_window(2, n, None).stage(n)[:3] + ((),) for n in range(1, 5)]
+    assert forced_window(stages, 3, 148) == 3
+    with pytest.raises(EnumerationCapError):
+        forced_window(stages, 3, 147)
     words = [w.letters for w in words_over(range(1, 3), 2)]
     cmap = dict(zip(map(frozenset, words), _avoiding(words, _hj_lines(2, 2, None), 3)))
     assert set(cmap) == set(oracles.all_words(2, 2))
     assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(2, 2))
     words = [w.letters for w in words_over(range(1, 4), 2)]
     assert _avoiding(words, _hj_lines(2, 3, None), 3) is None
+
+
+def test_line_thresholds_past_the_chronological_search():
+    """hj(3, 2) is forced at 4, and phj(2, 2) at d = 2 is not forced up
+    to 3; a chronological search passes 2**20 nodes on either.  The words
+    for hj window 3 and phj window 3, found in the stages' degree order,
+    pass the oracles' line checks."""
+    assert hj_threshold(3, 2, 4) == 4
+    cmap = {frozenset(k): c for k, c in _stage_word(_hj_window(3, 3, None), 3, 2).items()}
+    assert set(cmap) | {frozenset()} == set(oracles.all_words(3, 3))  # on no line: the empty word
+    assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(3, 3))
+    assert phj_threshold(2, 2, 2, 3) is None
+    cmap = _stage_word(_phj_window(2, 3, 2), 3, 2)
+    assert set(cmap) == set(oracles.grid_tuples(2, 3, 2))
+    assert not any(len({cmap[p] for p in line}) == 1 for line in oracles.grid_lines(2, 3, 2))
 
 
 @pytest.mark.parametrize("q, r, max_n, answer", [(2, 2, 3, 2), (3, 2, 2, None)])

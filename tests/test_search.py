@@ -634,8 +634,10 @@ def test_threshold_not_reached(table_100k):
 
 
 def test_threshold_cap(table_100k):
+    """Brauer(1) r=2 at 16 needs 11 nodes a probe: a cap of 10 is passed."""
+    assert threshold(Brauer(1), 2, 16, 16, table_100k, cap=11) == 16
     with pytest.raises(EnumerationCapError):
-        threshold(Brauer(1), 2, 16, 16, table_100k, cap=2**7)
+        threshold(Brauer(1), 2, 16, 16, table_100k, cap=10)
 
 
 def test_threshold_geo_three_colors(table_100k):
@@ -650,9 +652,27 @@ def test_threshold_geo_three_colors(table_100k):
     assert oracles.mono_configs_exist((1,) * 53, configs)  # the check can fail
 
 
+def test_threshold_geo_four_colors(table_100k):
+    """GeoArithmetic(1) at r=4 is forced at 180; an avoiding word for 179
+    passes the oracle's check.  Window 180 is refuted in 1,238 nodes led by
+    the ranks of 2**a, and in 30,489 in walk order."""
+    assert threshold(GeoArithmetic(1), 4, 1, 400, table_100k) == 180
+    least = admitted_configs(GeoArithmetic(1), 179, table_100k)
+    configs = [cfg for cfg, m in least.items() if m <= 179]
+    word = avoiding_word(179, _window(least, 179), 4)
+    assert len(word) == 179
+    assert not oracles.mono_configs_exist(word, configs)
+    assert oracles.mono_configs_exist((1,) * 179, configs)  # the check can fail
+    tagged = admitted_configs(GeoArithmetic(1), 180, table_100k).items()
+    for lead, nodes in ([2, 3, 5, 9, 16, 29, 54, 97, 180], 1_238), ((), 30_489):
+        assert forced_window([(180, 180, tagged, lead)], 4, nodes) == 180
+        with pytest.raises(EnumerationCapError):
+            forced_window([(180, 180, tagged, lead)], 4, nodes - 1)
+
+
 def _stage(first, last, *edges):
-    """A stage whose edges are all tagged last."""
-    return first, last, [(e, last) for e in edges]
+    """A stage whose edges are all tagged last, with no lead."""
+    return first, last, [(e, last) for e in edges], ()
 
 
 def test_forced_window_numbers_any_vertices():
@@ -661,13 +681,13 @@ def test_forced_window_numbers_any_vertices():
     edges is not forced, and an empty edge is refused."""
     triangle = [[("a", 1), ("b", 2)], [("b", 2), "c"], ["c", ("a", 1)]]
     assert forced_window([_stage(1, 1, *triangle)], 2, 10) == 1
-    assert forced_window([(1, 2, [(triangle[0], 1), (triangle[1], 1), (triangle[2], 2)])],
+    assert forced_window([(1, 2, [(triangle[0], 1), (triangle[1], 1), (triangle[2], 2)], ())],
                          2, 10) == 2
     assert forced_window([_stage(1, 1, *triangle)], 3, 10) is None
     # one edge of two vertices takes three nodes; numbered by value, the
     # 10**6 - 1 integers between its labels would take a node each
     assert forced_window([_stage(1, 1, ["x", "y"])], 2, 3) is None
-    assert forced_window([(1, 2, [([0, 10**6], 1), ([5], 2)])], 2, 3) == 2
+    assert forced_window([(1, 2, [([0, 10**6], 1), ([5], 2)], ())], 2, 3) == 2
     with pytest.raises(EnumerationCapError):
         forced_window([_stage(1, 1, [0, 10**6])], 2, 2)
     assert forced_window([_stage(1, 1), _stage(2, 5)], 1, 0) is None
@@ -684,11 +704,11 @@ def test_forced_window_finds_the_answer_inside_a_stage():
     answer."""
     triangle = [[1, 2], [2, 3], [3, 1]]
     tagged = [(triangle[2], 3), ([4, 5], 4), (triangle[0], 1), ([5, 6], 5), (triangle[1], 2)]
-    assert forced_window([(1, 8, tagged)], 2, 100) == 3
+    assert forced_window([(1, 8, tagged, ())], 2, 100) == 3
     early = [(e, m) for e, m in tagged if m <= 2]
-    assert forced_window([(1, 2, early), (3, 8, tagged)], 2, 100) == 3
-    assert forced_window([(4, 8, tagged)], 2, 100) == 4
-    assert forced_window([(1, 8, tagged)], 3, 100) is None
+    assert forced_window([(1, 2, early, ()), (3, 8, tagged, ())], 2, 100) == 3
+    assert forced_window([(4, 8, tagged, ())], 2, 100) == 4
+    assert forced_window([(1, 8, tagged, ())], 3, 100) is None
 
 
 def test_threshold_refutes_once_per_forced_stage(table_100k, monkeypatch):
@@ -720,7 +740,7 @@ def _random_stages(rng):
     r = 3, whose forced windows the oracle walks 3**size words for): edges
     of 1-3 vertices, walked in a shuffled order, tagged at or above their
     largest vertex, and each stage holding every edge tagged up to its
-    last."""
+    last and leading with a random list of labels, some on no edge."""
     r = int(rng.integers(2, 4))
     size = int(rng.integers(2, 13 if r == 2 else 11))
     tagged = []
@@ -734,7 +754,8 @@ def _random_stages(rng):
     for last in bounds.tolist():
         if last >= first:
             walk = [tagged[i] for i in rng.permutation(len(tagged)) if tagged[i][1] <= last]
-            stages.append((first, last, walk))
+            lead = rng.permutation(size + 3)[:int(rng.integers(0, size + 1))].tolist()
+            stages.append((first, last, walk, lead))
             first = last + 1
     return stages, r
 
@@ -754,12 +775,17 @@ def test_forced_window_matches_a_window_by_window_search():
     assert stages_run >= 500 and 100 <= forced <= 300
 
 
-def test_threshold_numbers_each_probe_in_walk_order(table_100k):
-    """Each probe numbers its window's vertices as the walk meets them:
-    11,027 nodes settle geo r=3, and a cap one lower is passed."""
-    assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=11_027) == 54
+def test_threshold_numbers_the_ranks_of_powers_of_two_first(table_100k):
+    """Each probe numbers the ranks of 2**a in its window first, then the
+    rest as the walk meets them: 137 nodes settle geo r=3, and a cap one
+    lower is passed.  In walk order alone its last stage needs 509."""
+    assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=137) == 54
     with pytest.raises(EnumerationCapError):
-        threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=11_026)
+        threshold(GeoArithmetic(1), 3, 1, 60, table_100k, cap=136)
+    tagged = admitted_configs(GeoArithmetic(1), 60, table_100k).items()
+    assert forced_window([(33, 60, tagged, ())], 3, 509) == 54
+    with pytest.raises(EnumerationCapError):
+        forced_window([(33, 60, tagged, ())], 3, 508)
 
 
 def test_threshold_walk_drops_only_out_of_range_candidates(table_100k):
