@@ -69,7 +69,6 @@ from .hjlab import (
     PhjReport,
     concat,
     constant_point,
-    grid_points,
     h_project,
     hj_search,
     hj_threshold,
@@ -81,7 +80,6 @@ from .hjlab import (
     point_coloring,
     substitute,
     word_coloring,
-    words_over,
 )
 
 __version__ = "0.1.0"

@@ -136,27 +136,22 @@ def to_file(c: Coloring, path: str) -> None:
 
 def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """The least coloring word of vertices 0..size-1, colors 1..r, with no
-    monochromatic edge (an iterable of vertices), or None if there is none.
+    monochromatic edge (an iterable of vertices): (word, None), or
+    (None, k) if there is none, k the largest index of an edge charged
+    with a block.
 
-    Depth-first search colors the vertices in order, checks each edge when
-    its largest vertex is colored and backjumps (see _avoid).  A vertex may
-    use at most one color more than any earlier vertex: renaming colors
-    maps avoiding words onto avoiding words.  Each color tried on a vertex
-    is a node, and EnumerationCapError is raised past cap nodes.
-    """
-    return _avoid(size, edges, r, cap)[0]
-
-
-def _avoid(size: int, edges, r: int, cap: int):
-    """avoiding_word's search: (word, None), or (None, k) with k the largest
-    index of an edge charged with a block.  A block is charged to the
-    lowest-indexed edge it would make monochromatic, so the charged edges
-    alone reject every node the search rejected, and admit no word.  The
-    search backjumps (Prosser 1993): a vertex with no color left jumps to
-    the latest other vertex u of its charged edges and hands u the rest.
-    A fresh color meets no block, so a vertex runs out only once all r
-    colors appear before it, and the colors the symmetry rule skips at u
-    rename to the fresh one u tried."""
+    Depth-first search colors the vertices in order and checks each edge
+    when its largest vertex is colored.  A vertex may use at most one
+    color more than any earlier vertex: renaming colors maps avoiding
+    words onto avoiding words.  Each color tried on a vertex is a node,
+    and EnumerationCapError is raised past cap nodes.  A block is charged
+    to the lowest-indexed edge it would make monochromatic, so the charged
+    edges alone reject every node the search rejected, and admit no word.
+    The search backjumps (Prosser 1993): a vertex with no color left jumps
+    to the latest other vertex u of its charged edges and hands u the
+    rest.  A fresh color meets no block, so a vertex runs out only once
+    all r colors appear before it, and the colors the symmetry rule skips
+    at u rename to the fresh one u tried."""
     if r < 1:
         raise ValueError("need at least one color")
     # watch[v]: (mask, index) of each edge whose largest vertex is v, mask the

@@ -417,9 +417,9 @@ class _CacheFile:
         """Check words[lo:end], whole chunks from lo, against the chunk table.
 
         prefix holds the rank directory filled from them.  The last chunk
-        also has its last word checked: no bit at or above the limit, and
-        each bit below it agreeing with is_member, which catches a declared
-        limit raised inside that word.
+        also has each bit of its last word checked against membership
+        below the limit, which catches a member at or above the limit and
+        a declared limit raised inside that word.
         """
         first = lo // _CHUNK_WORDS
         for c, at in enumerate(range(lo, end, _CHUNK_WORDS), first):
@@ -431,10 +431,8 @@ class _CacheFile:
             raise CorruptCacheError(f"popcount of chunk {first + bad[0]} does not match the chunk table")
         if end == words.size:
             last, base = words.item(-1), 64 * (end - 1)
-            if last >> (limit - base):
-                raise CorruptCacheError("member at or above declared limit")
-            for n in range(base, limit):
-                if (last >> (n - base)) & 1 != is_member(n):
+            for n in range(base, base + 64):
+                if (last >> (n - base)) & 1 != (n < limit and is_member(n)):
                     raise CorruptCacheError(f"bit {n} disagrees with membership")
 
 

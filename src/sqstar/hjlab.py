@@ -328,12 +328,6 @@ def _hj_lines(q: int, n: int, ap_k: Optional[int]) -> Iterator[tuple]:
                     for s in range(q) for block in blocks]
 
 
-def words_over(window: Sequence[int], q: int) -> Iterator[LocatedWord]:
-    """Every located word with support inside the window, canonical order."""
-    for pairs in _alpha_order(tuple(window), q):
-        yield LocatedWord(q, pairs)
-
-
 def hj_threshold(
     q: int,
     r: int,
@@ -517,13 +511,6 @@ def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
         for letters in itertools.product(*choices):
             yield gamma, [
                 tuple(xs[j - 1] if j else a for j, a in zip(block, letters)) for xs in subs]
-
-
-def grid_points(q: int, n: int, d: int) -> Iterator[PhjPoint]:
-    """Every grid point, as itertools.product over the cells in _cells order."""
-    _check_grid(q, n, d)
-    for letters in itertools.product(range(1, q + 1), repeat=len(_cells(n, d))):
-        yield PhjPoint._of(q, n, d, letters)
 
 
 def phj_threshold(

@@ -459,13 +459,6 @@ FAMILIES = {
 FAMILY_NAMES = {cls: name for name, cls in FAMILIES.items()}
 
 
-def family_name(spec) -> str:
-    try:
-        return FAMILY_NAMES[type(spec)]
-    except KeyError:
-        raise TypeError(f"not a pattern spec: {spec!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # generation
 
@@ -551,9 +544,8 @@ def _plain(v):
 
 
 def spec_to_doc(spec) -> dict:
-    name = family_name(spec)
     params = {f.name: _plain(getattr(spec, f.name)) for f in dataclasses.fields(spec)}
-    return {"family": name, "params": params}
+    return {"family": spec.family, "params": params}
 
 
 def spec_from_doc(doc: dict):

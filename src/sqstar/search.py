@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, _avoid
+from .colorings import DEFAULT_ENUMERATION_CAP, Coloring, avoiding_word
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
 from .patterns import Witness, generate_configuration
@@ -169,7 +169,7 @@ def forced_window(stages: Iterable[tuple], r: int, cap: int) -> Optional[int]:
     hashable vertices) non-monochromatic.
 
     A stage (first, last, tagged, lead) tags window last's edges with their
-    least window.  Probing n runs colorings._avoid (cap nodes) on those
+    least window.  Probing n runs avoiding_word (cap nodes) on those
     tagged n or less, edges stably sorted by tag, vertices numbered in
     lead's order where they appear, then the rest by first appearance in
     tagged; an edgeless window is unforced, an empty edge a ValueError.
@@ -188,7 +188,7 @@ def forced_window(stages: Iterable[tuple], r: int, cap: int) -> Optional[int]:
             index = dict(zip(order, itertools.count()))
             edges = [([index[v] for v in e], m) for e, m in kept]
             edges.sort(key=lambda edge: edge[1])
-            word, k = _avoid(len(index), [e for e, _ in edges], r, cap)
+            word, k = avoiding_word(len(index), [e for e, _ in edges], r, cap)
             return None if word is not None else max(first, edges[k][1])
         hi = core(last)
         if hi is None:
@@ -274,48 +274,42 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
     all, dropping a candidate at its first value outside 1..max_bound.
     Keys are sorted.
 
-    Every family's values are nondecreasing in every tuple position (see
-    _Family), so a candidate with a value above max_bound, or one past the
-    table, has no admitted candidate componentwise above it.  The walk then
-    skips the rest of candidate_tuples' order that keeps its positions
-    before q and is at least its value at q, q being its last position
-    above its minimum: geo k=1 evaluates 47 of 57,600 candidates at 16.
+    The walk is depth-first over the tuple positions, in candidate_tuples'
+    order.  Every family's values are nondecreasing in every tuple position
+    (see _Family), so a candidate with a value above max_bound, or one past
+    the table, has no admitted candidate componentwise above it: once the
+    first candidate of a position's value leaves the window, that
+    position's loop stops.  geo k=1 evaluates 47 of 57,600 candidates at 16.
     """
     bounds = SearchBounds(generator_max=max(2, max_bound), value_bound=max_bound + 1)
     ar = _Exact(table)
     ranges = _position_ranges(spec, bounds)
-    lo = [r.start for r in ranges]
-    hi = [r.stop - 1 for r in ranges]
-    tup = list(lo)
     least = {}
-    while True:
-        t = tuple(tup)
+
+    def leaves(t):  # evaluate candidate t: True when it leaves the window
         values = set()
-        jump = False
         try:
             for v in spec._values(generators_from_tuple(spec, t), ar):
                 if not 1 <= v <= max_bound:
-                    jump = v > max_bound
-                    break
+                    return v > max_bound
                 values.add(v)
-            else:
-                cfg = tuple(sorted(values))
-                n = max(cfg[-1], *t) if max(t) > 2 else cfg[-1]
-                least[cfg] = min(n, least.get(cfg, n))
         except OutOfRangeError:
-            jump = True
-        # odometer step: the last position, or on a jump the one before q
-        p = len(tup) - 1
-        if jump:
-            while p >= 0 and tup[p] == lo[p]:
-                p -= 1
-            p -= 1
-        while p >= 0 and tup[p] == hi[p]:
-            p -= 1
-        if p < 0:
-            return least
-        tup[p] += 1
-        tup[p + 1:] = lo[p + 1:]
+            return True
+        cfg = tuple(sorted(values))
+        n = max(cfg[-1], *t) if max(t) > 2 else cfg[-1]
+        least[cfg] = min(n, least.get(cfg, n))
+        return False
+
+    def walk(prefix):  # the candidates from prefix: True when the first leaves
+        r = ranges[len(prefix)]
+        for v in r:
+            t = prefix + (v,)
+            if walk(t) if len(t) < len(ranges) else leaves(t):
+                return v == r.start
+        return False
+
+    walk(())
+    return least
 
 
 def threshold(

@@ -47,7 +47,6 @@ from sqstar import (
     verify_laws,
     verify_witness,
 )
-from sqstar.hjlab import grid_points
 from sqstar.patterns import config_values
 
 
@@ -267,7 +266,7 @@ def test_criterion_10_phj_decomposition(report, table_100k):
             for size in range(1, n + 1)
             for g in itertools.combinations(range(1, n + 1), size)
         ]
-        for point in grid_points(q, n, d):
+        for point in (PhjPoint._of(q, n, d, t) for t in oracles.grid_tuples(q, n, d)):
             for gamma in gammas:
                 c = len(gamma)
                 blocks = [

@@ -18,7 +18,7 @@ from sqstar import (
     random_coloring,
     to_file,
 )
-from sqstar.colorings import Coloring, _avoid, coloring_from_doc
+from sqstar.colorings import Coloring, coloring_from_doc
 
 
 def test_random_coloring_refuses_colors_past_int32():
@@ -122,16 +122,16 @@ def test_coloring_validation():
 
 def test_avoiding_word():
     path = [(0, 1), (1, 2)]
-    assert avoiding_word(3, path, 2) == (1, 2, 1)
+    assert avoiding_word(3, path, 2)[0] == (1, 2, 1)
     triangle = [(0, 1), (1, 2), (0, 2)]
-    assert avoiding_word(3, triangle, 2) is None
-    assert avoiding_word(3, triangle, 3) == (1, 2, 3)
-    assert avoiding_word(4, [], 5) == (1, 1, 1, 1)
-    assert avoiding_word(0, [], 2) == ()
+    assert avoiding_word(3, triangle, 2)[0] is None
+    assert avoiding_word(3, triangle, 3)[0] == (1, 2, 3)
+    assert avoiding_word(4, [], 5)[0] == (1, 1, 1, 1)
+    assert avoiding_word(0, [], 2)[0] == ()
     # one vertex is monochromatic under every word; repeats count once
-    assert avoiding_word(3, [(1,)], 2) is None
-    assert avoiding_word(3, [(1, 1)], 3) is None
-    assert avoiding_word(2, [(0, 1, 1)], 2) == (1, 2)
+    assert avoiding_word(3, [(1,)], 2)[0] is None
+    assert avoiding_word(3, [(1, 1)], 3)[0] is None
+    assert avoiding_word(2, [(0, 1, 1)], 2)[0] == (1, 2)
     for bad in ([(0, 3)], [(-1, 0)], [()], [(1,), (7,)]):
         with pytest.raises(ValueError):
             avoiding_word(3, bad, 2)
@@ -149,7 +149,7 @@ def test_avoiding_word_cap_counts_nodes():
     # the triangle with 2 colors: 1 node for vertex 0, 2 for vertex 1 and
     # 2 for vertex 2, then vertex 0 has no other color to try
     triangle = [(0, 1), (1, 2), (0, 2)]
-    assert avoiding_word(3, triangle, 2, cap=5) is None
+    assert avoiding_word(3, triangle, 2, cap=5)[0] is None
     with pytest.raises(EnumerationCapError):
         avoiding_word(3, triangle, 2, cap=4)
 
@@ -167,7 +167,7 @@ def test_avoiding_word_is_the_least_avoider():
             for _ in range(int(rng.integers(0, 12)))
         ]
         configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
-        assert avoiding_word(size, edges, r) == oracles.avoider_coloring(configs, r, size)
+        assert avoiding_word(size, edges, r)[0] == oracles.avoider_coloring(configs, r, size)
         assert avoiding_word(size, edges, 10**11) == avoiding_word(size, edges, size)
 
 
@@ -175,10 +175,10 @@ def test_avoid_names_the_last_edge_its_refutation_charged():
     # the triangle is charged (vertex 2 meets edges 2 and 1), the edge
     # (0, 1, 2) after it never blocks; a single vertex refutes at once
     triangle = [(0, 1), (1, 2), (0, 2)]
-    assert _avoid(3, triangle + [(0, 1, 2)], 2, 10) == (None, 2)
-    assert _avoid(3, [(0, 1, 2)] + triangle, 2, 10) == (None, 3)
-    assert _avoid(4, [(0, 3), (2,), (1,), (0, 1)], 2, 10) == (None, 1)
-    assert _avoid(3, triangle, 3, 10) == ((1, 2, 3), None)
+    assert avoiding_word(3, triangle + [(0, 1, 2)], 2, 10) == (None, 2)
+    assert avoiding_word(3, [(0, 1, 2)] + triangle, 2, 10) == (None, 3)
+    assert avoiding_word(4, [(0, 3), (2,), (1,), (0, 1)], 2, 10) == (None, 1)
+    assert avoiding_word(3, triangle, 3, 10) == ((1, 2, 3), None)
     rng = np.random.Generator(np.random.PCG64(47))
     refuted = []
     for _ in range(300):
@@ -191,8 +191,8 @@ def test_avoid_names_the_last_edge_its_refutation_charged():
         ]
         if rng.random() < 0.1:
             edges.insert(int(rng.integers(0, len(edges) + 1)), (int(rng.integers(0, size)),))
-        word, k = _avoid(size, edges, r, 10**6)
-        assert word == avoiding_word(size, edges, r)
+        word, k = avoiding_word(size, edges, r, 10**6)
+        assert word == avoiding_word(size, edges, r)[0]
         if word is None:  # the edges up to k refute alone; k is an edge
             configs = [tuple(sorted(v + 1 for v in e)) for e in edges[:k + 1]]
             assert 0 <= k < len(edges)
@@ -204,7 +204,7 @@ def test_avoid_names_the_last_edge_its_refutation_charged():
 
 
 def test_backjumping_keeps_the_chronological_word_in_fewer_nodes():
-    """_avoid against plain chronological backtracking, which shares no
+    """avoiding_word against plain chronological backtracking, which shares no
     package code, over seeded hypergraphs of 2-3 vertex edges on up to 9
     vertices: the same word, a refutation exactly when no word of all
     r**size avoids, whose edges up to k refute alone, never more nodes,
@@ -221,7 +221,7 @@ def test_backjumping_keeps_the_chronological_word_in_fewer_nodes():
             for _ in range(int(rng.integers(0, 3 * size)))
         ]
         want, nodes = oracles.chronological_word(size, edges, r)
-        word, k = _avoid(size, edges, r, nodes)  # at most the reference's nodes
+        word, k = avoiding_word(size, edges, r, nodes)  # at most the reference's nodes
         assert word == want, (size, edges, r)
         if word is None:  # edges[:k + 1] refute, so all the edges do
             configs = [tuple(sorted(v + 1 for v in e)) for e in edges[:k + 1]]
@@ -231,7 +231,7 @@ def test_backjumping_keeps_the_chronological_word_in_fewer_nodes():
             configs = [tuple(sorted(v + 1 for v in e)) for e in edges]
             assert word == oracles.avoider_coloring(configs, r, size)
         try:
-            _avoid(size, edges, r, nodes - 1)
+            avoiding_word(size, edges, r, nodes - 1)
             fewer += 1
         except EnumerationCapError:
             pass

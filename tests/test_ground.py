@@ -418,6 +418,13 @@ def _flip(path, word, bit):
     Path(path).write_bytes(bytes(data))
 
 
+def _chunk_rows(words):
+    """A cache's chunk table for words: crc32 and popcount per 1024 words."""
+    return np.array([[zlib.crc32(words[i : i + 1024].tobytes()),
+                      sum(int(w).bit_count() for w in words[i : i + 1024])]
+                     for i in range(0, words.size, 1024)], dtype="<u4")
+
+
 def _reseal(path, edit, edit_chunks=None):
     """Apply edit(header, words) to a cache file, rebuild its chunk table
     (crc32 and popcount per 1024 words) from the edited words, apply
@@ -427,9 +434,7 @@ def _reseal(path, edit, edit_chunks=None):
     head = data[:head_len]
     words = np.frombuffer(bytes(data[start:]), dtype="<u8").copy()
     edit(head, words)
-    chunks = np.array([[zlib.crc32(words[i : i + 1024].tobytes()),
-                        sum(int(w).bit_count() for w in words[i : i + 1024])]
-                       for i in range(0, words.size, 1024)], dtype="<u4")
+    chunks = _chunk_rows(words)
     if edit_chunks:
         edit_chunks(chunks)
     sealed = bytes(head) + chunks.tobytes()
@@ -600,6 +605,24 @@ def test_cache_limit_raised_inside_the_last_word(tmp_path, limit, raised):
         t.contains(raised - 1)
     assert main(["--cache", path, "op", "2", "5"]) == (0 if limit > 2**16 else 4)
     assert main(["--cache", path, "rank", str(raised - 2)]) == 4
+
+
+@pytest.mark.parametrize("limit", [1000, 100_000])
+def test_cache_member_at_the_limit_fails_the_first_read(tmp_path, limit):
+    # load_cache refuses a bit at or above the limit, so the words are read
+    # straight through a _CacheFile whose chunk table agrees with them: only
+    # the last word's check, in the query reaching it, can catch the bit
+    table = build_table(limit)
+    words = table._words.copy()
+    words[-1] |= np.uint64(1) << np.uint64(limit & 63)
+    path = tmp_path / "words"
+    path.write_bytes(words.tobytes())
+    source = sqstar.ground._CacheFile(os.open(path, os.O_RDONLY), 0, _chunk_rows(words))
+    t = sqstar.ground.GroundTable(limit, np.empty_like(words), table.size, source)
+    if limit > 2**16:  # the chunks before the last are read and pass
+        assert t.count_below(1000) == table.count_below(1000)
+    with pytest.raises(CorruptCacheError, match=f"bit {limit} disagrees"):
+        t.contains(limit - 1)
 
 
 def test_save_of_a_loaded_table_checks_every_chunk(tmp_path, table_1m):

@@ -17,7 +17,6 @@ from sqstar import (
     build_table,
     concat,
     constant_point,
-    grid_points,
     h_project,
     hj_search,
     hj_threshold,
@@ -33,7 +32,6 @@ from sqstar import (
     star,
     substitute,
     word_coloring,
-    words_over,
 )
 from sqstar.hjlab import _Window, _hj_lines, _hj_window, _phj_lines, _phj_window, gamma_order
 from sqstar.search import forced_window
@@ -108,12 +106,6 @@ def test_concat_laws_exhaustive():
         ab = concat(a, b)
         assert ab.letters == concat(b, a).letters
         assert frozenset(ab.letters) == frozenset(a.letters) | frozenset(b.letters)
-
-
-def test_words_over_matches_oracle():
-    got = {frozenset(w.letters) for w in words_over(range(1, 3), 2)}
-    assert got == set(oracles.all_words(2, 2))
-    assert len(list(words_over(range(1, 3), 2))) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +279,13 @@ def _avoiding(keys, lines, r):
     """avoiding_word over the vertex keys a threshold indexes and the
     lines of a line generator."""
     index = {k: i for i, k in enumerate(keys)}
-    return avoiding_word(len(keys), [[index[k] for k in line] for _, line in lines], r)
+    return avoiding_word(len(keys), [[index[k] for k in line] for _, line in lines], r)[0]
+
+
+def _words(n, q):
+    """The oracle's words over {1..n} as sorted letter tuples, the keys
+    _hj_lines uses."""
+    return [tuple(sorted(w)) for w in oracles.all_words(n, q)]
 
 
 def test_hj_lines_list_each_family_once():
@@ -304,13 +302,13 @@ def _stage_word(window, n, r):
     the stage's lead order: {point key: color}, or None."""
     _, _, tagged, lead = window.stage(n)
     at = {v: i for i, v in enumerate(lead)}
-    word = avoiding_word(len(lead), [[at[v] for v in e] for e, _ in tagged], r)
+    word, _ = avoiding_word(len(lead), [[at[v] for v in e] for e, _ in tagged], r)
     return word and {window.keys[v]: word[at[v]] for v in lead}
 
 
 def test_hj_threshold_three_colors():
     """hj(2, 3) is forced at 3: an avoiding word for n = 2 passes the
-    oracle's line check, and in words_over order, a vertex order the
+    oracle's line check, and in oracles.all_words order, a vertex order the
     package does not use, window 3 has no avoiding word.  Led by degree a
     window takes at most 15 nodes; by first appearance window 3 takes 148."""
     assert hj_threshold(2, 3, 4) == 3
@@ -321,11 +319,11 @@ def test_hj_threshold_three_colors():
     assert forced_window(stages, 3, 148) == 3
     with pytest.raises(EnumerationCapError):
         forced_window(stages, 3, 147)
-    words = [w.letters for w in words_over(range(1, 3), 2)]
+    words = _words(2, 2)
     cmap = dict(zip(map(frozenset, words), _avoiding(words, _hj_lines(2, 2, None), 3)))
     assert set(cmap) == set(oracles.all_words(2, 2))
     assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(2, 2))
-    words = [w.letters for w in words_over(range(1, 4), 2)]
+    words = _words(3, 2)
     assert _avoiding(words, _hj_lines(2, 3, None), 3) is None
 
 
@@ -350,13 +348,13 @@ def test_hj_threshold_certificate(q, r, max_n, answer):
     line check; at the answer there is none."""
     assert hj_threshold(q, r, max_n) == answer
     n = max_n if answer is None else answer - 1
-    words = [w.letters for w in words_over(range(1, n + 1), q)]
+    words = _words(n, q)
     word = _avoiding(words, _hj_lines(q, n, None), r)
     cmap = dict(zip(map(frozenset, words), word))
     assert set(cmap) == set(oracles.all_words(n, q))
     assert not any(len({cmap[w] for w in line}) == 1 for line in oracles.all_lines(n, q))
     if answer is not None:
-        words = [w.letters for w in words_over(range(1, answer + 1), q)]
+        words = _words(answer, q)
         assert _avoiding(words, _hj_lines(q, answer, None), r) is None
 
 
@@ -382,8 +380,6 @@ def test_point_validation():
     with pytest.raises(ValueError):
         phj_search(2**15, 2, 1, 1, _UNCOLORABLE, node_budget=0)
     with pytest.raises(ValueError):
-        next(grid_points(2**15, 1, 1))
-    with pytest.raises(ValueError):
         PhjPoint(2, 2, 1, [[1, 2, 1]])
     comp2 = np.array([[1, 2], [2, 1]])
     p = PhjPoint(2, 2, 2, [[1, 2], comp2])
@@ -406,7 +402,8 @@ def test_point_equality_and_doc():
     assert hash(p) == hash(q)
     assert p != constant_point(2, 2, 2)
     # equality and hash follow (q, n, d, key()): distinct keys, distinct points
-    points = [*grid_points(2, 2, 2), *grid_points(3, 2, 1), *grid_points(2, 1, 2)]
+    points = [PhjPoint._of(q, n, d, t) for q, n, d in ((2, 2, 2), (3, 2, 1), (2, 1, 2))
+              for t in oracles.grid_tuples(q, n, d)]
     assert len(set(points)) == len({(x.q, x.n, x.d, x.key()) for x in points}) == len(points)
     same = PhjPoint(2, 2, 2, p.key())
     assert same == p and hash(same) == hash(p) and same is not p
@@ -472,12 +469,6 @@ def test_point_coloring_skips(table_100k):
     colors = _vertex_colors(c, _phj_window(2, 2, 1), table_100k, "phj")
     assert colors[constant_point(2, 2, 1).letters] == c.color_of(1)
     assert colors[PhjPoint(2, 2, 1, [[2, 2]]).letters] == 0  # projects to 3
-
-
-def test_grid_points_match_oracle():
-    pts = list(grid_points(2, 2, 2))
-    assert [_flat(p) for p in pts] == oracles.grid_tuples(2, 2, 2)
-    assert len(set(pts)) == len(pts) == 64
 
 
 @pytest.mark.parametrize("q, n, d", [(2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2)])
@@ -554,11 +545,11 @@ def test_phj_threshold_matches_oracle():
 
 def test_phj_threshold_certificate():
     assert phj_threshold(2, 2, 1, 3) == 2
-    points = [p.letters for p in grid_points(2, 1, 1)]
+    points = oracles.grid_tuples(2, 1, 1)
     cmap = dict(zip(points, _avoiding(points, _phj_lines(2, 1, 1), 2)))
     assert set(cmap) == set(oracles.grid_tuples(2, 1, 1))
     assert not any(len({cmap[p] for p in line}) == 1 for line in oracles.grid_lines(2, 1, 1))
-    assert _avoiding([p.letters for p in grid_points(2, 2, 1)], _phj_lines(2, 2, 1), 2) is None
+    assert _avoiding(oracles.grid_tuples(2, 2, 1), _phj_lines(2, 2, 1), 2) is None
 
 
 # ---------------------------------------------------------------------------

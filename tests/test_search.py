@@ -1,6 +1,7 @@
 """Witness search, verification, and thresholds with their certificates."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -523,18 +524,18 @@ def test_threshold_certificate(table_100k, spec, family, params):
     """16 is forced at r=2; an avoiding word for 15 passes the oracle's check."""
     assert threshold(spec, 2, 1, 16, table_100k) == 16
     least = admitted_configs(spec, 16, table_100k)
-    word = avoiding_word(15, _window(least, 15), 2)
+    word, _ = avoiding_word(15, _window(least, 15), 2)
     configs = oracles.window_configs(family, params, 15, oracles.members_brute(2000))
     assert len(word) == 15
     assert not oracles.mono_configs_exist(word, configs)
     assert oracles.mono_configs_exist((1,) * 15, configs)  # the check can fail
-    assert avoiding_word(16, _window(least, 16), 2) is None
+    assert avoiding_word(16, _window(least, 16), 2)[0] is None
 
 
 def test_threshold_reach(table_100k):
     """Far past 2**24 colorings: Brauer(2) is not forced up to 120 at r=2."""
     assert threshold(Brauer(2), 2, 1, 120, table_100k) is None
-    word = avoiding_word(120, _window(admitted_configs(Brauer(2), 120, table_100k), 120), 2)
+    word, _ = avoiding_word(120, _window(admitted_configs(Brauer(2), 120, table_100k), 120), 2)
     configs = oracles.window_configs("brauer", (2,), 120, oracles.members_brute(2000))
     assert len(word) == 120 and configs
     assert not oracles.mono_configs_exist(word, configs)
@@ -610,6 +611,22 @@ def test_threshold_walk_at_64_restricts_to_16(table_100k, monkeypatch, spec, eva
         spec, 16, table_100k)
 
 
+@pytest.mark.parametrize("spec, bound, size, digest", [
+    (Brauer(1), 1000, 2077, "ec736063691a358d"),
+    (Brauer(2), 4000, 2059, "804d0d5d22ba032b"),
+    (FpF(3), 300, 364, "d9984d793eeae987"),
+    (Deuber(1, 2), 300, 152, "fe02bde3b0f513d8"),
+    (MillikenTaylor(1, PhiSum()), 200, 319, "f8df27bf178991cd"),
+    (PolyVdW(1, ((2,),)), 500, 266, "146b6c5969320531"),
+], ids=["brauer1", "brauer2", "fpf3", "deuber12", "mt1-sum", "pvw1"])
+def test_threshold_walk_past_12_is_pinned(table_100k, spec, bound, size, digest):
+    """Walks that prune by both the bound and the table: the sorted
+    (configuration, least window) items, digested."""
+    least = admitted_configs(spec, bound, table_100k)
+    got = hashlib.sha256(repr(sorted(least.items())).encode()).hexdigest()[:16]
+    assert (len(least), got) == (size, digest)
+
+
 def test_threshold_walk_follows_the_answer(table_100k, monkeypatch):
     """The walk bound doubles from 16 up to max_bound: a max_bound far above
     the answer costs one walk at 16, and no window means no walk."""
@@ -646,7 +663,7 @@ def test_threshold_geo_three_colors(table_100k):
     assert threshold(GeoArithmetic(1), 3, 1, 60, table_100k) == 54
     least = admitted_configs(GeoArithmetic(1), 53, table_100k)
     configs = [cfg for cfg, m in least.items() if m <= 53]
-    word = avoiding_word(53, _window(least, 53), 3)
+    word, _ = avoiding_word(53, _window(least, 53), 3)
     assert len(configs) == 222 and len(word) == 53
     assert not oracles.mono_configs_exist(word, configs)
     assert oracles.mono_configs_exist((1,) * 53, configs)  # the check can fail
@@ -659,7 +676,7 @@ def test_threshold_geo_four_colors(table_100k):
     assert threshold(GeoArithmetic(1), 4, 1, 400, table_100k) == 180
     least = admitted_configs(GeoArithmetic(1), 179, table_100k)
     configs = [cfg for cfg, m in least.items() if m <= 179]
-    word = avoiding_word(179, _window(least, 179), 4)
+    word, _ = avoiding_word(179, _window(least, 179), 4)
     assert len(word) == 179
     assert not oracles.mono_configs_exist(word, configs)
     assert oracles.mono_configs_exist((1,) * 179, configs)  # the check can fail
@@ -717,14 +734,14 @@ def test_threshold_refutes_once_per_forced_stage(table_100k, monkeypatch):
     every edge it charged, is the answer when the window below it is not
     forced: one refutation and one more search, not a search per window."""
     probes = []
-    real = search._avoid
+    real = search.avoiding_word
 
     def probe(*args):
         got = real(*args)
         probes.append(got[0] is None)
         return got
 
-    monkeypatch.setattr(search, "_avoid", probe)
+    monkeypatch.setattr(search, "avoiding_word", probe)
     assert threshold(Brauer(1), 2, 1, 16, table_100k) == 16
     assert probes == [True, False]
     probes.clear()
