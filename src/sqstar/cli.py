@@ -161,6 +161,17 @@ def _word_pairs(word):
     return [[int(p), int(a)] for p, a in word.letters]
 
 
+def _scan_result(args, rep, skipped: int, coloring, doc: dict, lines, timing="") -> int:
+    """Emit the head that search, hj and phj share (status, nodes, skipped,
+    coloring) with the command's own fields (doc) and lines; return the
+    exit code, 0 on a hit and 1 otherwise."""
+    doc.update(status=rep.status, nodes=rep.nodes, skipped=skipped,
+               coloring=coloring.provenance)
+    head = f"status: {rep.status} (nodes {rep.nodes}, skipped {skipped}{timing})"
+    _emit(args, doc, [head, *lines])
+    return 0 if rep.found else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sqstar",
@@ -337,17 +348,8 @@ def _dispatch(args) -> int:
         bounds.check_coloring(coloring)  # before a table is built for nothing
         table = _get_table(args)
         report = srch.find_witness(table, coloring, spec, bounds)
-        doc = {
-            "status": report.status,
-            "nodes": report.nodes,
-            "skipped": report.skipped_out_of_range,
-            "coloring": coloring.provenance,
-            "witness": pat.witness_to_doc(report.witness) if report.witness else None,
-        }
-        human = [
-            f"status: {report.status} (nodes {report.nodes}, "
-            f"skipped {report.skipped_out_of_range}, {report.elapsed:.3f}s)"
-        ]
+        doc = {"witness": pat.witness_to_doc(report.witness) if report.witness else None}
+        human = []
         if report.witness:
             human.append(f"generators: {report.witness.generators}")
             human.append(
@@ -358,8 +360,8 @@ def _dispatch(args) -> int:
             if args.out:
                 pat.save_witness(report.witness, args.out)
                 human.append(f"witness written to {args.out}")
-        _emit(args, doc, human)
-        return 0 if report.found else 1
+        return _scan_result(args, report, report.skipped_out_of_range, coloring, doc,
+                            human, f", {report.elapsed:.3f}s")
 
     if cmd == "threshold":
         spec = _build_spec(args)
@@ -381,24 +383,19 @@ def _dispatch(args) -> int:
         rep = hjlab.hj_search(args.q, wc, args.n, ap_k=args.ap_k,
                               node_budget=args.budget)
         doc = {
-            "status": rep.status,
-            "nodes": rep.nodes,
-            "skipped": rep.skipped,
-            "coloring": coloring.provenance,
             "alpha": _word_pairs(rep.alpha) if rep.alpha is not None else None,
             "gamma": list(rep.gamma) if rep.gamma else None,
             "family-set": list(rep.family_set) if rep.family_set else None,
             "color": rep.color,
             "line": [_word_pairs(w) for w in rep.line] if rep.line else None,
         }
-        human = [f"status: {rep.status} (nodes {rep.nodes}, skipped {rep.skipped})"]
+        human = []
         if rep.found:
             human.append(f"alpha: {_word_pairs(rep.alpha)}  gamma: {list(rep.gamma)}")
             if rep.family_set:
                 human.append(f"family set: {list(rep.family_set)}")
             human.append(f"color: {rep.color}")
-        _emit(args, doc, human)
-        return 0 if rep.found else 1
+        return _scan_result(args, rep, rep.skipped, coloring, doc, human)
 
     if cmd == "phj":
         table = _get_table(args)
@@ -408,19 +405,12 @@ def _dispatch(args) -> int:
         rep = hjlab.phj_search(args.q, args.colors, args.d, args.n, pc,
                                node_budget=args.budget)
         doc = {
-            "status": rep.status,
-            "nodes": rep.nodes,
-            "skipped": rep.skipped,
-            "coloring": coloring.provenance,
             "point": rep.point.to_doc() if rep.point is not None else None,
             "gamma": list(rep.gamma) if rep.gamma else None,
             "color": rep.color,
         }
-        human = [f"status: {rep.status} (nodes {rep.nodes}, skipped {rep.skipped})"]
-        if rep.found:
-            human.append(f"gamma: {list(rep.gamma)}  color: {rep.color}")
-        _emit(args, doc, human)
-        return 0 if rep.found else 1
+        human = [f"gamma: {list(rep.gamma)}  color: {rep.color}"] if rep.found else []
+        return _scan_result(args, rep, rep.skipped, coloring, doc, human)
 
     if cmd == "verify":
         w = pat.load_witness(args.witness)

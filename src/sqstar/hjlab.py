@@ -55,12 +55,6 @@ class LocatedWord:
     def domain(self) -> frozenset:
         return frozenset(p for p, _ in self.letters)
 
-    def letter_at(self, pos: int) -> Optional[int]:
-        for p, a in self.letters:
-            if p == pos:
-                return a
-        return None
-
 
 def located_word(q: int, mapping) -> LocatedWord:
     """Build a word from a dict or iterable of (position, letter) pairs."""
@@ -422,10 +416,6 @@ class PhjPoint:
     def to_doc(self) -> dict:
         return {"q": self.q, "n": self.n, "d": self.d,
                 "components": [list(block) for block in self.key()]}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PhjPoint":
-        return cls(doc["q"], doc["n"], doc["d"], doc["components"])
 
 
 def constant_point(q: int, n: int, d: int, letter: int = 1) -> PhjPoint:

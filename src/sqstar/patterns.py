@@ -27,7 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import MalformedWitnessError, OutOfRangeError
 from .ground import GroundTable
@@ -35,17 +35,12 @@ from .semigroup import _Exact, _product
 
 
 # ---------------------------------------------------------------------------
-# closed-form combination maps for the mt family; each combines a tuple of
-# ranks in a family arithmetic (see _Family) and prints as the text
-# phi_from_str reads back
-
-class _Phi:
-    def __call__(self, values: Sequence[int], table: GroundTable) -> int:
-        return self._apply(values, _Exact(table))
-
+# closed-form combination maps for the mt family: MillikenTaylor checks a
+# map's arity once, and its _values applies the map (_apply) to m ranks in
+# a family arithmetic (see _Family); each prints as phi_from_str reads back
 
 @dataclass(frozen=True)
-class PhiProjection(_Phi):
+class PhiProjection:
     i: int  # 1-based coordinate
 
     def __post_init__(self):
@@ -53,8 +48,6 @@ class PhiProjection(_Phi):
             raise ValueError("projection coordinate must be >= 1")
 
     def _apply(self, values, ar):
-        if self.i > len(values):
-            raise ValueError(f"projection {self.i} exceeds arity {len(values)}")
         return values[self.i - 1]
 
     def __str__(self):
@@ -62,7 +55,7 @@ class PhiProjection(_Phi):
 
 
 @dataclass(frozen=True)
-class PhiSum(_Phi):
+class PhiSum:
     def _apply(self, values, ar):
         return reduce(ar.plus, values)
 
@@ -71,7 +64,7 @@ class PhiSum(_Phi):
 
 
 @dataclass(frozen=True)
-class PhiProduct(_Phi):
+class PhiProduct:
     def _apply(self, values, ar):
         return reduce(ar.times, values)
 
@@ -80,7 +73,7 @@ class PhiProduct(_Phi):
 
 
 @dataclass(frozen=True)
-class PhiLinear(_Phi):
+class PhiLinear:
     coeffs: Tuple[int, ...]
     constant: int = 0
 
@@ -89,10 +82,6 @@ class PhiLinear(_Phi):
             raise ValueError("linear coefficients must be nonnegative")
 
     def _apply(self, values, ar):
-        if len(self.coeffs) != len(values):
-            raise ValueError(
-                f"linear map of arity {len(self.coeffs)} applied to {len(values)} values"
-            )
         terms = (ar.times(c, v) for c, v in zip(self.coeffs, values))
         return reduce(ar.plus, terms, self.constant)
 
@@ -101,7 +90,7 @@ class PhiLinear(_Phi):
 
 
 @dataclass(frozen=True)
-class PhiStarFold(_Phi):
+class PhiStarFold:
     def _apply(self, values, ar):
         return ar.rank(_product(ar, [(v, 1) for v in values]))
 
@@ -283,9 +272,6 @@ class _Family:
             raise ValueError(f"generators missing {missing[0]!r}")
         return {key: kind.check(generators, key, n) for key, kind, n in self.layout}
 
-    def _values(self, g: dict, ar) -> Iterator[int]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FpF(_Family):
@@ -372,7 +358,7 @@ class MillikenTaylor(_Family):
             raise ValueError("block count must be >= 1")
         if not isinstance(self.phi, _PHIS):
             raise TypeError(f"not a combination map: {self.phi!r}")
-        # the map receives exactly m block values
+        # the map's one arity check: _values hands it exactly m block values
         if isinstance(self.phi, PhiProjection) and self.phi.i > self.m:
             raise ValueError(f"projection {self.phi.i} exceeds block count {self.m}")
         if isinstance(self.phi, PhiLinear) and len(self.phi.coeffs) != self.m:

@@ -75,6 +75,24 @@ def fold_star(ranks, table) -> int:
     return fold_eval([(r, 1) for r in ranks], table)
 
 
+def phi(text: str, values, table) -> int:
+    """An mt combination map, read from its text form (proj:I, sum,
+    product, starfold or linear:C;..;C:K), applied to the block values."""
+    head, *rest = text.split(":")
+    if head == "proj":
+        return values[int(rest[0]) - 1]
+    if head == "sum":
+        return sum(values)
+    if head == "product":
+        return math.prod(values)
+    if head == "starfold":
+        return fold_star(values, table)
+    if head == "linear":
+        coeffs = [int(c) for c in rest[0].split(";")]
+        return sum(c * v for c, v in zip(coeffs, values, strict=True)) + int(rest[1])
+    raise ValueError(f"unknown combination map {text!r}")
+
+
 def faulty_star(limit: int, rank_shift=None, pair_fault=None):
     """The product of ranks over the brute-force members below limit, as a
     memoized mul(m, k) that gives a rank, or None where s_m * s_k reaches

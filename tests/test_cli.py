@@ -1,7 +1,11 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -190,6 +194,19 @@ def test_usage_errors(capsys, cache_path):
                      "--phi", phi, "--colors", "2", "--max-bound", "20"]) == 2
     assert main(["--cache", cache_path, "hj", "--q", "2", "--r", "2", "--n", "2",
                  "--ap-k", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv, code, out", [(("member", "13"), 0, "true\n"),
+                                            (("nope",), 2, "")])
+def test_console_entry(argv, code, out):
+    """python -m sqstar.cli runs entry(), which exits with main's code."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("SQSTAR_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-m", "sqstar.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
 
 
 def test_one_parser_answers_like_a_fresh_one(cache_path, tmp_path, monkeypatch, capsys):
@@ -558,6 +575,39 @@ def test_line_search_output_pinned(cache_path, capsys, argv, code, doc):
     got, _, raw = run_json(capsys, "--cache", cache_path, *argv)
     assert got == code
     assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Human output of the three scans on the 1e5 cache, pinned line by line;
+# a search's timing is masked as N.NNNs and its --out path as OUT.
+_PINNED_HUMAN_SCANS = [
+    (_HJ, 0, ["status: witness (nodes 12, skipped 0)", "alpha: [[4, 1]]  gamma: [2]",
+              "family set: [1, 3]", "color: 1"]),
+    (_HJ + ("--coloring", "random:seed=10,r=2", "--budget", "5"), 1,
+     ["status: budget (nodes 5, skipped 0)"]),
+    (("hj", "--q", "2", "--r", "1", "--n", "3", "--coloring", "periodic:q=1,r=1"), 0,
+     ["status: witness (nodes 1, skipped 0)", "alpha: []  gamma: [1]", "color: 1"]),
+    (_PHJ, 1, ["status: exhausted (nodes 37, skipped 0)"]),
+    (_PHJ + ("--coloring", "random:seed=4,r=3"), 0,
+     ["status: witness (nodes 20, skipped 0)", "gamma: [1, 2]  color: 3"]),
+    (tuple(SEARCH_ARGS), 0, ["status: witness (nodes 7, skipped 0, N.NNNs)",
+                             "generators: {'x': 2, 'z': 8}", "configuration: 2 8 14",
+                             "color: 1"]),
+    (tuple(SEARCH_ARGS) + ("--out", "OUT"), 0, [
+        "status: witness (nodes 7, skipped 0, N.NNNs)", "generators: {'x': 2, 'z': 8}",
+        "configuration: 2 8 14", "color: 1", "witness written to OUT"]),
+    (tuple(SEARCH_ARGS) + ("--budget", "0"), 1,
+     ["status: budget (nodes 0, skipped 0, N.NNNs)"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, lines", _PINNED_HUMAN_SCANS)
+def test_scan_human_output_pinned(cache_path, tmp_path, capsys, argv, code, lines):
+    out_path = str(tmp_path / "w.json")
+    argv = [out_path if a == "OUT" else a for a in argv]
+    got, out, _ = run(capsys, "--cache", cache_path, *argv)
+    out = re.sub(r", \d+\.\d{3}s\)", ", N.NNNs)", out).replace(out_path, "OUT")
+    assert got == code
+    assert out.splitlines() == lines
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def test_periodic():
     assert c.color_of(7) == 2
     assert c.color_of(6) == 1
     assert [c.color_of(i) for i in range(4)] == [1, 2, 1, 2]
+    assert repr(c) == "Coloring(r=2, bound=10, 'periodic:q=2,map=1;2,bound=10')"
     with pytest.raises(ValueError):
         periodic_coloring(2, [1], 10)
     with pytest.raises(ValueError):

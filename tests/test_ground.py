@@ -60,6 +60,7 @@ def test_count_below(table_100k):
     cum = np.concatenate([[0], np.cumsum(brute)])
     for x in (0, 1, 2, 3, 4, 17, 100, 99_999, 100_000):
         assert table_100k.count_below(x) == int(cum[x])
+    assert repr(table_100k) == f"GroundTable(limit=100000, size={int(cum[-1])})"
     with pytest.raises(OutOfRangeError):
         table_100k.count_below(100_001)
     with pytest.raises(ValueError):
@@ -665,6 +666,25 @@ def test_cache_short_file(tmp_path):
         Path(path).write_bytes((b"SGT1\x03\x05sigma" + bytes(16))[:cut])
         with pytest.raises(CorruptCacheError, match="truncated header"):
             load_cache(path)
+
+
+def test_cache_shrinking_after_the_length_check_is_corrupt(tmp_path, table_100k, monkeypatch):
+    """A file cut between fstat and the chunk-table read passes the length
+    check but reads short; without the second check the empty read would
+    reach struct.unpack and raise struct.error."""
+    path = str(tmp_path / "s.sgt")
+    save_cache(table_100k, path)
+    pread = os.pread
+    calls = []
+
+    def shrunk(fd, n, offset):  # the header reads whole, every later read is empty
+        calls.append(offset)
+        return pread(fd, n, offset) if len(calls) == 1 else b""
+
+    monkeypatch.setattr(os, "pread", shrunk)
+    with pytest.raises(CorruptCacheError, match="file shorter than its header declares"):
+        load_cache(path)
+    assert len(calls) == 3
 
 
 def test_cache_declared_limit_out_of_range(tmp_path, table_100k):

@@ -53,8 +53,6 @@ def test_word_normalization():
     w = located_word(3, [(5, 2), (1, 0)])
     assert w.letters == ((1, 0), (5, 2))
     assert w.domain == frozenset({1, 5})
-    assert w.letter_at(5) == 2
-    assert w.letter_at(2) is None
 
 
 def test_word_validation():
@@ -397,7 +395,8 @@ def test_point_validation():
 def test_point_equality_and_doc():
     p = PhjPoint(2, 2, 2, [[1, 2], [1, 2, 2, 1]])
     assert p.to_doc() == {"q": 2, "n": 2, "d": 2, "components": [[1, 2], [1, 2, 2, 1]]}
-    q = PhjPoint.from_doc(p.to_doc())
+    assert repr(p) == "PhjPoint(q=2, n=2, d=2, ((1, 2), (1, 2, 2, 1)))"
+    q = PhjPoint(2, 2, 2, p.to_doc()["components"])
     assert p == q
     assert hash(p) == hash(q)
     assert p != constant_point(2, 2, 2)

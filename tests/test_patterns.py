@@ -181,14 +181,6 @@ def test_phi_roundtrip():
         phi_from_str("proj:x")
 
 
-def test_phi_eval_validation(table_100k):
-    with pytest.raises(ValueError):
-        PhiProjection(3)([1, 2], table_100k)
-    with pytest.raises(ValueError):
-        PhiLinear((1,), 0)([1, 2], table_100k)
-    assert PhiLinear((1, 1), 0)([4, 5], table_100k) == 9
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         FpF(0)
@@ -346,8 +338,7 @@ def _fold_value_paths(spec, gens, table):
         xs = gens["xs"]
         for fs in block_tuples(len(xs), spec.m):
             vs = [oracles.fold_star([xs[t - 1] for t in f], table) for f in fs]
-            starfold = isinstance(spec.phi, PhiStarFold)
-            out.append(oracles.fold_star(vs, table) if starfold else spec.phi(vs, table))
+            out.append(oracles.phi(str(spec.phi), vs, table))
     elif isinstance(spec, GeoArithmetic):
         b = fold(gens["b"])
         for i in range(spec.k + 1):

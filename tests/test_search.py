@@ -40,7 +40,7 @@ from sqstar import (
 from sqstar import search
 from sqstar.patterns import config_values
 from sqstar.search import admitted_configs, candidate_tuples, forced_window, generators_from_tuple
-from sqstar.semigroup import _VALUE_CAP, _Saturating
+from sqstar.semigroup import _VALUE_CAP, _Exact, _Saturating
 
 FAMILIES = [
     FpF(2),
@@ -251,8 +251,8 @@ def test_block_combination_maps_saturate(table_100k):
     assert linear._apply([big, big, big], ar).tolist() == [_VALUE_CAP] * 3
     assert PhiLinear((0, 2**40), 3)._apply([big, big], ar).tolist() == [
         _VALUE_CAP, 5 * 2**40 + 3, _VALUE_CAP]
-    assert PhiProduct()([2**31] * 3, table_100k) == 2**93
-    assert linear([2**31] * 3, table_100k) == (10**30 + 1 + 2**62) * 2**31 + 7
+    assert PhiProduct()._apply([2**31] * 3, _Exact(table_100k)) == 2**93
+    assert linear._apply([2**31] * 3, _Exact(table_100k)) == (10**30 + 1 + 2**62) * 2**31 + 7
 
 
 def test_saturated_rows_select_no_members():
@@ -806,10 +806,12 @@ def test_threshold_numbers_the_ranks_of_powers_of_two_first(table_100k):
 
 
 def test_threshold_walk_drops_only_out_of_range_candidates(table_100k):
-    spec = MillikenTaylor(2, PhiSum())
-    object.__setattr__(spec, "phi", PhiProjection(3))  # past the constructor's check
-    with pytest.raises(ValueError):
-        admitted_configs(spec, 8, table_100k)
+    class Broken(Brauer):
+        def _values(self, g, ar):
+            raise ValueError("not an out-of-range error")
+
+    with pytest.raises(ValueError, match="not an out-of-range error"):
+        admitted_configs(Broken(1), 8, table_100k)
 
 
 def test_threshold_validation(table_100k):
