@@ -41,7 +41,6 @@ from .colorings import (
     from_provenance,
     periodic_coloring,
     random_coloring,
-    to_file,
 )
 from .patterns import (
     Brauer,
@@ -72,7 +71,6 @@ from .hjlab import (
     h_project,
     hj_search,
     hj_threshold,
-    located_word,
     m_project,
     phj_search,
     phj_substitute,

@@ -412,19 +412,17 @@ def _dispatch(args) -> int:
         human = [f"gamma: {list(rep.gamma)}  color: {rep.color}"] if rep.found else []
         return _scan_result(args, rep, rep.skipped, coloring, doc, human)
 
-    if cmd == "verify":
-        w = pat.load_witness(args.witness)
-        if args.coloring:
-            coloring = _parse_coloring(args.coloring, args.bound)
-        else:
-            coloring = col.from_provenance(w.coloring_provenance, args.bound)
-        table = _get_table(args, min_limit=w.table_limit)
-        ok = srch.verify_witness(w, coloring, table)
-        doc = {"witness": args.witness, "valid": bool(ok)}
-        _emit(args, doc, ["valid" if ok else "INVALID"])
-        return 0 if ok else 1
-
-    raise _CliError(f"unknown command {cmd!r}")
+    # verify: argparse admits only the commands above and this one
+    w = pat.load_witness(args.witness)
+    if args.coloring:
+        coloring = _parse_coloring(args.coloring, args.bound)
+    else:
+        coloring = col.from_provenance(w.coloring_provenance, args.bound)
+    table = _get_table(args, min_limit=w.table_limit)
+    ok = srch.verify_witness(w, coloring, table)
+    doc = {"witness": args.witness, "valid": bool(ok)}
+    _emit(args, doc, ["valid" if ok else "INVALID"])
+    return 0 if ok else 1
 
 
 def entry() -> None:

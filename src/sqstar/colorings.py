@@ -119,21 +119,6 @@ def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Colori
         raise SchemaViolationError(f"bad coloring document: {exc}") from exc
 
 
-def coloring_to_doc(c: Coloring) -> dict:
-    return {
-        "r": c.r,
-        "bound": c.bound,
-        "colors": [int(x) for x in c.assignment],
-        "provenance": c.provenance,
-    }
-
-
-def to_file(c: Coloring, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coloring_to_doc(c), fh, sort_keys=True)
-        fh.write("\n")
-
-
 def avoiding_word(size: int, edges, r: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """The least coloring word of vertices 0..size-1, colors 1..r, with no
     monochromatic edge (an iterable of vertices): (word, None), or
@@ -211,13 +196,15 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         random[:pcg64]:seed=S,r=R[,bound=B]
         periodic:q=Q,r=R[,bound=B]              n -> (n mod Q) mod R + 1
         periodic:q=Q,map=C1;...;CQ[,bound=B]    n -> C_{(n mod Q) + 1}
+        file:PATH                               the document at PATH (from_file)
 
-    This covers every string random_coloring and periodic_coloring record.
-    `bound` fills in when the string carries none.  File-backed colorings
-    cannot be rebuilt from provenance alone; they and every malformed
-    string raise SchemaViolationError.
+    This covers every string random_coloring, periodic_coloring and
+    from_file record.  `bound` fills in when the string carries none.
+    Every malformed string raises SchemaViolationError.
     """
     kind, _, rest = prov.partition(":")
+    if kind == "file":
+        return from_file(rest)
     if kind == "random" and rest.startswith("pcg64:"):
         rest = rest[len("pcg64:"):]
     keys = {"random": ("seed", "r", "bound"), "periodic": ("q", "r", "map", "bound")}

@@ -171,7 +171,7 @@ class GroundTable:
     chunk at a time, up to the chunk that holds the largest rank asked
     for.  Pages of either never filled are never touched, so queries near
     the bottom of the range cost little beyond the chunks they reach.
-    members(n) and elements are read-only views of it.
+    members(n) is a read-only view of it, members(size) of every member.
     """
 
     __slots__ = ("limit", "_words", "_source", "_prefix", "_known", "_cover",
@@ -260,12 +260,8 @@ class GroundTable:
             self._select_through(n - 1)
         return self._members[:n]
 
-    @property
-    def elements(self) -> np.ndarray:
-        """Read-only uint32 view of every member, in order."""
-        return self.members(self._members.size)
-
-    def _bit(self, s: int) -> int:
+    def contains(self, s: int) -> bool:
+        """Table-backed membership test for 0 <= s < limit."""
         s = operator.index(s)
         if s < 0:
             raise ValueError("membership query requires a nonnegative integer")
@@ -273,11 +269,11 @@ class GroundTable:
             raise OutOfRangeError(f"value {s} not covered by table limit {self.limit}")
         if s >= self._cover:
             self._fill(s >> 6)
-        return (self._words.item(s >> 6) >> (s & 63)) & 1
+        return bool((self._words.item(s >> 6) >> (s & 63)) & 1)
 
     def rank(self, s: int) -> int:
         """Rank of the member s; raises NotMemberError for non-members."""
-        if not self._bit(s):
+        if not self.contains(s):
             raise NotMemberError(f"{s} is not in the ground set")
         return self.count_below(s)
 
@@ -307,10 +303,6 @@ class GroundTable:
         i = x >> np.uint64(6)
         mask = (np.uint64(1) << (x & np.uint64(63))) - np.uint64(1)
         return self._prefix[i] + np.bitwise_count(self._words[i] & mask)
-
-    def contains(self, s: int) -> bool:
-        """Table-backed membership test for 0 <= s < limit."""
-        return bool(self._bit(s))
 
     def __repr__(self):
         return f"GroundTable(limit={self.limit}, size={self.size})"

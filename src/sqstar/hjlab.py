@@ -34,7 +34,7 @@ from .semigroup import _Saturating, eval_monomial
 @dataclass(frozen=True)
 class LocatedWord:
     q: int
-    letters: Tuple[Tuple[int, int], ...]  # (position, letter), position-sorted
+    letters: Tuple[Tuple[int, int], ...]  # any iterable of (position, letter); stored sorted
 
     def __post_init__(self):
         if self.q < 1:
@@ -54,12 +54,6 @@ class LocatedWord:
     @property
     def domain(self) -> frozenset:
         return frozenset(p for p, _ in self.letters)
-
-
-def located_word(q: int, mapping) -> LocatedWord:
-    """Build a word from a dict or iterable of (position, letter) pairs."""
-    pairs = mapping.items() if isinstance(mapping, dict) else mapping
-    return LocatedWord(q, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,6 @@ def concat(w1: LocatedWord, w2: LocatedWord) -> LocatedWord:
 
 def substitute(vw: LocatedVariableWord, s: int) -> LocatedWord:
     """Fill every variable position with the letter s."""
-    if not 0 <= s < vw.q:
-        raise ValueError(f"letter {s} outside alphabet of size {vw.q}")
     extra = tuple((p, s) for p in sorted(vw.variable_positions))
     return LocatedWord(vw.q, vw.letters + extra)
 
@@ -230,17 +222,11 @@ class HjReport(_Report):
     skipped: int
 
 
-def _subsets_lex(items: Sequence[int]) -> Iterator[tuple]:
-    yield ()
-    for i, x in enumerate(items):
-        for rest in _subsets_lex(items[i + 1 :]):
-            yield (x,) + rest
-
-
 def gamma_order(n: int) -> Iterator[tuple]:
     """Nonempty subsets of {1..n}: increasing max, then lexicographic."""
     for mx in range(1, n + 1):
-        for rest in _subsets_lex(tuple(range(1, mx))):
+        rests = (c for k in range(mx) for c in itertools.combinations(range(1, mx), k))
+        for rest in sorted(rests):
             yield rest + (mx,)
 
 

@@ -21,7 +21,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -91,19 +91,14 @@ def _position_ranges(spec, bounds: SearchBounds) -> list:
 
     Generator positions run from 2 (from 1 with include_identity);
     auxiliary positions (progression parameters, exponents) run from 1.
-    Every position ends at generator_max.
+    Every position ends at generator_max.  The canonical candidate order
+    is the lexicographic product of these ranges, each key filling its n
+    positions in the family's layout order.
     """
     lo = 1 if bounds.include_identity else 2
     gens = range(lo, bounds.generator_max + 1)
     aux = range(1, bounds.generator_max + 1)
     return [aux if kind.aux else gens for _, kind, n in spec.layout for _ in range(n)]
-
-
-def candidate_tuples(spec, bounds: SearchBounds) -> Iterator[tuple]:
-    """Canonical generator-tuple order for a family within bounds: the
-    product of the position ranges, each key filling its n positions in
-    the family's layout order."""
-    return itertools.product(*_position_ranges(spec, bounds))
 
 
 def generators_from_tuple(spec, tup: tuple) -> dict:
@@ -116,7 +111,7 @@ def generators_from_tuple(spec, tup: tuple) -> dict:
 
 
 def _block_columns(ranges: list, start: int, rows: int) -> list:
-    """Positions of candidate_tuples' entries start..start+rows-1, one
+    """Positions of the canonical order's entries start..start+rows-1, one
     int64 column per position, by mixed-radix division of their indices."""
     idx = np.arange(start, start + rows, dtype=np.int64)
     cols = []
@@ -270,11 +265,11 @@ def admitted_configs(spec, max_bound: int, table: GroundTable) -> dict:
 
     The window {1..N} admits a candidate's configuration when its values
     all lie in 1..N and its generator positions in 1..max(2, N).  One walk
-    over candidate_tuples at generator_max = max(2, max_bound) finds them
+    over the canonical order at generator_max = max(2, max_bound) finds them
     all, dropping a candidate at its first value outside 1..max_bound.
     Keys are sorted.
 
-    The walk is depth-first over the tuple positions, in candidate_tuples'
+    The walk is depth-first over the tuple positions, in the canonical
     order.  Every family's values are nondecreasing in every tuple position
     (see _Family), so a candidate with a value above max_bound, or one past
     the table, has no admitted candidate componentwise above it: once the

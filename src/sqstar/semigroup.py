@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .ground import MAX_LIMIT, GroundTable, _index_array
+from .errors import OutOfRangeError, ResourceBudgetError
+from .ground import DEFAULT_MAX_BYTES, MAX_LIMIT, GroundTable, _index_array
 
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
@@ -29,6 +29,9 @@ Monomial = Sequence[Tuple[int, int]]
 _STAR_STEP = 1 << 14
 # values of m per block of verify_laws' associativity check and its right side
 _LAW_ROWS = 8
+# peak bytes per entry (a row's value at one stream position) of _Saturating's
+# lines, with margin: peak RSS grew 38 B an entry on FpF(10), 33 on FpF(12)
+_LINE_BYTES = 42
 
 
 def star(m: int, n: int, table: GroundTable) -> int:
@@ -78,13 +81,8 @@ def star_many(ms, ns, table: GroundTable):
         if rs.size:
             if rs.min() < 0:
                 raise ValueError("rank must be nonnegative")
-            hi = int(rs.max())
-            if hi >= table.size:
-                raise OutOfRangeError(
-                    f"rank {hi} exceeds table size {table.size} (limit {table.limit})"
-                )
-            top = max(top, hi + 1)
-    s = table.members(top)
+            top = max(top, int(rs.max()) + 1)
+    s = table.members(top)  # OutOfRangeError for a rank past the table
     pairs = np.nditer([ms, ns, None, None], ["external_loop", "buffered", "zerosize_ok"],
                       [["readonly"]] * 2 + [["writeonly", "allocate"]] * 2,
                       [np.intp, np.intp, np.int64, np.bool_], casting="same_kind",
@@ -195,12 +193,16 @@ class _Saturating:
 
     def lines(self, stream, rows: int):
         """The values of a block's stream, one int64 line per stream
-        position, and the lines of ok after each."""
+        position, and the lines of ok after each; ResourceBudgetError once
+        they would need more than DEFAULT_MAX_BYTES."""
         self.ok = np.ones(rows, dtype=bool)
         values, ok = [], []
         for v in stream:
             values.append(v)
             ok.append(self.ok)
+            if _LINE_BYTES * rows * len(values) > DEFAULT_MAX_BYTES:
+                raise ResourceBudgetError(
+                    f"a block of {rows} candidates needs over {DEFAULT_MAX_BYTES} bytes of values")
         return np.array(values, dtype=np.int64), np.array(ok)
 
     def member(self, x):

@@ -5,20 +5,22 @@ except `configs_within` (see there): membership is literal two-squares
 enumeration, folds multiply members of that enumeration pairwise and
 bisect for each rank, thresholds walk colorings as raw words, window
 configurations are rebuilt from a member list, the line oracles
-re-enumerate line sets from first principles, and the candidate rule is
-a plain loop over points.
+re-enumerate line sets from first principles, the candidate rule is a
+plain loop over points, the candidate order is read from a family's
+layout, and coloring documents are written with the json module alone.
 """
 
 import bisect
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 
 from sqstar.errors import OutOfRangeError
 from sqstar.patterns import generate_configuration
-from sqstar.search import SearchBounds, candidate_tuples, generators_from_tuple
+from sqstar.search import SearchBounds, generators_from_tuple
 
 
 def two_squares_flags(limit: int) -> np.ndarray:
@@ -198,12 +200,23 @@ def threshold_oracle(configs_for, r: int, start: int, stop: int):
     return None
 
 
+def candidate_tuples(spec, bounds):
+    """The canonical candidate order of a family within bounds, read from
+    its layout: the lexicographic product of one range per position, each
+    key filling its n positions.  Generator positions run from 2 (from 1
+    with include_identity), auxiliary ones from 1, all to generator_max."""
+    gens = range(1 if bounds.include_identity else 2, bounds.generator_max + 1)
+    aux = range(1, bounds.generator_max + 1)
+    return itertools.product(*[aux if kind.aux else gens
+                               for _, kind, n in spec.layout for _ in range(n)])
+
+
 def configs_within(spec, n: int, table):
     """Candidate configurations entirely inside {1..N}, deduplicated.
 
     The per-window candidate walk the package's threshold made for every
-    N before it walked the candidates once; it goes through the package's
-    candidate order and configuration generator, and cross-checks the
+    N before it walked the candidates once; it walks candidate_tuples
+    through the package's configuration generator, and cross-checks the
     single walk's per-window view (search.admitted_configs).
     """
     bounds = SearchBounds(generator_max=max(2, n), value_bound=n + 1)
@@ -333,8 +346,26 @@ def forced_window_oracle(stages, r: int):
     return None
 
 
+def write_coloring(path, r: int, colors, provenance=None) -> None:
+    """Write a coloring document (r, bound, colors and, if given,
+    provenance) with the json module alone."""
+    doc = {"r": r, "bound": len(colors), "colors": [int(c) for c in colors]}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
 # ---------------------------------------------------------------------------
 # located-word line oracle (independent of the hjlab module internals)
+
+def gamma_subsets(n: int) -> list:
+    """Every nonempty subset of {1..n} as a sorted tuple, by increasing
+    max, then lexicographically (a prefix first) among the positions
+    below it; read from the bits of 1..2^n - 1."""
+    subsets = [tuple(p + 1 for p in range(n) if mask >> p & 1) for mask in range(1, 1 << n)]
+    return sorted(subsets, key=lambda s: (s[-1], s[:-1]))
+
 
 def all_words(n: int, q: int):
     """Every finitely supported word over {1..n} as a frozenset of pairs."""

@@ -23,6 +23,7 @@ from sqstar import (
     Deuber,
     FpF,
     GeoArithmetic,
+    LocatedWord,
     MillikenTaylor,
     OutOfRangeError,
     PhiSum,
@@ -37,7 +38,6 @@ from sqstar import (
     hj_threshold,
     is_member,
     load_cache,
-    located_word,
     m_project,
     phj_substitute,
     random_coloring,
@@ -78,7 +78,7 @@ PREFIX = [0, 1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25, 26, 29, 32]
 
 def test_criterion_01_enumeration_prefix(report):
     table = build_table(33)
-    exact = list(int(v) for v in table.elements) == PREFIX
+    exact = list(int(v) for v in table.members(table.size)) == PREFIX
     elapsed = _best_of(lambda: build_table(33))
     report(
         1,
@@ -223,7 +223,7 @@ def test_criterion_08_hj_homomorphism(report, table_100k):
     checked = 0
     for q in (1, 2, 3):
         words = [
-            located_word(q, pairs) for pairs in oracles.all_words(len(positions), q)
+            LocatedWord(q, pairs) for pairs in oracles.all_words(len(positions), q)
         ]
         for w1, w2 in itertools.product(words, repeat=2):
             if w1.domain & w2.domain:

@@ -12,18 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from sqstar import (
     GeoArithmetic,
     build_table,
     generate_configuration,
     load_cache,
-    periodic_coloring,
     save_cache,
 )
 from sqstar import cli
 from sqstar import patterns as pat
+from sqstar import semigroup
 from sqstar.cli import main
-from sqstar.colorings import to_file as coloring_to_file
 
 
 @pytest.fixture(autouse=True)
@@ -376,6 +376,21 @@ def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     assert code == 4
 
 
+def test_search_then_verify_with_a_file_coloring(cache_path, tmp_path, capsys):
+    # a coloring document without provenance is recorded as file:PATH,
+    # and verify rebuilds the coloring from that descriptor
+    cpath = tmp_path / "c.json"
+    oracles.write_coloring(cpath, 2, [n % 2 + 1 for n in range(400)])
+    wpath = str(tmp_path / "w.json")
+    code, _, _ = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                     "--k", "1", "--coloring", f"file:{cpath}", "--bound", "400",
+                     "--gen-max", "16", "--out", wpath)
+    assert code == 0
+    assert json.loads(Path(wpath).read_text())["coloring-provenance"] == f"file:{cpath}"
+    code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
+    assert (code, out.strip(), err) == (0, "valid", "")
+
+
 @pytest.mark.parametrize("prov", [
     "random:r=2",
     "periodic:map=1;2,bound=500",
@@ -434,7 +449,7 @@ def test_non_utf8_witness_is_corrupt_input(cache_path, tmp_path, capsys):
 
 def test_search_exhausted_with_coloring_file(cache_path, tmp_path, capsys):
     path = str(tmp_path / "distinct.json")
-    coloring_to_file(periodic_coloring(400, list(range(1, 401)), 400), path)
+    oracles.write_coloring(path, 400, range(1, 401))
     code, doc, _ = run_json(capsys, "--cache", cache_path, "search",
                             "--family", "brauer", "--k", "1",
                             "--coloring", f"file:{path}", "--bound", "400",
@@ -442,6 +457,15 @@ def test_search_exhausted_with_coloring_file(cache_path, tmp_path, capsys):
     assert code == 1
     assert doc["status"] == "exhausted"
     assert doc["witness"] is None
+
+
+def test_search_past_the_block_memory_budget_is_usage_error(cache_path, capsys, monkeypatch):
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", 10**6)
+    code, out, err = run(capsys, "--cache", cache_path, "search", "--family", "fpf",
+                         "--k", "10", "--coloring", "random:seed=1,r=2", "--bound", "25000",
+                         "--gen-max", "3")
+    assert (code, out) == (2, "")
+    assert err == "error (usage): a block of 128 candidates needs over 1000000 bytes of values\n"
 
 
 def test_search_budget_exit(cache_path, capsys):

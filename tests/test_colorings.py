@@ -16,7 +16,6 @@ from sqstar import (
     from_provenance,
     periodic_coloring,
     random_coloring,
-    to_file,
 )
 from sqstar.colorings import Coloring, coloring_from_doc
 
@@ -61,7 +60,7 @@ def test_color_of_domain():
 def test_file_roundtrip(tmp_path):
     c = random_coloring(5, 4, 200)
     path = str(tmp_path / "c.json")
-    to_file(c, path)
+    oracles.write_coloring(path, c.r, c.assignment, c.provenance)
     d = from_file(path)
     assert d.r == 4 and d.bound == 200
     assert np.array_equal(c.assignment, d.assignment)
@@ -281,7 +280,7 @@ def test_from_provenance_periodic_r_form():
 def test_from_provenance_unknown():
     with pytest.raises(SchemaViolationError):
         from_provenance("enumerated:r=2,bound=3,index=0")
-    with pytest.raises(SchemaViolationError):
+    with pytest.raises(FileNotFoundError):
         from_provenance("file:/nowhere")
     for bad in (
         "random:seed=1,r=2",  # no bound anywhere

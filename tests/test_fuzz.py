@@ -125,7 +125,7 @@ def test_load_cache_raises_only_corrupt_cache_error(data, tmp_path_factory):
         table = load_cache(str(path))
         # chunks are checked when first read, so read them all
         total = table.count_below(table.limit)
-        members = table.elements
+        members = table.members(table.size)
     except CorruptCacheError:
         return
     assert table.size == total == members.size == sum(int(w).bit_count() for w in table._words)

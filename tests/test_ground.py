@@ -36,7 +36,8 @@ def test_prefix_17(table_100k):
 def test_flags_match_brute_force():
     limit = 20000
     want = oracles.two_squares_flags(limit)
-    assert np.array_equal(build_table(limit).elements, np.flatnonzero(want))
+    t = build_table(limit)
+    assert np.array_equal(t.members(t.size), np.flatnonzero(want))
 
 
 def test_large_prime_single_factor():
@@ -71,7 +72,7 @@ def test_count_below_many(table_100k):
     rng = np.random.Generator(np.random.PCG64(7))
     xs = rng.integers(0, 100_001, size=5000)
     got = table_100k.count_below_many(xs)
-    want = np.searchsorted(table_100k.elements, xs)
+    want = np.searchsorted(table_100k.members(table_100k.size), xs)
     assert np.array_equal(got, want)
     with pytest.raises(OutOfRangeError):
         table_100k.count_below_many([5, 100_002])
@@ -97,6 +98,20 @@ def test_contains(table_100k):
     assert table_100k.contains(2) and not table_100k.contains(3)
     with pytest.raises(OutOfRangeError):
         table_100k.contains(100_000)
+
+
+def test_membership_reads_at_the_limit(table_100k):
+    t = table_100k
+    assert t.contains(2) is True and t.contains(3) is False
+    assert t.rank(2) == 2
+    message = f"value {t.limit} not covered by table limit {t.limit}"
+    for read in (t.contains, t.rank):
+        with pytest.raises(OutOfRangeError) as exc:
+            read(t.limit)
+        assert str(exc.value) == message
+    with pytest.raises(NotMemberError) as exc:
+        t.rank(3)
+    assert str(exc.value) == "3 is not in the ground set"
 
 
 def test_build_validation():
@@ -176,7 +191,7 @@ def test_sieve_matches_oracle_at_edge_limits():
     for limit in (2, 3, 10, 1000, 65536):
         want = oracles.two_squares_flags(limit)
         t = build_table(limit)
-        assert np.array_equal(t.elements, np.flatnonzero(want)), limit
+        assert np.array_equal(t.members(t.size), np.flatnonzero(want)), limit
         assert t.count_below(limit) == int(want.sum()), limit
 
 
@@ -195,7 +210,7 @@ def test_members_on_demand_match_oracle(limit):
     # a table asked for its last member first selects every chunk at once
     cold = build_table(limit)
     assert cold.element(want.size - 1) == want[-1]
-    assert np.array_equal(cold.elements, want)
+    assert np.array_equal(cold.members(cold.size), want)
     assert cold.members(0).size == 0
 
 
@@ -268,7 +283,7 @@ def test_sieve_budget_covers_its_traced_peak(limit):
 
 
 def test_members_view_is_read_only(table_100k):
-    for view in (table_100k.members(100), table_100k.elements):
+    for view in (table_100k.members(100), table_100k.members(table_100k.size)):
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 7
@@ -379,7 +394,7 @@ def test_cache_roundtrip(tmp_path, table_100k):
     save_cache(table_100k, path)
     loaded = load_cache(path)
     assert loaded.limit == table_100k.limit
-    assert np.array_equal(loaded.elements, table_100k.elements)
+    assert np.array_equal(loaded.members(loaded.size), table_100k.members(table_100k.size))
     # byte-identical on re-save
     path2 = str(tmp_path / "t2.sgt")
     save_cache(loaded, path2)
@@ -586,7 +601,7 @@ def test_cache_truncated_after_load(tmp_path, table_1m):
     assert t.size == table_1m.size and t.count_below(t.limit) == t.size
     assert not closed.alive
     os.truncate(path, 0)
-    assert np.array_equal(t.elements, table_1m.elements)
+    assert np.array_equal(t.members(t.size), table_1m.members(table_1m.size))
 
 
 @pytest.mark.parametrize("limit, raised", [(1000, 1023), (100_000, 100_031)])
@@ -701,13 +716,14 @@ def test_multiplicative_closure(table_1m):
     t = table_1m
     rng = np.random.Generator(np.random.PCG64(23))
     ra = rng.integers(1, t.size, size=10**4)
-    a = t.elements[ra].astype(np.int64)
+    s = t.members(t.size)
+    a = s[ra].astype(np.int64)
     # largest rank whose element keeps the product below the limit
     bmax = t.count_below_many((t.limit - 1) // a + 1)
     keep = bmax > 1
     rb = 1 + rng.integers(0, np.maximum(bmax - 1, 1))
     for i in np.nonzero(keep)[0]:
-        p = int(a[i]) * int(t.elements[rb[i]])
+        p = int(a[i]) * int(s[rb[i]])
         assert p < t.limit
         assert t.contains(p)
     assert int(keep.sum()) == 10**4  # every a >= 1 leaves room for b = 1

@@ -20,7 +20,6 @@ from sqstar import (
     h_project,
     hj_search,
     hj_threshold,
-    located_word,
     m_project,
     periodic_coloring,
     phj_search,
@@ -50,7 +49,7 @@ _UNCOLORABLE = _keyed(lambda key: None)
 # located words
 
 def test_word_normalization():
-    w = located_word(3, [(5, 2), (1, 0)])
+    w = LocatedWord(3, [(5, 2), (1, 0)])
     assert w.letters == ((1, 0), (5, 2))
     assert w.domain == frozenset({1, 5})
 
@@ -59,11 +58,11 @@ def test_word_validation():
     with pytest.raises(ValueError):
         LocatedWord(0, ())
     with pytest.raises(ValueError):
-        located_word(2, [(0, 1)])
+        LocatedWord(2, [(0, 1)])
     with pytest.raises(ValueError):
-        located_word(2, [(3, 1), (3, 0)])
+        LocatedWord(2, [(3, 1), (3, 0)])
     with pytest.raises(ValueError):
-        located_word(2, [(3, 2)])
+        LocatedWord(2, [(3, 2)])
 
 
 def test_variable_word_validation():
@@ -85,19 +84,27 @@ def test_substitute():
         substitute(vw, 3)
 
 
+def test_substitute_letter_outside_the_alphabet_message():
+    vw = LocatedVariableWord(3, ((2, 1), (9, 0)), frozenset({4, 6}))
+    for s in (3, -1, 7):
+        with pytest.raises(ValueError) as exc:
+            substitute(vw, s)
+        assert str(exc.value) == f"letter {s} outside alphabet of size 3"
+
+
 def test_concat_and_overlap():
-    a = located_word(2, {1: 1})
-    b = located_word(2, {3: 0})
+    a = LocatedWord(2, {1: 1}.items())
+    b = LocatedWord(2, {3: 0}.items())
     assert concat(a, b).letters == ((1, 1), (3, 0))
     with pytest.raises(DomainOverlapError):
-        concat(a, located_word(2, {1: 0}))
+        concat(a, LocatedWord(2, {1: 0}.items()))
     with pytest.raises(ValueError):
-        concat(a, located_word(3, {4: 1}))
+        concat(a, LocatedWord(3, {4: 1}.items()))
 
 
 def test_concat_laws_exhaustive():
     # all disjoint pairs with supports inside {1,2,3}, binary alphabet
-    words = [located_word(2, pairs) for pairs in oracles.all_words(3, 2)]
+    words = [LocatedWord(2, pairs) for pairs in oracles.all_words(3, 2)]
     for a, b in itertools.product(words, repeat=2):
         if a.domain & b.domain:
             continue
@@ -110,11 +117,11 @@ def test_concat_laws_exhaustive():
 # h-projection
 
 def test_h_project_examples(table_100k):
-    assert h_project(located_word(3, {}), table_100k) == 1
-    assert h_project(located_word(3, {2: 2}), table_100k) == 3  # s_2^2 = 4
-    assert h_project(located_word(3, {2: 1}), table_100k) == 2
+    assert h_project(LocatedWord(3, ()), table_100k) == 1
+    assert h_project(LocatedWord(3, {2: 2}.items()), table_100k) == 3  # s_2^2 = 4
+    assert h_project(LocatedWord(3, {2: 1}.items()), table_100k) == 2
     # letters act as exponents, position 1 carries the identity
-    assert h_project(located_word(3, {1: 2}), table_100k) == 1
+    assert h_project(LocatedWord(3, {1: 2}.items()), table_100k) == 1
 
 
 def test_h_project_homomorphism(table_1m):
@@ -126,8 +133,8 @@ def test_h_project_homomorphism(table_1m):
         n1 = int(rng.integers(0, 3))
         n2 = int(rng.integers(0, 3))
         pos = rng.permutation(np.arange(2, 12))
-        w1 = located_word(4, [(int(pos[i]), int(rng.integers(0, 4))) for i in range(n1)])
-        w2 = located_word(
+        w1 = LocatedWord(4, [(int(pos[i]), int(rng.integers(0, 4))) for i in range(n1)])
+        w2 = LocatedWord(
             4, [(int(pos[n1 + i]), int(rng.integers(0, 4))) for i in range(n2)]
         )
         try:
@@ -156,10 +163,10 @@ def _vertex_colors(coloring, window, table, kind="hj"):
 def test_word_coloring_skips(table_100k):
     c = periodic_coloring(2, [1, 2], 3)
     colors = _vertex_colors(c, _hj_window(2, 3, None), table_100k)
-    assert colors[located_word(2, {2: 1}).letters] == c.color_of(2)
-    assert colors[located_word(2, {3: 1}).letters] == 0  # projects to 3, beyond bound
+    assert colors[LocatedWord(2, {2: 1}.items()).letters] == c.color_of(2)
+    assert colors[LocatedWord(2, {3: 1}.items()).letters] == 0  # projects to 3, beyond bound
     colors = _vertex_colors(c, _hj_window(64, 2, None), table_100k)
-    assert colors[located_word(64, {2: 60}).letters] == 0  # leaves the table
+    assert colors[LocatedWord(64, {2: 60}.items()).letters] == 0  # leaves the table
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,11 @@ def test_gamma_order():
     ]
     got = list(gamma_order(4))
     assert len(got) == len(set(got)) == 15
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_gamma_order_matches_sorted_subsets(n):
+    assert list(gamma_order(n)) == oracles.gamma_subsets(n)
 
 
 def test_hj_search_least_witness(table_100k):

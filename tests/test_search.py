@@ -26,6 +26,7 @@ from sqstar import (
     PhiStarFold,
     PhiSum,
     PolyVdW,
+    ResourceBudgetError,
     SearchBounds,
     Witness,
     avoiding_word,
@@ -37,9 +38,9 @@ from sqstar import (
     threshold,
     verify_witness,
 )
-from sqstar import search
+from sqstar import search, semigroup
 from sqstar.patterns import config_values
-from sqstar.search import admitted_configs, candidate_tuples, forced_window, generators_from_tuple
+from sqstar.search import admitted_configs, forced_window, generators_from_tuple
 from sqstar.semigroup import _VALUE_CAP, _Exact, _Saturating
 
 FAMILIES = [
@@ -63,7 +64,7 @@ SEARCH_SPECS = [pytest.param(s, id=type(s).__name__) for s in FAMILIES] + [
 def _reference_least(spec, bounds, coloring, table):
     """Unpruned rescan: first candidate, within the node budget, whose
     configuration is mono in window."""
-    for tup in itertools.islice(candidate_tuples(spec, bounds), bounds.node_budget):
+    for tup in itertools.islice(oracles.candidate_tuples(spec, bounds), bounds.node_budget):
         gens = generators_from_tuple(spec, tup)
         try:
             cfg = generate_configuration(spec, gens, table)
@@ -90,7 +91,7 @@ def _exact_scan(spec, bounds, coloring, table):
     over each candidate's exact value stream, one candidate at a time."""
     vb = bounds.value_bound
     candidates = ((tup, _exact_values(spec, generators_from_tuple(spec, tup), table))
-                  for tup in candidate_tuples(spec, bounds))
+                  for tup in oracles.candidate_tuples(spec, bounds))
     status, hit, _, nodes, skipped = oracles.least_monochromatic(
         candidates, lambda v: None if v is None or v >= vb else coloring.color_of(v),
         bounds.node_budget)
@@ -99,7 +100,7 @@ def _exact_scan(spec, bounds, coloring, table):
 
 def _budgets(spec, bounds):
     """bounds at node budgets 0, 1, the candidate count and None."""
-    count = sum(1 for _ in candidate_tuples(spec, bounds))
+    count = sum(1 for _ in oracles.candidate_tuples(spec, bounds))
     return [dataclasses.replace(bounds, node_budget=b) for b in (0, 1, count, None)]
 
 
@@ -232,7 +233,7 @@ def test_block_powers_take_logarithmic_steps(table_100k, monkeypatch):
     vals, ok = _block(spec, bounds, table_100k)
     assert len(products) <= 4 * (2 * 7 + 1)
     assert ok.any() and not ok.all()
-    for tup, v, o in zip(candidate_tuples(spec, bounds), vals[0], ok[0]):
+    for tup, v, o in zip(oracles.candidate_tuples(spec, bounds), vals[0], ok[0]):
         try:
             (want,) = config_values(spec, generators_from_tuple(spec, tup), table_100k)
         except OutOfRangeError:
@@ -288,6 +289,21 @@ def test_block_scratch_does_not_grow_with_generator_max(table_100k):
     assert max(peaks) < 480_000
 
 
+def test_block_lines_refuse_to_pass_the_memory_budget(table_100k, monkeypatch):
+    """An FpF(10) search at generator_max 3 reads blocks of 128, 256, 512
+    and 128 candidates, each 1,023 stream values long; a block whose lines
+    would need more than the budget raises before it is complete."""
+    coloring = random_coloring(1, 2, 25_000)
+    bounds = SearchBounds(generator_max=3, value_bound=25_000)
+    need = semigroup._LINE_BYTES * 512 * 1023
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", need)
+    assert find_witness(table_100k, coloring, FpF(10), bounds).nodes == 1024
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", need - 1)
+    message = f"a block of 512 candidates needs over {need - 1} bytes of values"
+    with pytest.raises(ResourceBudgetError, match=message):
+        find_witness(table_100k, coloring, FpF(10), bounds)
+
+
 # first three candidate tuples, the generators of the second, and the count,
 # at generator_max=3 without and with the identity
 PINNED_ORDER = [
@@ -305,11 +321,11 @@ PINNED_ORDER = [
 @pytest.mark.parametrize("spec, first, gens, count, count_with_identity", PINNED_ORDER,
                          ids=[type(case[0]).__name__ for case in PINNED_ORDER])
 def test_candidate_order_is_pinned(spec, first, gens, count, count_with_identity):
-    tuples = list(candidate_tuples(spec, SearchBounds(generator_max=3, value_bound=10)))
+    tuples = list(oracles.candidate_tuples(spec, SearchBounds(generator_max=3, value_bound=10)))
     assert tuples[:3] == first and len(tuples) == count
     assert generators_from_tuple(spec, tuples[1]) == gens
     bounds = SearchBounds(generator_max=3, value_bound=10, include_identity=True)
-    tuples = list(candidate_tuples(spec, bounds))
+    tuples = list(oracles.candidate_tuples(spec, bounds))
     ones = (1,) * (len(first[0]) - 1)
     assert tuples[:3] == [ones + (1,), ones + (2,), ones + (3,)]
     assert len(tuples) == count_with_identity
@@ -320,7 +336,7 @@ def test_candidate_order_is_pinned(spec, first, gens, count, count_with_identity
 def test_candidate_generators_pass_the_layout_check(spec, identity):
     # the search feeds these generators to the family unchecked
     bounds = SearchBounds(generator_max=4, value_bound=10, include_identity=identity)
-    for tup in candidate_tuples(spec, bounds):
+    for tup in oracles.candidate_tuples(spec, bounds):
         g = generators_from_tuple(spec, tup)
         assert spec._checked(g) == g
 
@@ -591,11 +607,11 @@ def _walked(spec, bound, table, monkeypatch):
     (MillikenTaylor(2, PhiLinear((0, 0), 0)), 15**3),  # every value is 0: no jump
 ], ids=["geo1", "brauer2", "fpf3", "mt2-product", "mt2-zero"])
 def test_threshold_walk_is_a_pruned_subsequence(table_100k, monkeypatch, spec, evaluated):
-    """The pruned walk evaluates candidates in candidate_tuples' order,
+    """The pruned walk evaluates candidates in oracles.candidate_tuples' order,
     jumping only past candidates above one with a value above the bound or
     past the table."""
     _, seen = _walked(spec, 16, table_100k, monkeypatch)
-    order = candidate_tuples(spec, SearchBounds(generator_max=16, value_bound=17))
+    order = oracles.candidate_tuples(spec, SearchBounds(generator_max=16, value_bound=17))
     assert all(tup in order for tup in seen)  # consumes order: an in-order subsequence
     assert len(seen) == evaluated
 

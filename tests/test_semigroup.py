@@ -291,6 +291,23 @@ def test_star_many(table_100k):
             star_many([1], np.array([3, big], dtype=np.uint64), table_100k)
 
 
+def test_star_many_past_the_table_message(table_100k):
+    # the full message of a rank past the table, in ms, in ns, and as a
+    # uint64 rank above 2**63
+    t = table_100k
+    size, limit = t.size, t.limit
+    big = 2**63 + 5
+    for ms, ns, rank in [
+        ([size + 2, 3], [1], size + 2),
+        ([1], [4, size], size),
+        (np.array([big], dtype=np.uint64), [1], big),
+        ([1], np.array([3, big], dtype=np.uint64), big),
+    ]:
+        with pytest.raises(OutOfRangeError) as exc:
+            star_many(ms, ns, t)
+        assert str(exc.value) == f"rank {rank} exceeds table size {size} (limit {limit})"
+
+
 def test_star_many_refuses_non_integer_ranks():
     # as star(2.7, 3) does, instead of truncating 2.7 to rank 2
     t = build_table(1000)
