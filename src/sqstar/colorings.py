@@ -9,6 +9,7 @@ on when no coloring file is supplied.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -87,13 +88,13 @@ def _tiled(pattern: np.ndarray, r: int, bound: int, prov: str) -> Coloring:
 
 
 def from_file(path: str) -> Coloring:
-    """Load a coloring from its JSON document, validating the schema."""
+    """Load and validate a coloring document; one without provenance records file:ABSPATH."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise SchemaViolationError(f"not valid JSON: {exc}") from exc
-    return coloring_from_doc(doc, default_provenance=f"file:{path}")
+    return coloring_from_doc(doc, default_provenance=f"file:{os.path.abspath(path)}")
 
 
 def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Coloring:
@@ -199,8 +200,8 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         file:PATH                               the document at PATH (from_file)
 
     This covers every string random_coloring, periodic_coloring and
-    from_file record.  `bound` fills in when the string carries none.
-    Every malformed string raises SchemaViolationError.
+    from_file (by absolute path) record.  `bound` fills in when the
+    string carries none; every malformed one raises SchemaViolationError.
     """
     kind, _, rest = prov.partition(":")
     if kind == "file":

@@ -52,6 +52,8 @@ _SEGMENT = 2**20
 # stay under glibc's 128 KiB mmap threshold, so no batch faults in pages.
 _PAIRS = 2**13
 
+_LOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)  # _LOW[b]: bits below b
+
 
 def is_member(n: int) -> bool:
     """Whether n is a sum of two squares, by trial-division factoring.
@@ -151,14 +153,13 @@ class GroundTable:
     Bit n of the little-endian uint64 bitset is set iff n is a member.
     The bitset has limit // 64 + 1 words, so the bound x = limit falls
     inside it and needs no special case; bits at or above the limit are
-    zero.  size is the bitset's popcount, which the caller supplies:
-    build_table from its budget check, load_cache from the cache's
-    declared count.  Entry w of the rank directory counts the members in
-    the words before w, so counting members below x is one directory read
-    plus one masked popcount.  The directory is reserved unset and filled
-    as a prefix, one chunk of _CHUNK_WORDS words (2^16 values) and one
-    cumsum per extension, up to the chunk holding the largest bound asked
-    for.
+    zero.  size, below 2**32, is the bitset's popcount, supplied by build_table
+    from its budget check or load_cache from the declared count.  Entry w of
+    the uint32 rank directory counts the members in the words before w, so
+    counting members below x (an int, or int64 in bulk) is one directory read
+    plus one masked popcount.  It is reserved unset and filled as a prefix,
+    one chunk of _CHUNK_WORDS words (2^16 values) and one cumsum per
+    extension, up to the chunk holding the largest bound asked for.
 
     A table loaded from a cache starts with an unread bitset: each chunk
     is read from the file and checked against the cache's chunk table
@@ -178,6 +179,8 @@ class GroundTable:
                  "_members", "_filled", "_ready")
 
     def __init__(self, limit: int, words: np.ndarray, size: int, source: _CacheFile | None = None):
+        if size >= 2**32:
+            raise ValueError(f"{size} members overflow the uint32 rank directory")
         self.limit = int(limit)
         words = np.ascontiguousarray(words, dtype="<u8")
         if words.size != (self.limit >> 6) + 1:
@@ -185,10 +188,10 @@ class GroundTable:
         words.setflags(write=False)
         self._words = words
         self._source = source  # the cache file the unfilled words are read from, if any
-        self._prefix = np.empty(words.size + 1, dtype=np.int64)
+        self._prefix = np.empty(words.size + 1, dtype=np.uint32)
         self._prefix[0] = 0
         self._known = 0  # directory entries 0.._known are filled; none past them is read
-        self._cover = 0  # count_below and _bit read the filled part below this
+        self._cover = 0  # count_below and contains read the filled part below this
         self._members = np.empty(size, dtype=np.uint32)
         self._members.setflags(write=False)
         self._filled = 0  # words whose members are in the buffer
@@ -210,7 +213,7 @@ class GroundTable:
         if source is not None:
             source.read(words, lo, end)
         prefix[lo + 1 : end + 1] = np.bitwise_count(words[lo:end])
-        np.cumsum(prefix[lo : end + 1], out=prefix[lo : end + 1])
+        np.cumsum(prefix[lo : end + 1], dtype=np.uint32, out=prefix[lo : end + 1])
         if source is not None:
             source.check(words, prefix, lo, end, self.limit)
             if end == words.size:
@@ -291,7 +294,7 @@ class GroundTable:
         return self._prefix.item(i) + low.bit_count()
 
     def count_below_many(self, xs) -> np.ndarray:
-        """Vectorized count_below over an array of bounds."""
+        """Vectorized count_below over an array of bounds, as int64 counts."""
         arr = _index_array(xs)
         if arr.size:
             top = int(arr.max())
@@ -299,10 +302,10 @@ class GroundTable:
                 raise OutOfRangeError("bounds must lie in [0, limit]")
             if top >= self._cover:
                 self._fill(top >> 6)
-        x = arr.astype(np.uint64, copy=False)
-        i = x >> np.uint64(6)
-        mask = (np.uint64(1) << (x & np.uint64(63))) - np.uint64(1)
-        return self._prefix[i] + np.bitwise_count(self._words[i] & mask)
+        x = arr.astype(np.intp, copy=False)  # checked bounds, cast once for both gathers
+        i = x >> 6
+        low = np.bitwise_count(self._words.take(i) & _LOW.take(x & 63))
+        return np.add(self._prefix.take(i), low, dtype=np.int64)
 
     def __repr__(self):
         return f"GroundTable(limit={self.limit}, size={self.size})"
@@ -327,11 +330,11 @@ def build_table(
     evens are copied from (its packed copy comes after that is freed),
     three int64 temporaries of _PAIRS pairs, and ten int64 arrays of one
     entry per u (rows and _pronic_floor temporaries).  The table then
-    holds the bitset, the rank directory (8 bytes per 64 candidates, plus
-    a byte per word while it is filled), the member buffer (4 bytes per
-    member) and the chunked select scratch; the directory and buffer are
-    reserved after the check, sized from the build's one popcount, and
-    filled only as queries reach them.
+    holds the bitset and the uint32 rank directory (13 bytes per word of
+    64 candidates, with the byte a word takes while it is filled), the
+    member buffer (4 bytes per member) and the chunked select scratch;
+    the directory and buffer are reserved after the check, sized from
+    the build's one popcount, and filled only as queries reach them.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -345,7 +348,7 @@ def build_table(
     count = int(np.bitwise_count(words).sum())
     bits = 64 * _CHUNK_WORDS
     scratch = bits + 8 * min(count, bits)
-    _check_budget(17 * nwords + 8 + 4 * count + scratch, max_bytes, limit, "table")
+    _check_budget(13 * nwords + 4 + 4 * count + scratch, max_bytes, limit, "table")
     return GroundTable(limit, words, count)
 
 

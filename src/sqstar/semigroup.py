@@ -89,9 +89,10 @@ def star_many(ms, ns, table: GroundTable):
                       buffersize=_STAR_STEP)
     with pairs:
         for m, n, ranks, valid in pairs:
-            prod = s[m].astype(np.uint64) * s[n]
+            prod = np.multiply(s.take(m), s.take(n), dtype=np.uint64)  # widened a chunk at a time
             np.less(prod, table.limit, out=valid)
-            ranks[...] = table.count_below_many(np.where(valid, prod, 0))
+            prod *= valid
+            ranks[...] = table.count_below_many(prod)
         return pairs.operands[2], pairs.operands[3]
 
 
@@ -352,9 +353,9 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         checked3 += block
         if bad is not None or not block:
             continue
-        hits = np.argwhere(t_ok & (left[at[rows]] != star_grid(idx[rows], u)[:, at]))
-        if hits.size:
-            bad = tuple((hits[0] + (lo, 0, 0)).tolist())
+        t_ok &= left[at[rows]] != star_grid(idx[rows], u)[:, at]
+        if t_ok.any():
+            bad = tuple((np.argwhere(t_ok)[0] + (lo, 0, 0)).tolist())
     checks.append(LawCheck("associativity", checked3, n**3 - checked3, bad))
 
     return LawReport(range_max, checks)

@@ -391,6 +391,26 @@ def test_search_then_verify_with_a_file_coloring(cache_path, tmp_path, capsys):
     assert (code, out.strip(), err) == (0, "valid", "")
 
 
+def test_file_coloring_verifies_from_another_directory(cache_path, tmp_path, capsys, monkeypatch):
+    # search is given a relative path; the witness records it absolute, so
+    # verify run from a sibling directory reads the same document
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    oracles.write_coloring(here / "c.json", 2, [n % 2 + 1 for n in range(400)])
+    (there / "c.json").write_text("not the coloring")
+    monkeypatch.chdir(here)
+    code, _, _ = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                     "--k", "1", "--coloring", "file:c.json", "--bound", "400",
+                     "--gen-max", "16", "--out", "../w.json")
+    assert code == 0
+    prov = json.loads((tmp_path / "w.json").read_text())["coloring-provenance"]
+    assert prov == f"file:{here / 'c.json'}"
+    monkeypatch.chdir(there)
+    code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", "../w.json")
+    assert (code, out.strip(), err) == (0, "valid", "")
+
+
 @pytest.mark.parametrize("prov", [
     "random:r=2",
     "periodic:map=1;2,bound=500",

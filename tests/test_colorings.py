@@ -67,6 +67,15 @@ def test_file_roundtrip(tmp_path):
     assert d.provenance == c.provenance
 
 
+def test_file_provenance_is_absolute(tmp_path, monkeypatch):
+    oracles.write_coloring(tmp_path / "c.json", 2, [1, 2, 1])
+    monkeypatch.chdir(tmp_path)
+    c = from_file("c.json")
+    assert c.provenance == f"file:{tmp_path / 'c.json'}"
+    monkeypatch.chdir(tmp_path.parent)
+    assert from_provenance(c.provenance).assignment.tolist() == [1, 2, 1]
+
+
 def test_file_schema_violations(tmp_path):
     path = str(tmp_path / "bad.json")
 

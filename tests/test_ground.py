@@ -78,6 +78,30 @@ def test_count_below_many(table_100k):
         table_100k.count_below_many([5, 100_002])
 
 
+def test_count_below_many_contract(tmp_path, table_1m):
+    t = build_table(1000)
+    # int64 answers whatever the bounds' dtype, an empty input included
+    for xs in (np.array([True, False]), np.array([0, 63, 64, 127, 1000]),
+               np.array([0, 63, 64, 127, 1000], dtype=np.uint64), [], np.array([], dtype=np.uint64)):
+        got = t.count_below_many(xs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [t.count_below(int(x)) for x in np.asarray(xs).tolist()]
+    # bits 0 and 63 of words, the limit, and bounds across a chunk edge of
+    # a freshly loaded cache, which fills the directory only part way
+    path = str(tmp_path / "t.sgt")
+    save_cache(table_1m, path)
+    loaded = load_cache(path)
+    edge = 64 * sqstar.ground._CHUNK_WORDS
+    members = table_1m.members(table_1m.size)
+    xs = np.array([0, 63, 64, 64 * 99 + 63, edge - 64, edge - 1, edge, edge + 63, edge + 64])
+    got = loaded.count_below_many(xs)
+    assert 0 < loaded._known < loaded._words.size
+    assert got.tolist() == np.searchsorted(members, xs).tolist()
+    assert got.tolist() == [loaded.count_below(int(x)) for x in xs]
+    at_limit = np.array([table_1m.limit - 1, table_1m.limit])
+    assert loaded.count_below_many(at_limit).tolist() == np.searchsorted(members, at_limit).tolist()
+
+
 def test_rank_element_roundtrip(table_100k):
     for n in range(0, table_100k.size, 997):
         assert table_100k.rank(table_100k.element(n)) == n

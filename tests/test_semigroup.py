@@ -212,6 +212,28 @@ def test_verify_laws_first_counterexample(monkeypatch):
     assert (assoc.checked, assoc.skipped, assoc.counterexample) == (3426, 5835, (2, 7, 20))
 
 
+def test_verify_laws_counterexample_in_the_last_block(monkeypatch):
+    # star(19, 9) (37 * 16 = 592) gets the next rank.  Twice 592 passes
+    # the limit, and 37 has no factor pair of members above 1, so only
+    # triples (19, k, j) with s_k * s_j = 16 see the fault: all in the last
+    # associativity block (m = 16..20), first (19, 2, 5) in C order
+    table = build_table(1000)
+    honest = semigroup.star_many
+
+    def faulty(ms, ns, t):
+        ranks, valid = honest(ms, ns, t)
+        ms, ns = np.broadcast_arrays(ms, ns)
+        ranks[(ms == 19) & (ns == 9)] += 1
+        return ranks, valid
+
+    monkeypatch.setattr(semigroup, "star_many", faulty)
+    assoc = verify_laws(20, table).checks[-1]
+    assert 20 // semigroup._LAW_ROWS * semigroup._LAW_ROWS == 16
+    mul = oracles.faulty_star(1000, pair_fault={(19, 9): star(19, 9, table) + 1})
+    assert oracles.associativity_oracle(20, mul, 1000) == (3426, 5835, (19, 2, 5))
+    assert (assoc.checked, assoc.skipped, assoc.counterexample) == (3426, 5835, (19, 2, 5))
+
+
 def _fault_pair_3_5(monkeypatch, fault):
     """Route verify_laws through a star_many that applies fault(ranks,
     valid, at) to its answers, at marking the pair (3, 5)."""
