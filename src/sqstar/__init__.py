@@ -62,12 +62,10 @@ from .patterns import (
 from .search import SearchBounds, SearchReport, find_witness, threshold, verify_witness
 from .hjlab import (
     HjReport,
-    LocatedVariableWord,
     LocatedWord,
     PhjPoint,
     PhjReport,
     concat,
-    constant_point,
     h_project,
     hj_search,
     hj_threshold,
@@ -76,7 +74,6 @@ from .hjlab import (
     phj_substitute,
     phj_threshold,
     point_coloring,
-    substitute,
     word_coloring,
 )
 

@@ -102,8 +102,8 @@ def _get_table(args, min_limit: int | None = None) -> ground.GroundTable:
 def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
     """Build a coloring from a descriptor.
 
-    Accepted forms: file:PATH, or any descriptor colorings.from_provenance
-    reads (random[:pcg64]:seed=S,r=R[,bound=B] or
+    Accepted forms: any descriptor colorings.from_provenance reads
+    (file:PATH[#sha256=HEX], random[:pcg64]:seed=S,r=R[,bound=B] or
     periodic:q=Q,r=R|map=C;..;C[,bound=B]), so a witness's provenance
     string is itself a descriptor.  A bound given via flag fills in when
     the descriptor does not carry one.
@@ -112,7 +112,7 @@ def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
     if kind == "file":
         if not path:
             raise _CliError("file coloring needs a path")
-        return col.from_file(path)
+        return col.from_provenance(desc)
     try:
         return col.from_provenance(desc, bound)
     except SchemaViolationError as exc:

@@ -8,6 +8,7 @@ on when no coloring file is supplied.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -87,14 +88,19 @@ def _tiled(pattern: np.ndarray, r: int, bound: int, prov: str) -> Coloring:
     return Coloring(r, bound, assignment, prov)
 
 
-def from_file(path: str) -> Coloring:
-    """Load and validate a coloring document; one without provenance records file:ABSPATH."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise SchemaViolationError(f"not valid JSON: {exc}") from exc
-    return coloring_from_doc(doc, default_provenance=f"file:{os.path.abspath(path)}")
+def from_file(path: str, sha256: str | None = None) -> Coloring:
+    """Load and validate a coloring document whose bytes hash to sha256 if
+    given; one without provenance records file:ABSPATH#sha256=(their SHA-256)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 not in (None, digest):
+        raise SchemaViolationError(f"coloring file {path} has SHA-256 {digest}, not {sha256}")
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaViolationError(f"not valid JSON: {exc}") from exc
+    return coloring_from_doc(doc, f"file:{os.path.abspath(path)}#sha256={digest}")
 
 
 def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Coloring:
@@ -197,15 +203,17 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         random[:pcg64]:seed=S,r=R[,bound=B]
         periodic:q=Q,r=R[,bound=B]              n -> (n mod Q) mod R + 1
         periodic:q=Q,map=C1;...;CQ[,bound=B]    n -> C_{(n mod Q) + 1}
-        file:PATH                               the document at PATH (from_file)
+        file:PATH[#sha256=HEX]                  the document at PATH, if its bytes hash to HEX
 
     This covers every string random_coloring, periodic_coloring and
-    from_file (by absolute path) record.  `bound` fills in when the
-    string carries none; every malformed one raises SchemaViolationError.
+    from_file (by absolute path and digest, split off from the right) record.
+    `bound` fills in when the string carries none; every malformed one, or
+    a file that no longer hashes to its digest, raises SchemaViolationError.
     """
     kind, _, rest = prov.partition(":")
     if kind == "file":
-        return from_file(rest)
+        path, sep, digest = rest.rpartition("#sha256=")
+        return from_file(path, digest) if sep else from_file(rest)
     if kind == "random" and rest.startswith("pcg64:"):
         rest = rest[len("pcg64:"):]
     keys = {"random": ("seed", "r", "bound"), "periodic": ("q", "r", "map", "bound")}

@@ -56,25 +56,6 @@ class LocatedWord:
         return frozenset(p for p, _ in self.letters)
 
 
-@dataclass(frozen=True)
-class LocatedVariableWord:
-    q: int
-    letters: Tuple[Tuple[int, int], ...]
-    variable_positions: frozenset
-
-    def __post_init__(self):
-        fixed = LocatedWord(self.q, self.letters)
-        object.__setattr__(self, "letters", fixed.letters)
-        var = frozenset(int(p) for p in self.variable_positions)
-        if not var:
-            raise ValueError("the variable must occur at least once")
-        if any(p < 1 for p in var):
-            raise ValueError("positions must be >= 1")
-        if var & fixed.domain:
-            raise ValueError("variable positions overlap fixed letters")
-        object.__setattr__(self, "variable_positions", var)
-
-
 def concat(w1: LocatedWord, w2: LocatedWord) -> LocatedWord:
     """Union of two words with disjoint supports."""
     if w1.q != w2.q:
@@ -83,12 +64,6 @@ def concat(w1: LocatedWord, w2: LocatedWord) -> LocatedWord:
     if overlap:
         raise DomainOverlapError(f"supports intersect at {sorted(overlap)}")
     return LocatedWord(w1.q, w1.letters + w2.letters)
-
-
-def substitute(vw: LocatedVariableWord, s: int) -> LocatedWord:
-    """Fill every variable position with the letter s."""
-    extra = tuple((p, s) for p in sorted(vw.variable_positions))
-    return LocatedWord(vw.q, vw.letters + extra)
 
 
 def h_project(w: LocatedWord, table: GroundTable) -> int:
@@ -404,8 +379,16 @@ class PhjPoint:
                 "components": [list(block) for block in self.key()]}
 
 
-def constant_point(q: int, n: int, d: int, letter: int = 1) -> PhjPoint:
-    return PhjPoint(q, n, d, [[letter] * n**j for j in range(1, d + 1)])
+def _block_degrees(n: int, d: int, gamma) -> list:
+    """The phj cell rule: per cell in _cells(n, d) order, its degree j if it
+    lies in the gamma^j block, 0 if not; a substitution xs sets a cell of
+    degree j to xs[j-1] and keeps the others (_overwrite)."""
+    gamma = set(gamma)
+    return [j if gamma.issuperset(idx) else 0 for j, idx in _cells(n, d)]
+
+
+def _overwrite(block: list, letters: tuple, xs) -> tuple:
+    return tuple(xs[j - 1] if j else a for j, a in zip(block, letters))
 
 
 def phj_substitute(point: PhjPoint, gamma, xs: Sequence[int]) -> PhjPoint:
@@ -421,8 +404,7 @@ def phj_substitute(point: PhjPoint, gamma, xs: Sequence[int]) -> PhjPoint:
     for x in xs:
         if not 1 <= x <= point.q:
             raise ValueError(f"letter {x} outside 1..{point.q}")
-    letters = tuple(xs[j - 1] if gamma.issuperset(idx) else a
-                    for (j, idx), a in zip(_cells(point.n, point.d), point.letters))
+    letters = _overwrite(_block_degrees(point.n, point.d, gamma), point.letters, xs)
     return PhjPoint._of(point.q, point.n, point.d, letters)
 
 
@@ -476,17 +458,15 @@ def _phj_window(q: int, n: int, d: int) -> _Window:
 
 def _phj_lines(q: int, n: int, d: int) -> Iterator[tuple]:
     """Candidate grid lines as (gamma, point keys), in the canonical order;
-    a point's key is its letters, as phj_substitute sets them, and the
-    first point, all blocks at letter 1, is the base point."""
+    a point's key is its letters, and the first point, all blocks at
+    letter 1, is the base point that phj_substitute maps to the line."""
     alphabet = range(1, q + 1)
     subs = list(itertools.product(alphabet, repeat=d))
     for gamma in gamma_order(n):
-        # the degree of each cell inside a gamma^j block, 0 for the others
-        block = [j if set(gamma).issuperset(idx) else 0 for j, idx in _cells(n, d)]
+        block = _block_degrees(n, d, gamma)
         choices = [(1,) if j else alphabet for j in block]
         for letters in itertools.product(*choices):
-            yield gamma, [
-                tuple(xs[j - 1] if j else a for j, a in zip(block, letters)) for xs in subs]
+            yield gamma, [_overwrite(block, letters, xs) for xs in subs]
 
 
 def phj_threshold(

@@ -133,13 +133,10 @@ class _Exact:
     times are exact.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "member", "rank")
 
     def __init__(self, table: GroundTable):
-        self.table = table
-
-    def member(self, x):
-        return self.table.element(x)
+        self.table, self.member, self.rank = table, table.element, table.count_below
 
     def mul(self, p, q):
         p *= q
@@ -148,10 +145,6 @@ class _Exact:
         return p
 
     pow = _pow
-
-    def rank(self, p):
-        return self.table.count_below(p)
-
     plus = staticmethod(operator.add)
     times = staticmethod(operator.mul)
 

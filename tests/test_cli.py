@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -376,9 +377,14 @@ def test_search_verify_roundtrip(cache_path, tmp_path, capsys):
     assert code == 4
 
 
+def _file_provenance(path) -> str:
+    """The provenance a coloring document without one records."""
+    return f"file:{path}#sha256={hashlib.sha256(Path(path).read_bytes()).hexdigest()}"
+
+
 def test_search_then_verify_with_a_file_coloring(cache_path, tmp_path, capsys):
-    # a coloring document without provenance is recorded as file:PATH,
-    # and verify rebuilds the coloring from that descriptor
+    # a coloring document without provenance is recorded as
+    # file:PATH#sha256=HEX, and verify rebuilds the coloring from that descriptor
     cpath = tmp_path / "c.json"
     oracles.write_coloring(cpath, 2, [n % 2 + 1 for n in range(400)])
     wpath = str(tmp_path / "w.json")
@@ -386,7 +392,7 @@ def test_search_then_verify_with_a_file_coloring(cache_path, tmp_path, capsys):
                      "--k", "1", "--coloring", f"file:{cpath}", "--bound", "400",
                      "--gen-max", "16", "--out", wpath)
     assert code == 0
-    assert json.loads(Path(wpath).read_text())["coloring-provenance"] == f"file:{cpath}"
+    assert json.loads(Path(wpath).read_text())["coloring-provenance"] == _file_provenance(cpath)
     code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
     assert (code, out.strip(), err) == (0, "valid", "")
 
@@ -405,10 +411,60 @@ def test_file_coloring_verifies_from_another_directory(cache_path, tmp_path, cap
                      "--gen-max", "16", "--out", "../w.json")
     assert code == 0
     prov = json.loads((tmp_path / "w.json").read_text())["coloring-provenance"]
-    assert prov == f"file:{here / 'c.json'}"
+    assert prov == _file_provenance(here / "c.json")
     monkeypatch.chdir(there)
     code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", "../w.json")
     assert (code, out.strip(), err) == (0, "valid", "")
+
+
+def _search_file_coloring(cache_path, tmp_path, capsys):
+    """search under the coloring document c.json, written to w.json: the
+    two paths and the recorded provenance."""
+    cpath, wpath = tmp_path / "c.json", str(tmp_path / "w.json")
+    oracles.write_coloring(cpath, 2, [n % 2 + 1 for n in range(400)])
+    code, _, _ = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                     "--k", "1", "--coloring", f"file:{cpath}", "--bound", "400",
+                     "--gen-max", "16", "--out", wpath)
+    assert code == 0
+    return cpath, wpath, json.loads(Path(wpath).read_text())["coloring-provenance"]
+
+
+def test_verify_after_the_coloring_file_is_rewritten_is_corrupt_input(
+        cache_path, tmp_path, capsys):
+    # the rewritten document is a valid coloring; its digest names the change,
+    # through the witness's provenance and through the same descriptor given
+    cpath, wpath, prov = _search_file_coloring(cache_path, tmp_path, capsys)
+    oracles.write_coloring(cpath, 2, [1] * 400)
+    for extra in ((), ("--coloring", prov)):
+        code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath, *extra)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error (corrupt-input): coloring file {cpath} has SHA-256 ")
+
+
+def test_verify_after_the_coloring_file_is_deleted_is_usage_error(
+        cache_path, tmp_path, capsys):
+    cpath, wpath, _ = _search_file_coloring(cache_path, tmp_path, capsys)
+    cpath.unlink()
+    code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
+    assert (code, out) == (2, "")
+    assert err == f"error (usage): [Errno 2] No such file or directory: '{cpath}'\n"
+
+
+def test_file_coloring_path_may_hold_a_hash(cache_path, tmp_path, capsys):
+    # the digest is split off from the right, so a '#' in the path stays in
+    # it; a path holding '#sha256=' itself resolves with its digest appended
+    paths = [tmp_path / "a#1" / "c#2.json", tmp_path / "a#sha256=b" / "c.json"]
+    for path in paths:
+        path.parent.mkdir()
+        oracles.write_coloring(path, 2, [n % 2 + 1 for n in range(400)])
+    wpath = str(tmp_path / "w.json")
+    for desc in (f"file:{paths[0]}", *map(_file_provenance, paths)):
+        code, _, _ = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                         "--k", "1", "--coloring", desc, "--bound", "400",
+                         "--gen-max", "16", "--out", wpath)
+        assert code == 0
+        code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
+        assert (code, out.strip(), err) == (0, "valid", "")
 
 
 @pytest.mark.parametrize("prov", [

@@ -1,5 +1,6 @@
 """Colorings: constructors, documents, avoiding-word search, provenance rebuild."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,9 +72,25 @@ def test_file_provenance_is_absolute(tmp_path, monkeypatch):
     oracles.write_coloring(tmp_path / "c.json", 2, [1, 2, 1])
     monkeypatch.chdir(tmp_path)
     c = from_file("c.json")
-    assert c.provenance == f"file:{tmp_path / 'c.json'}"
+    digest = hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest()
+    assert c.provenance == f"file:{tmp_path / 'c.json'}#sha256={digest}"
     monkeypatch.chdir(tmp_path.parent)
     assert from_provenance(c.provenance).assignment.tolist() == [1, 2, 1]
+    # a file:PATH with no digest still reads the document
+    assert from_provenance(f"file:{tmp_path / 'c.json'}").provenance == c.provenance
+
+
+def test_file_provenance_digest_names_the_bytes(tmp_path):
+    path = tmp_path / "c.json"
+    oracles.write_coloring(path, 2, [1, 2, 1])
+    prov = from_file(str(path)).provenance
+    oracles.write_coloring(path, 2, [2, 2, 1])  # another valid coloring
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    with pytest.raises(SchemaViolationError, match=f"has SHA-256 {digest}, not "):
+        from_provenance(prov)
+    with pytest.raises(SchemaViolationError):
+        from_provenance(f"file:{path}#sha256=")
+    assert from_provenance(f"file:{path}#sha256={digest}").assignment.tolist() == [2, 2, 1]
 
 
 def test_file_schema_violations(tmp_path):

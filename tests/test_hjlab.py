@@ -1,5 +1,6 @@
 """Located words, combinatorial lines, and the polynomial grid."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -9,14 +10,12 @@ import oracles
 from sqstar import (
     DomainOverlapError,
     EnumerationCapError,
-    LocatedVariableWord,
     LocatedWord,
     OutOfRangeError,
     PhjPoint,
     avoiding_word,
     build_table,
     concat,
-    constant_point,
     h_project,
     hj_search,
     hj_threshold,
@@ -29,7 +28,6 @@ from sqstar import (
     power,
     random_coloring,
     star,
-    substitute,
     word_coloring,
 )
 from sqstar.hjlab import _Window, _hj_lines, _hj_window, _phj_lines, _phj_window, gamma_order
@@ -63,33 +61,6 @@ def test_word_validation():
         LocatedWord(2, [(3, 1), (3, 0)])
     with pytest.raises(ValueError):
         LocatedWord(2, [(3, 2)])
-
-
-def test_variable_word_validation():
-    vw = LocatedVariableWord(2, ((2, 1),), frozenset({4, 6}))
-    assert vw.variable_positions == frozenset({4, 6})
-    with pytest.raises(ValueError):
-        LocatedVariableWord(2, ((2, 1),), frozenset())
-    with pytest.raises(ValueError):
-        LocatedVariableWord(2, ((2, 1),), frozenset({2}))
-    with pytest.raises(ValueError):
-        LocatedVariableWord(2, ((2, 1),), frozenset({0}))
-
-
-def test_substitute():
-    vw = LocatedVariableWord(3, ((2, 1),), frozenset({4, 6}))
-    w = substitute(vw, 2)
-    assert w.letters == ((2, 1), (4, 2), (6, 2))
-    with pytest.raises(ValueError):
-        substitute(vw, 3)
-
-
-def test_substitute_letter_outside_the_alphabet_message():
-    vw = LocatedVariableWord(3, ((2, 1), (9, 0)), frozenset({4, 6}))
-    for s in (3, -1, 7):
-        with pytest.raises(ValueError) as exc:
-            substitute(vw, s)
-        assert str(exc.value) == f"letter {s} outside alphabet of size 3"
 
 
 def test_concat_and_overlap():
@@ -307,6 +278,16 @@ def test_hj_lines_list_each_family_once():
     assert sum(1 for _ in _hj_lines(2, 4, 1)) == 42
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_hj_lines_are_the_oracle_lines(q, n):
+    """_hj_lines states hj substitution once: its word lists are exactly
+    the oracle's lines alpha + gamma x {s}, s over the alphabet in order,
+    each as often as the oracle lists it."""
+    lines = [tuple(frozenset(key) for key in words) for _, words in _hj_lines(q, n, None)]
+    assert collections.Counter(lines) == collections.Counter(oracles.all_lines(n, q))
+
+
 def _stage_word(window, n, r):
     """avoiding_word over a window's threshold stage, vertices numbered in
     the stage's lead order: {point key: color}, or None."""
@@ -411,7 +392,7 @@ def test_point_equality_and_doc():
     q = PhjPoint(2, 2, 2, p.to_doc()["components"])
     assert p == q
     assert hash(p) == hash(q)
-    assert p != constant_point(2, 2, 2)
+    assert p != PhjPoint(2, 2, 2, [[1, 1], [1, 1, 1, 1]])
     # equality and hash follow (q, n, d, key()): distinct keys, distinct points
     points = [PhjPoint._of(q, n, d, t) for q, n, d in ((2, 2, 2), (3, 2, 1), (2, 1, 2))
               for t in oracles.grid_tuples(q, n, d)]
@@ -419,11 +400,6 @@ def test_point_equality_and_doc():
     same = PhjPoint(2, 2, 2, p.key())
     assert same == p and hash(same) == hash(p) and same is not p
     assert PhjPoint(3, 2, 2, p.key()) != p  # same letters, other alphabet
-
-
-def test_constant_point():
-    p = constant_point(3, 2, 2, letter=2)
-    assert all((c == 2).all() for c in p.components)
 
 
 def test_phj_substitute_blocks():
@@ -441,7 +417,7 @@ def test_phj_substitute_blocks():
 
 
 def test_phj_substitute_validation():
-    p = constant_point(2, 2, 1)
+    p = PhjPoint(2, 2, 1, [[1, 1]])
     with pytest.raises(ValueError):
         phj_substitute(p, (), (1,))
     with pytest.raises(ValueError):
@@ -453,7 +429,7 @@ def test_phj_substitute_validation():
 
 
 def test_m_project_examples(table_100k):
-    assert m_project(constant_point(2, 2, 1), table_100k) == 1  # letters rank 1
+    assert m_project(PhjPoint(2, 2, 1, [[1, 1]]), table_100k) == 1  # letters rank 1
     p = PhjPoint(2, 2, 1, [[2, 2]])
     assert m_project(p, table_100k) == 3  # s_2 * s_2 = 4
     p2 = PhjPoint(2, 1, 2, [[2], [2]])
@@ -478,7 +454,7 @@ def test_m_project_decomposition(table_1m):
 def test_point_coloring_skips(table_100k):
     c = periodic_coloring(2, [1, 2], 3)
     colors = _vertex_colors(c, _phj_window(2, 2, 1), table_100k, "phj")
-    assert colors[constant_point(2, 2, 1).letters] == c.color_of(1)
+    assert colors[PhjPoint(2, 2, 1, [[1, 1]]).letters] == c.color_of(1)
     assert colors[PhjPoint(2, 2, 1, [[2, 2]]).letters] == 0  # projects to 3
 
 
@@ -491,6 +467,22 @@ def test_phj_lines_match_oracle(q, n, d):
     expect = {frozenset(line) for line in oracles.grid_lines(q, n, d)}
     assert len(lines) == len(set(lines)) == len(expect)
     assert set(lines) == expect
+
+
+@pytest.mark.parametrize("q, n, d", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 2), (3, 2, 2)])
+def test_phj_lines_are_substitutions_of_their_base(q, n, d):
+    """Each line _phj_lines lists is phj_substitute of its first point over
+    every xs, in order: the base holds letter 1 on each gamma^j block, and
+    the line overwrites that block with xs[j-1] and keeps every other cell."""
+    cells = [idx for j in range(1, d + 1) for idx in itertools.product(range(1, n + 1), repeat=j)]
+    subs = list(itertools.product(range(1, q + 1), repeat=d))
+    for gamma, line in _phj_lines(q, n, d):
+        base = PhjPoint._of(q, n, d, line[0])
+        assert line == [phj_substitute(base, gamma, xs).letters for xs in subs]
+        inside = [set(idx) <= set(gamma) for idx in cells]
+        assert all(a == 1 for a, b in zip(base.letters, inside) if b)
+        assert line == [tuple(xs[len(idx) - 1] if b else a
+                              for idx, b, a in zip(cells, inside, base.letters)) for xs in subs]
 
 
 def test_phj_search_first_candidate(table_100k):
