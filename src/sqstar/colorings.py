@@ -3,7 +3,8 @@
 A coloring assigns each rank below its bound one of r colors, numbered
 1..r.  Every constructor records a provenance string sufficient to
 rebuild the coloring exactly, which is what witness verification leans
-on when no coloring file is supplied.
+on when no coloring file is supplied.  A coloring document is its r,
+bound and colors (other keys are not read), named by file and digest.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import os
 
 import numpy as np
 
-from .errors import EnumerationCapError, OutOfDomainError, SchemaViolationError
+from .errors import (EnumerationCapError, OutOfDomainError, ResourceBudgetError,
+                     SchemaViolationError)
+from .ground import DEFAULT_MAX_BYTES
 
 # avoiding_word gives up after visiting this many search nodes
 DEFAULT_ENUMERATION_CAP = 2**24
 MAX_COLORS = 2**31 - 1  # colors are stored as int32
+_PEAK_BYTES_PER_RANK = 8  # traced build peak of a descriptor: 4 (random, map=) or 8 (r=)
 
 
 class Coloring:
@@ -89,8 +93,9 @@ def _tiled(pattern: np.ndarray, r: int, bound: int, prov: str) -> Coloring:
 
 
 def from_file(path: str, sha256: str | None = None) -> Coloring:
-    """Load and validate a coloring document whose bytes hash to sha256 if
-    given; one without provenance records file:ABSPATH#sha256=(their SHA-256)."""
+    """Load and validate a coloring document (its r, bound and colors;
+    other keys are not read) whose bytes hash to sha256 if given; it
+    records file:ABSPATH#sha256=(their SHA-256)."""
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
@@ -103,8 +108,8 @@ def from_file(path: str, sha256: str | None = None) -> Coloring:
     return coloring_from_doc(doc, f"file:{os.path.abspath(path)}#sha256={digest}")
 
 
-def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Coloring:
-    """Build a Coloring from an already-parsed JSON document."""
+def coloring_from_doc(doc, provenance: str) -> Coloring:
+    """A Coloring named provenance from a parsed document's r, bound and colors."""
     if not isinstance(doc, dict):
         raise SchemaViolationError("coloring document must be a JSON object")
     for key in ("r", "bound", "colors"):
@@ -117,11 +122,8 @@ def coloring_from_doc(doc, default_provenance: str = "file:<unnamed>") -> Colori
         raise SchemaViolationError("colors must be a list of length bound")
     if not all(type(c) is int and 1 <= c <= r for c in colors):
         raise SchemaViolationError("every color must be an integer in 1..r")
-    prov = doc.get("provenance", default_provenance)
-    if not isinstance(prov, str):
-        raise SchemaViolationError("provenance must be a string")
     try:
-        return Coloring(r, bound, colors, prov)
+        return Coloring(r, bound, colors, provenance)
     except ValueError as exc:  # r past MAX_COLORS
         raise SchemaViolationError(f"bad coloring document: {exc}") from exc
 
@@ -208,7 +210,8 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
     This covers every string random_coloring, periodic_coloring and
     from_file (by absolute path and digest, split off from the right) record.
     `bound` fills in when the string carries none; every malformed one, or
-    a file that no longer hashes to its digest, raises SchemaViolationError.
+    a file that no longer hashes to its digest, raises SchemaViolationError;
+    a bound whose build would pass DEFAULT_MAX_BYTES raises ResourceBudgetError first.
     """
     kind, _, rest = prov.partition(":")
     if kind == "file":
@@ -229,6 +232,8 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         b = int(fields["bound"]) if "bound" in fields else bound
         if b is None:
             raise SchemaViolationError(f"no bound recorded in {prov!r}")
+        if _PEAK_BYTES_PER_RANK * b > DEFAULT_MAX_BYTES:
+            raise ResourceBudgetError(f"coloring bound {b} needs over {DEFAULT_MAX_BYTES} bytes")
         if kind == "random":
             return random_coloring(int(fields["seed"]), int(fields["r"]), b)
         if ("map" in fields) == ("r" in fields):
@@ -243,7 +248,7 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
             raise ValueError("period must be positive")
         if r < 1:
             raise ValueError("need at least one color")
-        pattern = np.arange(min(q, b)) % min(r, b) + 1
+        pattern = np.arange(min(q, b), dtype=np.int32) % min(r, b) + 1
         return _tiled(pattern, min(q, r), b, f"periodic:q={q},r={r},bound={b}")
     except KeyError as exc:
         raise SchemaViolationError(f"coloring {prov!r} lacks {exc.args[0]}=") from exc

@@ -346,12 +346,9 @@ def forced_window_oracle(stages, r: int):
     return None
 
 
-def write_coloring(path, r: int, colors, provenance=None) -> None:
-    """Write a coloring document (r, bound, colors and, if given,
-    provenance) with the json module alone."""
+def write_coloring(path, r: int, colors) -> None:
+    """Write a coloring document (r, bound and colors) with the json module alone."""
     doc = {"r": r, "bound": len(colors), "colors": [int(c) for c in colors]}
-    if provenance is not None:
-        doc["provenance"] = provenance
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 

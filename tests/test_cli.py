@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -439,6 +440,53 @@ def test_verify_after_the_coloring_file_is_rewritten_is_corrupt_input(
         code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath, *extra)
         assert (code, out) == (4, "")
         assert err.startswith(f"error (corrupt-input): coloring file {cpath} has SHA-256 ")
+
+
+def test_a_coloring_document_is_named_by_its_file_not_its_own_key(
+        cache_path, tmp_path, capsys, monkeypatch):
+    # c.json holds 400 ones and claims another coloring: search and verify
+    # both read the file, named by path and digest, and never the claim
+    cpath, wpath = tmp_path / "c.json", str(tmp_path / "w.json")
+    cpath.write_text(json.dumps({"r": 2, "bound": 400, "colors": [1] * 400,
+                                 "provenance": "periodic:q=2,r=2,bound=400"}))
+    monkeypatch.chdir(tmp_path)
+    code, doc, _ = run_json(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                            "--k", "1", "--coloring", "file:c.json", "--bound", "400",
+                            "--out", wpath)
+    prov = _file_provenance(cpath)
+    assert (code, doc["status"]) == (0, "witness")
+    assert doc["coloring"] == doc["witness"]["coloring-provenance"] == prov
+    assert json.loads(Path(wpath).read_text())["coloring-provenance"] == prov
+    code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
+    assert (code, out.strip(), err) == (0, "valid", "")
+    oracles.write_coloring(cpath, 2, [n % 2 + 1 for n in range(400)])
+    for extra in ((), ("--coloring", prov)):
+        code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath, *extra)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error (corrupt-input): coloring file {cpath} has SHA-256 ")
+
+
+def test_a_coloring_past_the_memory_budget_is_usage_error(cache_path, tmp_path, capsys):
+    # refused by the descriptor's bound before anything is allocated, from
+    # a witness's provenance and from --coloring alike
+    wpath = str(tmp_path / "w.json")
+    code, _, _ = run(capsys, "--cache", cache_path, *SEARCH_ARGS, "--out", wpath)
+    assert code == 0
+    doc = json.loads(Path(wpath).read_text())
+    doc["coloring-provenance"] = "random:pcg64:seed=0,r=2,bound=10000000000000"
+    Path(wpath).write_text(json.dumps(doc))
+    message = "error (usage): coloring bound 10000000000000 needs over 2147483648 bytes\n"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", message) and peak < 1_000_000
+    code, out, err = run(capsys, "--cache", cache_path, "search", "--family", "brauer",
+                         "--k", "1", "--coloring", "random:seed=0,r=2",
+                         "--bound", "10000000000000")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_verify_after_the_coloring_file_is_deleted_is_usage_error(

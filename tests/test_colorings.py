@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import oracles
 from sqstar import (
     EnumerationCapError,
     OutOfDomainError,
+    ResourceBudgetError,
     SchemaViolationError,
     avoiding_word,
     from_file,
@@ -18,7 +20,9 @@ from sqstar import (
     periodic_coloring,
     random_coloring,
 )
+from sqstar import colorings
 from sqstar.colorings import Coloring, coloring_from_doc
+from sqstar.ground import DEFAULT_MAX_BYTES
 
 
 def test_random_coloring_refuses_colors_past_int32():
@@ -59,13 +63,21 @@ def test_color_of_domain():
 
 
 def test_file_roundtrip(tmp_path):
+    # the document is named by its path and digest, not by the coloring it
+    # was written from, nor by any provenance key it claims
     c = random_coloring(5, 4, 200)
-    path = str(tmp_path / "c.json")
-    oracles.write_coloring(path, c.r, c.assignment, c.provenance)
-    d = from_file(path)
+    path = tmp_path / "c.json"
+    oracles.write_coloring(path, c.r, c.assignment)
+    d = from_file(str(path))
     assert d.r == 4 and d.bound == 200
     assert np.array_equal(c.assignment, d.assignment)
-    assert d.provenance == c.provenance
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert d.provenance == f"file:{path}#sha256={digest}"
+    for claim in (c.provenance, 7, None):
+        path.write_text(json.dumps({"r": 2, "bound": 3, "colors": [1, 1, 1],
+                                    "provenance": claim}))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert from_file(str(path)).provenance == f"file:{path}#sha256={digest}"
 
 
 def test_file_provenance_is_absolute(tmp_path, monkeypatch):
@@ -328,4 +340,47 @@ def test_from_provenance_unknown():
 
 def test_doc_rejects_non_object():
     with pytest.raises(SchemaViolationError):
-        coloring_from_doc([1, 2, 3])
+        coloring_from_doc([1, 2, 3], "file:x")
+    assert coloring_from_doc({"r": 2, "bound": 1, "colors": [2]}, "file:x").provenance == "file:x"
+
+
+@pytest.mark.parametrize("desc", [
+    "random:pcg64:seed=0,r=2,bound=10000000000000",
+    "periodic:q=3,r=2,bound=10000000000000",
+    "periodic:q=2,map=1;2,bound=10000000000000",
+])
+def test_from_provenance_refuses_a_bound_past_the_memory_budget(desc):
+    # refused before the build, counted at 8 bytes a rank
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError,
+                           match="coloring bound 10000000000000 needs over 2147483648 bytes"):
+            from_provenance(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ResourceBudgetError):
+        from_provenance(desc.rpartition(",")[0], DEFAULT_MAX_BYTES // 8 + 1)
+
+
+@pytest.mark.parametrize("desc, per_rank", [
+    ("random:seed=0,r=2", 4),
+    ("periodic:q=3,map=1;2;2", 4),
+    ("periodic:q=3,r=2", 4),
+    ("periodic:q=10000000,r=2", 8),  # the pattern, then its tiled copy
+])
+def test_descriptor_build_peak_per_rank(desc, per_rank):
+    """Traced peak of a 10^6-rank build (numpy 2.4): 4 bytes a rank for
+    random, map= and a short r= period, 8 for an r= period past the
+    bound (12 and 20 while the pattern was int64); the memory guard
+    counts 8."""
+    from_provenance(desc, 1000)
+    tracemalloc.start()
+    try:
+        c = from_provenance(desc, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.assignment.dtype == np.int32
+    assert peak <= per_rank * 10**6 + 20_000 and per_rank <= colorings._PEAK_BYTES_PER_RANK

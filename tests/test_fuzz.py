@@ -11,7 +11,7 @@ import oracles
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sqstar import (  # noqa: E402
@@ -21,8 +21,12 @@ from sqstar import (  # noqa: E402
     patterns,
     save_cache,
 )
-from sqstar.colorings import coloring_from_doc  # noqa: E402
-from sqstar.errors import CorruptCacheError, SchemaViolationError  # noqa: E402
+from sqstar.colorings import coloring_from_doc, from_provenance  # noqa: E402
+from sqstar.errors import (  # noqa: E402
+    CorruptCacheError,
+    ResourceBudgetError,
+    SchemaViolationError,
+)
 from sqstar.patterns import witness_from_doc  # noqa: E402
 
 
@@ -72,7 +76,7 @@ _PARSERS = [
      MalformedWitnessError),
     (patterns.spec_from_doc, {"family": "pvw", "params": {"d": 2, "sets": [[2, 3]]}},
      MalformedWitnessError),
-    (coloring_from_doc, {"r": 2, "bound": 3, "colors": [1, 2, 1], "provenance": "x"},
+    (lambda doc: coloring_from_doc(doc, "file:fuzz"), {"r": 2, "bound": 3, "colors": [1, 2, 1]},
      SchemaViolationError),
 ]
 
@@ -89,6 +93,60 @@ def test_document_parsers_raise_only_their_errors(data):
         parse(doc)
     except error:
         pass
+
+
+# valid random: and periodic: descriptors, split at their last ':' into a
+# head and comma-separated fields; a drawn bound is at most 10^4 or at
+# least 10^12, where the memory guard refuses it before any allocation
+_DESCRIPTORS = [
+    "random:pcg64:seed=3,r=2,bound=50",
+    "random:seed=3,r=3",
+    "periodic:q=3,r=2,bound=50",
+    "periodic:q=3,map=1;2;2",
+]
+_HEADS = ["random", "random:pcg64", "periodic", "periodic:pcg64", "rand", ""]
+_BOUNDS = st.integers(-2, 10**4) | st.integers(10**12, 10**16)
+_VALUES = _BOUNDS.map(str) | st.text("0123456789;=,:-x", max_size=4)
+
+
+@st.composite
+def _descriptor(draw):
+    """A valid descriptor with one to three fields replaced, removed,
+    repeated or added, or its head replaced."""
+    head, _, rest = draw(st.sampled_from(_DESCRIPTORS)).rpartition(":")
+    fields = rest.split(",")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "drop", "repeat", "add", "head"]))
+        i = draw(st.integers(0, max(len(fields) - 1, 0)))
+        if kind == "head":
+            head = draw(st.sampled_from(_HEADS))
+        elif kind == "add" or not fields:
+            key = draw(st.sampled_from(["seed", "r", "q", "map", "bound", "x"]))
+            fields.append(f"{key}={draw(_VALUES)}")
+        elif kind == "value":
+            fields[i] = fields[i].partition("=")[0] + "=" + draw(_VALUES)
+        elif kind == "drop":
+            del fields[i]
+        else:
+            fields.insert(i, fields[i])
+    return f"{head}:{','.join(fields)}"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(desc=_descriptor(), bound=st.none() | _BOUNDS)
+@example(desc="random:pcg64:seed=0,r=2,bound=10000000000000", bound=None)
+@example(desc="periodic:q=3,r=2", bound=10**13)
+def test_descriptors_raise_only_schema_or_budget_errors(desc, bound):
+    """A mutated random: or periodic: descriptor raises SchemaViolationError
+    or ResourceBudgetError, or builds a coloring its provenance rebuilds."""
+    try:
+        c = from_provenance(desc, bound)
+    except (SchemaViolationError, ResourceBudgetError):
+        return
+    assert c.bound <= 10**4
+    back = from_provenance(c.provenance)
+    assert back.provenance == c.provenance
+    assert np.array_equal(back.assignment, c.assignment)
 
 
 # bytes of a 1000-limit cache: the header (magic, version, id length,

@@ -1,8 +1,12 @@
-"""README's Quick tour runs as written and shows the values it prints."""
+"""README's Quick tour runs as written and shows the values it prints, and
+its descriptor grammar is the one from_provenance documents."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from sqstar import from_provenance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +42,15 @@ def test_quick_tour_comments_hold():
         assert got == want[0], f"tour line {stmt.end_lineno}: {got!r}, comment {comment!r}"
         checked += 1
     assert checked == 3
+
+
+def test_descriptor_grammar_matches_from_provenance():
+    """README's grammar block lists the descriptor forms of
+    from_provenance's docstring, in its order."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"provenance strings that colorings record:\n\n((?:    .*\n)+)", text).group(1)
+    readme = re.findall(r"^    (\S+)", block, re.M)
+    code = re.findall(r"^    (\S+)", inspect.cleandoc(from_provenance.__doc__), re.M)
+    assert readme == code
+    assert [re.match("[a-z]+", form).group() for form in code] == [
+        "random", "periodic", "periodic", "file"]
