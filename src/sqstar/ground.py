@@ -39,10 +39,14 @@ _VERSION = 3
 # the ground-set id every cache carries; any other id is corrupt
 _GROUND_ID = b"sigma"
 
-# Words selected at a time while filling the member buffer (2^16 bits);
-# small enough that the scratch (one bool byte per bit plus an int64 per
-# member found) stays under a megabyte.
+# Words per chunk (2^16 bits) of the rank directory and the cache checks, and
+# per step of a member fill, whose scratch (one bool byte per bit plus an
+# int64 per member found) stays under a megabyte.
 _CHUNK_WORDS = 2**10
+
+# Words per select block (2^12 bits): the member buffer is filled through
+# the block holding the largest rank asked for.
+_BLOCK_WORDS = 2**6
 
 # Values sieved at a time by build_table, one bool byte each; a multiple of
 # 64, so a segment and the half its evens are copied from start on a byte.
@@ -168,10 +172,10 @@ class GroundTable:
     word present from the start.
 
     Members (select, i.e. unrank) are read from one uint32 buffer that
-    holds a slot per member but is filled only on demand: as a prefix, a
-    chunk at a time, up to the chunk that holds the largest rank asked
-    for.  Pages of either never filled are never touched, so queries near
-    the bottom of the range cost little beyond the chunks they reach.
+    holds a slot per member but is filled only on demand: as a prefix, up
+    to the block of _BLOCK_WORDS words (2^12 values) holding the largest
+    rank asked for.  Pages of either never filled are never touched, so
+    queries near the bottom of the range cost little beyond what they reach.
     members(n) is a read-only view of it, members(size) of every member.
     """
 
@@ -222,24 +226,27 @@ class GroundTable:
         self._known = end
         self._cover = min(64 * end, self.limit + 1)
 
-    def _select_through(self, n: int) -> None:
-        """Fill the member buffer through the chunk holding rank n."""
+    def _check_rank(self, n: int) -> None:
+        """Raise unless 0 <= n < size."""
         if n < 0:
             raise ValueError("rank must be nonnegative")
-        size = self._members.size
-        if n >= size:
-            raise OutOfRangeError(f"rank {n} exceeds table size {size} (limit {self.limit})")
+        if n >= self.size:
+            raise OutOfRangeError(f"rank {n} exceeds table size {self.size} (limit {self.limit})")
+
+    def _select_through(self, n: int) -> None:
+        """Fill the member buffer through the select block holding rank n."""
+        self._check_rank(n)
         prefix, out = self._prefix, self._members
         while prefix.item(self._known) <= n:
             self._fill(self._known)
         # the word holding rank n is the last w with prefix[w] <= n
         w = int(np.searchsorted(prefix[: self._known + 1], n, side="right")) - 1
-        end = min((w // _CHUNK_WORDS + 1) * _CHUNK_WORDS, self._words.size)
+        end = min((w // _BLOCK_WORDS + 1) * _BLOCK_WORDS, self._words.size)
         data = self._words.view(np.uint8)
         out.setflags(write=True)
         try:
             for lo in range(self._filled, end, _CHUNK_WORDS):
-                bits = np.unpackbits(data[8 * lo : 8 * (lo + _CHUNK_WORDS)], bitorder="little")
+                bits = np.unpackbits(data[8 * lo : 8 * min(lo + _CHUNK_WORDS, end)], bitorder="little")
                 idx = np.flatnonzero(bits.view(bool))
                 pos = prefix.item(lo)
                 np.add(idx, 64 * lo, out=out[pos : pos + idx.size], casting="unsafe")

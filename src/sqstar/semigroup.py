@@ -20,15 +20,18 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import OutOfRangeError, ResourceBudgetError
-from .ground import DEFAULT_MAX_BYTES, MAX_LIMIT, GroundTable, _index_array
+from .ground import DEFAULT_MAX_BYTES, MAX_LIMIT, GroundTable, _check_budget, _index_array
 
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
 
 # pairs per chunk of star_many, and entries per chunk of verify_laws' tables
 _STAR_STEP = 1 << 14
-# values of m per block of verify_laws' associativity check and its right side
+# values of m per block of verify_laws' associativity check
 _LAW_ROWS = 8
+# verify_laws' peak bytes per first-grid entry and per left or right grid entry,
+# with margin: traced peaks fit 76 and 8.2 (plus 1 MB); a block holds 105 a grid entry
+_LAW_GRID_BYTES, _LAW_SIDE_BYTES = 112, 9
 # peak bytes per entry (a row's value at one stream position) of _Saturating's
 # lines, with margin: peak RSS grew 38 B an entry on FpF(10), 33 on FpF(12)
 _LINE_BYTES = 42
@@ -68,12 +71,13 @@ def star_many(ms, ns, table: GroundTable):
     """Vectorized star over rank arrays, broadcast against each other.
 
     Returns (ranks, valid) where valid marks pairs whose product stays
-    below the table limit; ranks is 0 where not valid.  Members are below
-    the limit, which is at most 2**32, so their products are exact in
-    uint64.  A negative rank raises ValueError, a rank past the table
-    OutOfRangeError and a non-integer rank TypeError, as in star.
-    Pairs go _STAR_STEP at a time, so no temporary is longer; an invalid
-    product is ranked as 0, so the directory fills only as far as it must.
+    below the table limit; ranks is 0 where not valid.  The members read
+    are widened to uint64 once; they are below the limit, at most 2**32,
+    so their products are exact.  A negative rank raises ValueError, a
+    rank past the table OutOfRangeError and a non-integer rank TypeError,
+    as in star.  Pairs go _STAR_STEP at a time, so no temporary is longer;
+    an invalid product is ranked as 0, so the directory fills only as far
+    as it must.  An empty broadcast checks its ranks but selects no member.
     """
     ms, ns = _index_array(ms), _index_array(ns)
     top = 0
@@ -82,17 +86,24 @@ def star_many(ms, ns, table: GroundTable):
             if rs.min() < 0:
                 raise ValueError("rank must be nonnegative")
             top = max(top, int(rs.max()) + 1)
-    s = table.members(top)  # OutOfRangeError for a rank past the table
-    pairs = np.nditer([ms, ns, None, None], ["external_loop", "buffered", "zerosize_ok"],
+    shape = np.broadcast(ms, ns).shape
+    if top:
+        table._check_rank(top - 1)  # OutOfRangeError for a rank past the table
+    if 0 in shape:
+        return np.zeros(shape, np.int64), np.zeros(shape, bool)
+    s = table.members(top).astype(np.uint64)
+    p, q = np.empty((2, min(ms.size * ns.size, _STAR_STEP)), np.uint64)  # sizes' product >= any chunk
+    pairs = np.nditer([ms, ns, None, None], ["external_loop", "buffered"],
                       [["readonly"]] * 2 + [["writeonly", "allocate"]] * 2,
                       [np.intp, np.intp, np.int64, np.bool_], casting="same_kind",
                       buffersize=_STAR_STEP)
     with pairs:
         for m, n, ranks, valid in pairs:
-            prod = np.multiply(s.take(m), s.take(n), dtype=np.uint64)  # widened a chunk at a time
+            prod = s.take(m, out=p[: m.size], mode="clip")  # ranks checked: clip moves none
+            prod *= s.take(n, out=q[: m.size], mode="clip")
             np.less(prod, table.limit, out=valid)
             prod *= valid
-            ranks[...] = table.count_below_many(prod)
+            ranks[...] = table.count_below_many(prod.view(np.intp))  # below 2**32: same values
         return pairs.operands[2], pairs.operands[3]
 
 
@@ -286,6 +297,8 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     per distinct inner product.  Each law has one rule: the entries where
     it is defined are checked, the rest skipped (out of range), and the
     first checked entry in C order where it fails is the counterexample.
+    A range whose grids would pass DEFAULT_MAX_BYTES raises
+    ResourceBudgetError before they are allocated.
     """
     if range_max < 0:
         raise ValueError("range_max must be nonnegative")
@@ -293,11 +306,12 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         raise OutOfRangeError(
             f"table holds only {table.size} ranks, cannot check up to {range_max}"
         )
-    idx = np.arange(range_max + 1)
+    n = range_max + 1
+    _check_budget(_LAW_GRID_BYTES * n * n, DEFAULT_MAX_BYTES, table.limit, f"laws on ranks 0..{n - 1}")
+    idx = np.arange(n)
     ranks, in_range = star_many(idx[:, None], idx[None, :], table)
     s = table.members(max(int(ranks.max()), range_max) + 1)
     v = s[idx].astype(np.uint64)
-    n = int(v.size)
     prod = v[:, None] * v[None, :]
 
     checks = []
@@ -320,12 +334,14 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     # The screen keeps the triples with s_m * s_k * s_j below the limit.
     # Members are below 2**32, so where prod < limit the screen prod * v
     # stays below 2**64 and is exact in uint64; other entries are masked
-    # out anyway.  Each side is looked up by the distinct products u: left
-    # = star(u, j) once, right = star(m, u) per block of _LAW_ROWS values of
-    # m, as int32 ranks (all below 2**31) with -1 where the product leaves
-    # the table.  The blocks keep C order, so the first counterexample is
-    # the one a single pass over all triples would meet.
+    # out anyway.  Each side is looked up by the distinct products u, left
+    # = star(u, j) and right = star(m, u) once each, as int32 ranks (all
+    # below 2**31) with -1 where the product leaves the table.  Triples go
+    # in blocks of _LAW_ROWS values of m, which keep C order, so the first
+    # counterexample is the one a single pass over all triples would meet.
     u, at = np.unique(np.where(in_range, ranks, 0), return_inverse=True)
+    _check_budget((_LAW_GRID_BYTES * n + _LAW_SIDE_BYTES * u.size) * n, DEFAULT_MAX_BYTES,
+                  table.limit, f"laws on ranks 0..{n - 1}")
     at = at.reshape(n, n)
 
     def star_grid(ms, ns):  # star(ms[a], ns[b]), _STAR_STEP entries at a time
@@ -336,7 +352,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
             out[lo : lo + step] = np.where(ok, r, -1)
         return out
 
-    left = star_grid(u, idx)
+    left, right = star_grid(u, idx), star_grid(idx, u)
     bad, checked3 = None, 0
     for lo in range(0, n, _LAW_ROWS):
         rows = slice(lo, lo + _LAW_ROWS)
@@ -346,7 +362,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
         checked3 += block
         if bad is not None or not block:
             continue
-        t_ok &= left[at[rows]] != star_grid(idx[rows], u)[:, at]
+        t_ok &= left[at[rows]] != right[rows][:, at]
         if t_ok.any():
             bad = tuple((np.argwhere(t_ok)[0] + (lo, 0, 0)).tolist())
     checks.append(LawCheck("associativity", checked3, n**3 - checked3, bad))

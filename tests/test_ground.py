@@ -221,8 +221,8 @@ def test_sieve_matches_oracle_at_edge_limits():
 
 @pytest.mark.parametrize("limit", [2, 64, 65537, 10**6])
 def test_members_on_demand_match_oracle(limit):
-    # members are selected a chunk of 2^16 values at a time: check rank 0,
-    # each chunk's first rank +-1 and the last rank, filling in order
+    # check rank 0, each chunk's first rank +-1 and the last rank, filling
+    # in order
     want = np.flatnonzero(oracles.two_squares_flags(limit))
     t = build_table(limit)
     assert t.size == want.size
@@ -236,6 +236,34 @@ def test_members_on_demand_match_oracle(limit):
     assert cold.element(want.size - 1) == want[-1]
     assert np.array_equal(cold.members(cold.size), want)
     assert cold.members(0).size == 0
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("limit", [2, 64, 4096, 4097, 65537, 300_001])
+def test_members_select_block_edges_match_oracle(tmp_path, limit, source):
+    # members are selected through the block of 64 words (2^12 values)
+    # holding the largest rank asked for, and no further: check both ends
+    # of every block and one rank either side (the last, partial block and
+    # size - 1 included), asked in ascending order and in random order
+    flags = oracles.two_squares_flags(limit)
+    want = np.flatnonzero(flags)
+    cum = np.concatenate([[0], np.cumsum(flags)])  # cum[x]: members below x
+    block = 64 * sqstar.ground._BLOCK_WORDS
+    firsts = [int(cum[x]) for x in range(0, limit, block)] + [want.size]
+    ranks = sorted({r + d for r in firsts for d in (-2, -1, 0, 1)} & set(range(want.size)))
+    path = str(tmp_path / "t.sgt")
+    save_cache(build_table(limit), path)
+    rng = np.random.Generator(np.random.PCG64(limit))
+    for order in (ranks, rng.permutation(ranks).tolist()):
+        t = build_table(limit) if source == "built" else load_cache(path)
+        reached = 0
+        for i, r in enumerate(order):
+            reached = max(reached, int(cum[min((want[r] // block + 1) * block, limit)]))
+            if i % 2:
+                assert t.element(r) == want[r], (limit, source, r)
+            else:
+                assert np.array_equal(t.members(r + 1), want[: r + 1]), (limit, source, r)
+            assert t._ready == reached, (limit, source, r)
 
 
 def sieve_bits(limit):
@@ -334,7 +362,7 @@ def test_load_then_element_selects_one_chunk(tmp_path, table_1m):
     save_cache(table_1m, path)
     loaded = load_cache(path)
     assert loaded.element(10) == table_1m.element(10)
-    assert 0 < loaded._ready <= loaded.count_below(2**16)
+    assert 0 < loaded._ready == loaded.count_below(64 * sqstar.ground._BLOCK_WORDS)
 
 
 def test_load_then_count_fills_one_directory_chunk(tmp_path, table_1m, monkeypatch):

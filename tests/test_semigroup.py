@@ -12,6 +12,7 @@ from sqstar import (
     FpF,
     GroundTable,
     OutOfRangeError,
+    ResourceBudgetError,
     build_table,
     eval_monomial,
     generate_configuration,
@@ -330,6 +331,58 @@ def test_star_many_past_the_table_message(table_100k):
         assert str(exc.value) == f"rank {rank} exceeds table size {size} (limit {limit})"
 
 
+def test_star_many_on_an_empty_broadcast(table_100k):
+    # [] is float64 to numpy; every empty broadcast answers empty int64
+    # ranks and bool valid of its shape
+    t = table_100k
+    empty = np.array([], dtype=np.int64)
+    for ms, ns, shape in [
+        ([], [], (0,)),
+        ([], 3, (0,)),
+        (np.array([], dtype=np.uint64), [], (0,)),
+        ([], [[1], [2]], (2, 0)),
+        (np.empty((2, 0), dtype=np.int64), [[1], [2]], (2, 0)),
+        (np.zeros((0, 3)), np.arange(3), (0, 3)),
+    ]:
+        ranks, valid = star_many(ms, ns, t)
+        assert (ranks.shape, ranks.dtype, valid.shape, valid.dtype) == (shape, np.int64, shape, bool)
+    # every given rank is still checked, with star's messages
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        star_many([-1], empty, t)
+    with pytest.raises(OutOfRangeError) as exc:
+        star_many(empty, [t.size], t)
+    assert str(exc.value) == f"rank {t.size} exceeds table size {t.size} (limit {t.limit})"
+
+
+def test_star_many_on_an_empty_broadcast_selects_no_member():
+    t = build_table(10**6)
+    ranks, valid = star_many(np.array([], dtype=np.int64), [t.size - 1], t)
+    assert ranks.shape == valid.shape == (0,)
+    assert t._ready == 0 and t._known == 0
+
+
+def test_star_many_ranks_every_chunk_through_bulk_rank(monkeypatch, table_100k):
+    # a fault injected through GroundTable.count_below_many shows in every
+    # chunk: star_many ranks each chunk's products there and nowhere else
+    t = table_100k
+    rng = np.random.Generator(np.random.PCG64(5))
+    ms = rng.integers(0, 60, 2 * STEP + 7)  # members up to 145: every product in range
+    ns = rng.integers(0, 60, 2 * STEP + 7)
+    honest_ranks, honest_valid = star_many(ms, ns, t)
+    assert honest_valid.all()
+    honest, calls = GroundTable.count_below_many, []
+
+    def corrupt(self, xs):
+        calls.append(np.asarray(xs).size)
+        return honest(self, xs) + 1
+
+    monkeypatch.setattr(GroundTable, "count_below_many", corrupt)
+    ranks, valid = star_many(ms, ns, t)
+    assert calls == [STEP, STEP, 7] and valid.all()
+    for lo in range(0, ms.size, STEP):
+        assert np.array_equal(ranks[lo : lo + STEP], honest_ranks[lo : lo + STEP] + 1), lo
+
+
 def test_star_many_refuses_non_integer_ranks():
     # as star(2.7, 3) does, instead of truncating 2.7 to rank 2
     t = build_table(1000)
@@ -448,8 +501,9 @@ def test_star_many_scratch_is_one_chunk(table_1m):
 
 
 def test_verify_laws_scratch_on_1m(table_1m):
-    """verify_laws(100): traced peak 3.3 MB (numpy 2.4); 8.7 MB when both
-    sides were evaluated per triple."""
+    """verify_laws(100): traced peak 4.2 MB (numpy 2.4) with the right
+    side's grid built once; 3.2 MB while it was built per block of rows,
+    8.7 MB when both sides were evaluated per triple."""
     verify_laws(100, table_1m)
     tracemalloc.start()
     try:
@@ -458,6 +512,55 @@ def test_verify_laws_scratch_on_1m(table_1m):
     finally:
         tracemalloc.stop()
     assert peak <= 6_000_000
+
+
+def test_verify_laws_refuses_a_range_past_the_memory_budget(table_100k, capsys):
+    # refused by its first grid before anything is allocated
+    t = table_100k
+    need = semigroup._LAW_GRID_BYTES * 20001**2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError) as exc:
+            verify_laws(20000, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (f"limit {t.limit} needs ~{need} bytes for the laws on ranks "
+                              f"0..20000, budget is {semigroup.DEFAULT_MAX_BYTES}")
+    assert peak < 1_000_000 and capsys.readouterr() == ("", "")
+
+
+def test_verify_laws_refuses_its_side_grids_past_the_budget(monkeypatch, table_1m):
+    # range 100: the first grid passes a 2 MB budget, its side grids do not,
+    # and nothing traced comes near the budget before the refusal
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", 2_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="laws on ranks 0..100, budget is 2000000"):
+            verify_laws(100, table_1m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert semigroup._LAW_GRID_BYTES * 101**2 < 2_000_000 and peak < 2_000_000
+    verify_laws(40, table_1m)  # 0.38 MB estimated: under the budget
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200])
+def test_verify_laws_budget_covers_its_traced_peak(table_1m, n):
+    """Traced peak of verify_laws(n) against the guard's estimate (per
+    first-grid entry and per side-grid entry; numpy 2.4)."""
+    idx = np.arange(n + 1)
+    ranks, valid = star_many(idx[:, None], idx[None, :], table_1m)
+    sides = np.unique(np.where(valid, ranks, 0)).size
+    verify_laws(n, table_1m)
+    tracemalloc.start()
+    try:
+        verify_laws(n, table_1m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = (semigroup._LAW_GRID_BYTES * (n + 1) + semigroup._LAW_SIDE_BYTES * sides) * (n + 1)
+    assert peak <= need + 1_100_000
 
 
 def _rank_faults(rng, t, n):
