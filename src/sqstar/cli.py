@@ -111,14 +111,14 @@ def _parse_coloring(desc: str, bound: int | None) -> col.Coloring:
         raise _CliError(str(exc)) from exc
 
 
-def _build_spec(args, gen_tokens=None):
-    """PatternSpec from family flags; gen_tokens only sizes fpf/deuber."""
+def _build_spec(args, entries=()):
+    """PatternSpec from family flags; the --gen entries only size fpf/deuber."""
     cls = pat.FAMILIES[args.family]
     params = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
-    if gen_tokens and args.family == "fpf" and params["k"] is None:
-        params["k"] = len(gen_tokens)
-    if gen_tokens and args.family == "deuber" and params["m"] is None:
-        params["m"] = len(gen_tokens) - 1
+    if entries and args.family == "fpf" and params["k"] is None:
+        params["k"] = len(entries)
+    if entries and args.family == "deuber" and params["m"] is None:
+        params["m"] = len(entries) - 1
     missing = [f"--{name}" for name, v in params.items() if v is None]
     if missing:
         raise _CliError(f"{args.family} needs {' and '.join(missing)}")
@@ -316,7 +316,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "pattern":
-        spec = _build_spec(args, gen_tokens=args.gen)
+        spec = _build_spec(args, ",".join(args.gen).split(","))  # a token may hold several entries
         gens = _build_generators(spec, args.gen)
         table = _get_table(args)
         config = pat.generate_configuration(spec, gens, table)

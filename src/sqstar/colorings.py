@@ -15,9 +15,8 @@ import os
 
 import numpy as np
 
-from .errors import (EnumerationCapError, OutOfDomainError, ResourceBudgetError,
-                     SchemaViolationError)
-from .ground import DEFAULT_MAX_BYTES
+from .errors import EnumerationCapError, OutOfDomainError, SchemaViolationError
+from .ground import _check_budget
 
 # avoiding_word gives up after visiting this many search nodes
 DEFAULT_ENUMERATION_CAP = 2**24
@@ -211,7 +210,7 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
     from_file (by absolute path and digest, split off from the right) record.
     `bound` fills in when the string carries none; every malformed one, or
     a file that no longer hashes to its digest, raises SchemaViolationError;
-    a bound whose build would pass DEFAULT_MAX_BYTES raises ResourceBudgetError first.
+    a bound whose build would pass ground.DEFAULT_MAX_BYTES raises ResourceBudgetError first.
     """
     kind, _, rest = prov.partition(":")
     if kind == "file":
@@ -232,8 +231,7 @@ def from_provenance(prov: str, bound: int | None = None) -> Coloring:
         b = int(fields["bound"]) if "bound" in fields else bound
         if b is None:
             raise SchemaViolationError(f"no bound recorded in {prov!r}")
-        if _PEAK_BYTES_PER_RANK * b > DEFAULT_MAX_BYTES:
-            raise ResourceBudgetError(f"coloring bound {b} needs over {DEFAULT_MAX_BYTES} bytes")
+        _check_budget(_PEAK_BYTES_PER_RANK * b, f"coloring bound {b}", "its colors")
         if kind == "random":
             return random_coloring(int(fields["seed"]), int(fields["r"]), b)
         if ("map" in fields) == ("r" in fields):

@@ -30,7 +30,7 @@ class CorruptCacheError(SqstarError):
 
 
 class ResourceBudgetError(SqstarError):
-    """A requested build would exceed the configured memory budget."""
+    """A request's estimated peak would pass ground.DEFAULT_MAX_BYTES, the one memory budget."""
 
 
 class EnumerationCapError(SqstarError):

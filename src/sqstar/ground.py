@@ -27,8 +27,8 @@ from .errors import (
     ResourceBudgetError,
 )
 
-# Refuse builds whose working set would exceed this many bytes (see
-# build_table for the estimate).
+# The one memory budget: every guard (_check_budget) refuses a request whose
+# estimated peak would pass this many bytes, reading it at call time.
 DEFAULT_MAX_BYTES = 2**31
 
 # The member array is uint32, so values, and hence the limit, stop at 2**32.
@@ -318,25 +318,23 @@ class GroundTable:
         return f"GroundTable(limit={self.limit}, size={self.size})"
 
 
-def _check_budget(need: int, max_bytes: int, limit: int, stage: str) -> None:
-    if need > max_bytes:
+def _check_budget(need: int, who: str, what: str) -> None:
+    """The one memory guard: refuse a need past DEFAULT_MAX_BYTES, read at call time."""
+    if need > DEFAULT_MAX_BYTES:
         raise ResourceBudgetError(
-            f"limit {limit} needs ~{need} bytes for the {stage}, budget is {max_bytes}"
-        )
+            f"{who} needs ~{need} bytes for {what}, budget is {DEFAULT_MAX_BYTES}")
 
 
-def build_table(
-    limit: int,
-    max_bytes: int = DEFAULT_MAX_BYTES,
-) -> GroundTable:
+def build_table(limit: int) -> GroundTable:
     """Sieve all members below limit into a GroundTable.
 
-    The build has two peaks, and each is checked against max_bytes before
-    its allocation.  The segmented sieve holds the bitset (limit/8 bytes),
-    one bool segment of at most _SEGMENT values and the unpacked half its
-    evens are copied from (its packed copy comes after that is freed),
-    three int64 temporaries of _PAIRS pairs, and ten int64 arrays of one
-    entry per u (rows and _pronic_floor temporaries).  The table then
+    The build has two peaks, and each is checked against DEFAULT_MAX_BYTES
+    (raise it for a limit near MAX_LIMIT) before its allocation.  The
+    segmented sieve holds the bitset (limit/8 bytes), one bool segment of
+    at most _SEGMENT values and the unpacked half its evens are copied
+    from (its packed copy comes after that is freed), three int64
+    temporaries of _PAIRS pairs, and ten int64 arrays of one entry per u
+    (rows and _pronic_floor temporaries).  The table then
     holds the bitset and the uint32 rank directory (13 bytes per word of
     64 candidates, with the byte a word takes while it is filled), the
     member buffer (4 bytes per member) and the chunked select scratch;
@@ -348,14 +346,14 @@ def build_table(
     nwords = (limit >> 6) + 1
     seg = min(_SEGMENT, limit)
     sieve = 8 * nwords + seg + seg // 2 + 24 * min(_PAIRS, seg) + 80 * (math.isqrt(limit // 4) + 1)
-    _check_budget(sieve, max_bytes, limit, "sieve")
+    _check_budget(sieve, f"limit {limit}", "the sieve")
     if limit > MAX_LIMIT:
         raise ValueError(f"limit {limit} above {MAX_LIMIT}: uint32 members would overflow")
     words = _sieve(limit)
     count = int(np.bitwise_count(words).sum())
     bits = 64 * _CHUNK_WORDS
     scratch = bits + 8 * min(count, bits)
-    _check_budget(13 * nwords + 4 + 4 * count + scratch, max_bytes, limit, "table")
+    _check_budget(13 * nwords + 4 + 4 * count + scratch, f"limit {limit}", "the table")
     return GroundTable(limit, words, count)
 
 

@@ -102,22 +102,22 @@ _PHIS = (PhiProjection, PhiSum, PhiProduct, PhiLinear, PhiStarFold)
 
 
 def phi_from_str(text: str):
-    parts = text.split(":")
-    head = parts[0]
+    """Read a combination map, in the grammar its str prints:
+
+        proj:I  sum  product  starfold  linear:C1;...;Cm:K
+    """
+    head, *args = text.split(":")
     try:
-        if head in ("proj", "projection") and len(parts) == 2:
-            return PhiProjection(int(parts[1]))
-        if head == "sum" and len(parts) == 1:
-            return PhiSum()
-        if head == "product" and len(parts) == 1:
-            return PhiProduct()
-        if head == "starfold" and len(parts) == 1:
-            return PhiStarFold()
-        if head == "linear" and len(parts) == 3:
-            coeffs = tuple(int(c) for c in parts[1].split(";")) if parts[1] else ()
-            return PhiLinear(coeffs, int(parts[2]))
+        if head == "proj" and len(args) == 1:
+            return PhiProjection(int(args[0]))
+        if head == "linear" and len(args) == 2:
+            coeffs = tuple(int(c) for c in args[0].split(";")) if args[0] else ()
+            return PhiLinear(coeffs, int(args[1]))
     except ValueError as exc:
         raise ValueError(f"bad combination map {text!r}: {exc}") from exc
+    nullary = {"sum": PhiSum, "product": PhiProduct, "starfold": PhiStarFold}
+    if head in nullary and not args:
+        return nullary[head]()
     raise ValueError(f"unknown combination map {text!r}")
 
 

@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OutOfRangeError, ResourceBudgetError
-from .ground import DEFAULT_MAX_BYTES, MAX_LIMIT, GroundTable, _check_budget, _index_array
+from .errors import OutOfRangeError
+from .ground import MAX_LIMIT, GroundTable, _check_budget, _index_array
 
 # A monomial is a sequence of (rank, exponent) pairs with exponents >= 0.
 Monomial = Sequence[Tuple[int, int]]
@@ -199,15 +199,13 @@ class _Saturating:
     def lines(self, stream, rows: int):
         """The values of a block's stream, one int64 line per stream
         position, and the lines of ok after each; ResourceBudgetError once
-        they would need more than DEFAULT_MAX_BYTES."""
+        they would need more than ground.DEFAULT_MAX_BYTES."""
         self.ok = np.ones(rows, dtype=bool)
-        values, ok = [], []
+        values, ok, who = [], [], f"a block of {rows} candidates"
         for v in stream:
             values.append(v)
             ok.append(self.ok)
-            if _LINE_BYTES * rows * len(values) > DEFAULT_MAX_BYTES:
-                raise ResourceBudgetError(
-                    f"a block of {rows} candidates needs over {DEFAULT_MAX_BYTES} bytes of values")
+            _check_budget(_LINE_BYTES * rows * len(values), who, "its values")
         return np.array(values, dtype=np.int64), np.array(ok)
 
     def member(self, x):
@@ -297,7 +295,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     per distinct inner product.  Each law has one rule: the entries where
     it is defined are checked, the rest skipped (out of range), and the
     first checked entry in C order where it fails is the counterexample.
-    A range whose grids would pass DEFAULT_MAX_BYTES raises
+    A range whose grids would pass ground.DEFAULT_MAX_BYTES raises
     ResourceBudgetError before they are allocated.
     """
     if range_max < 0:
@@ -307,7 +305,8 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
             f"table holds only {table.size} ranks, cannot check up to {range_max}"
         )
     n = range_max + 1
-    _check_budget(_LAW_GRID_BYTES * n * n, DEFAULT_MAX_BYTES, table.limit, f"laws on ranks 0..{n - 1}")
+    who, what = f"limit {table.limit}", f"the laws on ranks 0..{range_max}"
+    _check_budget(_LAW_GRID_BYTES * n * n, who, what)
     idx = np.arange(n)
     ranks, in_range = star_many(idx[:, None], idx[None, :], table)
     s = table.members(max(int(ranks.max()), range_max) + 1)
@@ -340,8 +339,7 @@ def verify_laws(range_max: int, table: GroundTable) -> LawReport:
     # in blocks of _LAW_ROWS values of m, which keep C order, so the first
     # counterexample is the one a single pass over all triples would meet.
     u, at = np.unique(np.where(in_range, ranks, 0), return_inverse=True)
-    _check_budget((_LAW_GRID_BYTES * n + _LAW_SIDE_BYTES * u.size) * n, DEFAULT_MAX_BYTES,
-                  table.limit, f"laws on ranks 0..{n - 1}")
+    _check_budget((_LAW_GRID_BYTES * n + _LAW_SIDE_BYTES * u.size) * n, who, what)
     at = at.reshape(n, n)
 
     def star_grid(ms, ns):  # star(ms[a], ns[b]), _STAR_STEP entries at a time

@@ -24,7 +24,7 @@ from sqstar import (
 )
 from sqstar import cli
 from sqstar import patterns as pat
-from sqstar import semigroup
+from sqstar import ground
 from sqstar.cli import main
 
 
@@ -276,6 +276,17 @@ def test_pattern_families(cache_path, capsys):
     assert doc["spec"]["family"] == "brauer"
 
 
+@pytest.mark.parametrize("family, size", [("fpf", ["--k", "2"]), ("deuber", ["--m", "1"])])
+def test_pattern_sizes_fpf_and_deuber_from_entries_not_tokens(cache_path, capsys, family, size):
+    # one token may hold several comma-separated entries
+    flags = ["--p", "1"] if family == "deuber" else []
+    outs = [run(capsys, "--cache", cache_path, "--format", "structured", "pattern",
+                "--family", family, *flags, *extra, "--gen", *gen)
+            for extra, gen in ((size, ["2,3"]), ([], ["2", "3"]), ([], ["2,3"]))]
+    assert outs[0][0] == 0 and outs[1] == outs[0] and outs[2] == outs[0]
+    assert json.loads(outs[0][1])["generators"]["xs"] == [2, 3]
+
+
 def test_pattern_monomial_generators(cache_path, capsys):
     table = load_cache(cache_path)
     for b_token, b, want in (("2:1,5:2", [(2, 1), (5, 2)], [54, 337, 633]),
@@ -466,16 +477,20 @@ def test_a_coloring_document_is_named_by_its_file_not_its_own_key(
         assert err.startswith(f"error (corrupt-input): coloring file {cpath} has SHA-256 ")
 
 
-def test_a_coloring_past_the_memory_budget_is_usage_error(cache_path, tmp_path, capsys):
+def test_a_coloring_past_the_memory_budget_is_usage_error(cache_path, tmp_path, capsys,
+                                                          monkeypatch):
     # refused by the descriptor's bound before anything is allocated, from
-    # a witness's provenance and from --coloring alike
+    # a witness's provenance and from --coloring alike, at a budget raised
+    # to one byte below its need
     wpath = str(tmp_path / "w.json")
     code, _, _ = run(capsys, "--cache", cache_path, *SEARCH_ARGS, "--out", wpath)
     assert code == 0
     doc = json.loads(Path(wpath).read_text())
     doc["coloring-provenance"] = "random:pcg64:seed=0,r=2,bound=10000000000000"
     Path(wpath).write_text(json.dumps(doc))
-    message = "error (usage): coloring bound 10000000000000 needs over 2147483648 bytes\n"
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", 8 * 10**13 - 1)
+    message = ("error (usage): coloring bound 10000000000000 needs ~80000000000000 bytes "
+               "for its colors, budget is 79999999999999\n")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "--cache", cache_path, "verify", "--witness", wpath)
@@ -584,12 +599,13 @@ def test_search_exhausted_with_coloring_file(cache_path, tmp_path, capsys):
 
 
 def test_search_past_the_block_memory_budget_is_usage_error(cache_path, capsys, monkeypatch):
-    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", 10**6)
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", 10**6)
     code, out, err = run(capsys, "--cache", cache_path, "search", "--family", "fpf",
                          "--k", "10", "--coloring", "random:seed=1,r=2", "--bound", "25000",
                          "--gen-max", "3")
     assert (code, out) == (2, "")
-    assert err == "error (usage): a block of 128 candidates needs over 1000000 bytes of values\n"
+    assert err == ("error (usage): a block of 128 candidates needs ~1005312 bytes for its values, "
+                   "budget is 1000000\n")
 
 
 def test_search_budget_exit(cache_path, capsys):

@@ -20,9 +20,8 @@ from sqstar import (
     periodic_coloring,
     random_coloring,
 )
-from sqstar import colorings
+from sqstar import colorings, ground
 from sqstar.colorings import Coloring, coloring_from_doc
-from sqstar.ground import DEFAULT_MAX_BYTES
 
 
 def test_random_coloring_refuses_colors_past_int32():
@@ -349,19 +348,27 @@ def test_doc_rejects_non_object():
     "periodic:q=3,r=2,bound=10000000000000",
     "periodic:q=2,map=1;2,bound=10000000000000",
 ])
-def test_from_provenance_refuses_a_bound_past_the_memory_budget(desc):
+def test_from_provenance_refuses_a_bound_past_the_memory_budget(desc, monkeypatch):
     # refused before the build, counted at 8 bytes a rank
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceBudgetError,
-                           match="coloring bound 10000000000000 needs over 2147483648 bytes"):
+        with pytest.raises(ResourceBudgetError, match="coloring bound 10000000000000 needs "
+                           "~80000000000000 bytes for its colors, budget is 2147483648"):
             from_provenance(desc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
     with pytest.raises(ResourceBudgetError):
-        from_provenance(desc.rpartition(",")[0], DEFAULT_MAX_BYTES // 8 + 1)
+        from_provenance(desc.rpartition(",")[0], ground.DEFAULT_MAX_BYTES // 8 + 1)
+    # a bound of 1000 needs 8000 bytes: built at that budget, refused one below
+    small = desc.replace("10000000000000", "1000")
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", 8000)
+    assert from_provenance(small).bound == 1000
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", 7999)
+    with pytest.raises(ResourceBudgetError, match="coloring bound 1000 needs ~8000 bytes "
+                       "for its colors, budget is 7999"):
+        from_provenance(small)
 
 
 @pytest.mark.parametrize("desc, per_rank", [

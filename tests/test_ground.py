@@ -138,19 +138,21 @@ def test_membership_reads_at_the_limit(table_100k):
     assert str(exc.value) == "3 is not in the ground set"
 
 
-def test_build_validation():
+def test_build_validation(monkeypatch):
     with pytest.raises(ValueError):
         build_table(1)
     with pytest.raises(ResourceBudgetError):
         build_table(10**12)
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", 10**5)
     with pytest.raises(ResourceBudgetError):
-        build_table(10**6, max_bytes=10**5)
+        build_table(10**6)
     # uint32 members stop at 2**32, whatever the budget
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", 2**62)
     with pytest.raises(ValueError):
-        build_table(2**32 + 1, max_bytes=2**62)
+        build_table(2**32 + 1)
 
 
-def test_budget_estimate_tracks_measured_peak():
+def test_budget_estimate_tracks_measured_peak(monkeypatch):
     # the guard's estimate is never below the traced peak of a build and
     # not far above it
     tracemalloc.start()
@@ -159,9 +161,11 @@ def test_budget_estimate_tracks_measured_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", peak - 1)
     with pytest.raises(ResourceBudgetError):
-        build_table(10**7, max_bytes=peak - 1)
-    assert build_table(10**7, max_bytes=int(1.25 * peak)).limit == 10**7
+        build_table(10**7)
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", int(1.25 * peak))
+    assert build_table(10**7).limit == 10**7
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
@@ -317,19 +321,21 @@ def test_sieve_at_1e8_is_pinned(table_100m_timed):
 
 
 @pytest.mark.parametrize("limit", [10**5, 10**6, 10**7])
-def test_sieve_budget_covers_its_traced_peak(limit):
+def test_sieve_budget_covers_its_traced_peak(limit, monkeypatch):
     tracemalloc.start()
     try:
         sqstar.ground._sieve(limit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", peak - 1)
     with pytest.raises(ResourceBudgetError, match="the sieve"):
-        build_table(limit, max_bytes=peak - 1)
+        build_table(limit)
     # not far above the peak: half as much again passes the sieve stage,
     # though the table stage may still refuse it
+    monkeypatch.setattr(sqstar.ground, "DEFAULT_MAX_BYTES", int(1.5 * peak))
     try:
-        build_table(limit, max_bytes=int(1.5 * peak))
+        build_table(limit)
     except ResourceBudgetError as err:
         assert "the table" in str(err), str(err)
 

@@ -8,6 +8,7 @@ import pytest
 from sqstar import (
     Brauer,
     Coloring,
+    FpF,
     GeoArithmetic,
     GroundTable,
     MillikenTaylor,
@@ -15,9 +16,16 @@ from sqstar import (
     PhiProjection,
     PhiSum,
     PolyVdW,
+    ResourceBudgetError,
+    SearchBounds,
+    build_table,
+    find_witness,
+    from_provenance,
     periodic_coloring,
+    random_coloring,
     verify_laws,
 )
+from sqstar import ground
 
 
 @pytest.mark.parametrize("call, message", [
@@ -43,3 +51,37 @@ from sqstar import (
 def test_argument_guard_fails(table_100k, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(table_100k)
+
+
+def _refusal(monkeypatch, budget, call):
+    """(need, message) of the budget refusal call meets at this budget, or None."""
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", budget)
+    try:
+        call()
+    except ResourceBudgetError as err:
+        return int(re.search(r"needs ~(\d+) bytes", str(err)).group(1)), str(err)
+    return None
+
+
+@pytest.mark.parametrize("call, skip, message", [
+    (lambda t: build_table(10**5), 0, "limit 100000 needs ~{} bytes for the sieve"),
+    (lambda t: build_table(10**5), 1, "limit 100000 needs ~{} bytes for the table"),
+    (lambda t: find_witness(t, random_coloring(1, 2, 400), FpF(3), SearchBounds(2, 400)), 0,
+     "a block of 1 candidates needs ~{} bytes for its values"),
+    (lambda t: verify_laws(30, t), 0, "limit 100000 needs ~{} bytes for the laws on ranks 0..30"),
+    (lambda t: verify_laws(30, t), 1, "limit 100000 needs ~{} bytes for the laws on ranks 0..30"),
+    (lambda t: from_provenance("random:seed=0,r=2,bound=1000"), 0,
+     "coloring bound 1000 needs ~{} bytes for its colors"),
+], ids=["sieve", "table", "block-lines", "laws-grid", "laws-side-grids", "descriptor"])
+def test_budget_check_passes_at_its_need_and_refuses_one_byte_below(
+        table_100k, monkeypatch, call, skip, message):
+    """Each of the six checks reads ground.DEFAULT_MAX_BYTES when it runs:
+    the budget is raised past the `skip` checks the call meets first, then
+    set to the target check's need and one byte below it."""
+    need = 0
+    for _ in range(skip + 1):
+        need = _refusal(monkeypatch, need, lambda: call(table_100k))[0]
+    below = _refusal(monkeypatch, need - 1, lambda: call(table_100k))
+    assert below == (need, message.format(need) + f", budget is {need - 1}")
+    at = _refusal(monkeypatch, need, lambda: call(table_100k))
+    assert at is None or at[0] > need

@@ -179,6 +179,8 @@ def test_phi_roundtrip():
         phi_from_str("nonsense")
     with pytest.raises(ValueError):
         phi_from_str("proj:x")
+    with pytest.raises(ValueError, match="unknown combination map 'projection:1'"):
+        phi_from_str("projection:1")  # proj:I is the one projection form
 
 
 def test_spec_validation():

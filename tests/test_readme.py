@@ -1,5 +1,6 @@
 """README's Quick tour runs as written and shows the values it prints, and
-its descriptor grammar is the one from_provenance documents."""
+its descriptor and combination-map grammars are the ones from_provenance
+and phi_from_str document."""
 
 import ast
 import inspect
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 from sqstar import from_provenance
+from sqstar.patterns import phi_from_str
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +56,14 @@ def test_descriptor_grammar_matches_from_provenance():
     assert readme == code
     assert [re.match("[a-z]+", form).group() for form in code] == [
         "random", "periodic", "periodic", "file"]
+
+
+def test_phi_grammar_matches_phi_from_str():
+    """README's combination-map block lists the forms of phi_from_str's
+    docstring, in its order, and each is the printed form of one map."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"in the grammar\neach map prints:\n\n((?:    .*\n)+)", text).group(1)
+    readme = re.findall(r"^    (\S+)", block, re.M)
+    code = inspect.cleandoc(phi_from_str.__doc__).split("\n\n", 1)[1].split()
+    assert readme == code
+    assert code == ["proj:I", "sum", "product", "starfold", "linear:C1;...;Cm:K"]

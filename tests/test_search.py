@@ -38,7 +38,7 @@ from sqstar import (
     threshold,
     verify_witness,
 )
-from sqstar import search, semigroup
+from sqstar import ground, search, semigroup
 from sqstar.patterns import config_values
 from sqstar.search import admitted_configs, forced_window, generators_from_tuple
 from sqstar.semigroup import _VALUE_CAP, _Exact, _Saturating
@@ -296,10 +296,10 @@ def test_block_lines_refuse_to_pass_the_memory_budget(table_100k, monkeypatch):
     coloring = random_coloring(1, 2, 25_000)
     bounds = SearchBounds(generator_max=3, value_bound=25_000)
     need = semigroup._LINE_BYTES * 512 * 1023
-    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", need)
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", need)
     assert find_witness(table_100k, coloring, FpF(10), bounds).nodes == 1024
-    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", need - 1)
-    message = f"a block of 512 candidates needs over {need - 1} bytes of values"
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", need - 1)
+    message = f"a block of 512 candidates needs ~{need} bytes for its values, budget is {need - 1}"
     with pytest.raises(ResourceBudgetError, match=message):
         find_witness(table_100k, coloring, FpF(10), bounds)
 

@@ -23,7 +23,7 @@ from sqstar import (
     star_many,
     verify_laws,
 )
-from sqstar import semigroup
+from sqstar import ground, semigroup
 
 
 def test_worked_product(table_100k):
@@ -514,10 +514,12 @@ def test_verify_laws_scratch_on_1m(table_1m):
     assert peak <= 6_000_000
 
 
-def test_verify_laws_refuses_a_range_past_the_memory_budget(table_100k, capsys):
-    # refused by its first grid before anything is allocated
+def test_verify_laws_refuses_a_range_past_the_memory_budget(table_100k, capsys, monkeypatch):
+    # refused by its first grid before anything is allocated, at a budget
+    # raised to one byte below its need
     t = table_100k
     need = semigroup._LAW_GRID_BYTES * 20001**2
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc:
@@ -526,14 +528,14 @@ def test_verify_laws_refuses_a_range_past_the_memory_budget(table_100k, capsys):
     finally:
         tracemalloc.stop()
     assert str(exc.value) == (f"limit {t.limit} needs ~{need} bytes for the laws on ranks "
-                              f"0..20000, budget is {semigroup.DEFAULT_MAX_BYTES}")
+                              f"0..20000, budget is {need - 1}")
     assert peak < 1_000_000 and capsys.readouterr() == ("", "")
 
 
 def test_verify_laws_refuses_its_side_grids_past_the_budget(monkeypatch, table_1m):
     # range 100: the first grid passes a 2 MB budget, its side grids do not,
     # and nothing traced comes near the budget before the refusal
-    monkeypatch.setattr(semigroup, "DEFAULT_MAX_BYTES", 2_000_000)
+    monkeypatch.setattr(ground, "DEFAULT_MAX_BYTES", 2_000_000)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError, match="laws on ranks 0..100, budget is 2000000"):
